@@ -1,6 +1,5 @@
 """steadypop: stationary solutions of quasilinear size-structured population models."""
 
-from ._accel import NUMBA_ENABLED
 from .errors import (
     BoundsViolationError,
     ConfigError,

@@ -1,27 +1,26 @@
-"""Quadrature inner loops, numba-accelerated with a pure-numpy fallback.
+"""Quadrature inner loops on numpy arrays.
 
-The numpy implementations are the reference. The numba versions perform the
-same accumulations in the same order, so the two paths agree to floating-point
-roundoff. Selection happens once at import time: set ``STEADYPOP_NO_NUMBA=1``
-to force the numpy path (also used automatically when numba is unavailable).
-``benchmarks/bench_accel.py`` compares the two paths.
+Every running integral, quadrature sum and survival shape in the package goes
+through these four functions, so a compiled kernel would replace them here.
+None is shipped: no measured workload has shown that one pays off.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+# kept for tools that record which inner loops ran; always the numpy ones
+NUMBA_ENABLED = False
 
-def _cumtrapz_np(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+
+def cumtrapz(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     out = np.empty_like(f)
     out[0] = 0.0
     np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x), out=out[1:])
     return out
 
 
-def _revcumtrapz_np(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+def revcumtrapz(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     seg = 0.5 * (f[1:] + f[:-1]) * np.diff(x)
     out = np.empty_like(f)
     out[-1] = 0.0
@@ -29,73 +28,15 @@ def _revcumtrapz_np(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_sum_np(w: np.ndarray, f: np.ndarray) -> float:
+def weighted_sum(w: np.ndarray, f: np.ndarray) -> float:
     return float(np.dot(w, f))
 
 
-def _survival_from_rates_np(x: np.ndarray, g: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+# bound here so that rebinding the public cumtrapz (say, to time or count its
+# calls) leaves survival_from_rates on the same loop
+_cumtrapz = cumtrapz
+
+
+def survival_from_rates(x: np.ndarray, g: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     # survival shape (1/g) * exp(-running trapezoid integral of mu/g)
-    return np.exp(-_cumtrapz_np(x, ratio)) / g
-
-
-_FORCE_NUMPY = os.environ.get("STEADYPOP_NO_NUMBA", "0") not in ("", "0")
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - depends on environment
-        _FORCE_NUMPY = True
-
-if _FORCE_NUMPY:
-    NUMBA_ENABLED = False
-    cumtrapz = _cumtrapz_np
-    revcumtrapz = _revcumtrapz_np
-    weighted_sum = _weighted_sum_np
-    survival_from_rates = _survival_from_rates_np
-else:
-    NUMBA_ENABLED = True
-
-    @njit(cache=True)
-    def _cumtrapz_nb(x, f):
-        n = x.shape[0]
-        out = np.empty(n)
-        out[0] = 0.0
-        acc = 0.0
-        for i in range(1, n):
-            acc += 0.5 * (f[i] + f[i - 1]) * (x[i] - x[i - 1])
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _revcumtrapz_nb(x, f):
-        n = x.shape[0]
-        out = np.empty(n)
-        out[n - 1] = 0.0
-        acc = 0.0
-        for i in range(n - 2, -1, -1):
-            acc += 0.5 * (f[i + 1] + f[i]) * (x[i + 1] - x[i])
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _weighted_sum_nb(w, f):
-        acc = 0.0
-        for i in range(w.shape[0]):
-            acc += w[i] * f[i]
-        return acc
-
-    @njit(cache=True)
-    def _survival_from_rates_nb(x, g, ratio):
-        n = x.shape[0]
-        out = np.empty(n)
-        acc = 0.0
-        out[0] = 1.0 / g[0]
-        for i in range(1, n):
-            acc += 0.5 * (ratio[i] + ratio[i - 1]) * (x[i] - x[i - 1])
-            out[i] = np.exp(-acc) / g[i]
-        return out
-
-    cumtrapz = _cumtrapz_nb
-    revcumtrapz = _revcumtrapz_nb
-    weighted_sum = _weighted_sum_nb
-    survival_from_rates = _survival_from_rates_nb
+    return np.exp(-_cumtrapz(x, ratio)) / g

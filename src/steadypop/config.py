@@ -7,6 +7,7 @@ are deliberately absent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -202,9 +203,16 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
         if key in pairs:
             raw = pairs.pop(key)
             try:
-                solver_kwargs[attr] = cast(float(raw)) if cast is int else cast(raw)
+                value = float(raw)
             except ValueError:
                 raise ConfigError("key %r expects a number, got %r" % (key, raw), key=key)
+            if cast is int:
+                # whole numbers only, so "1e3" works but "2.7" and "inf" do not
+                if not (math.isfinite(value) and value.is_integer()):
+                    raise ConfigError("key %r expects a whole number, got %r" % (key, raw),
+                                      key=key)
+                value = int(value)
+            solver_kwargs[attr] = value
     try:
         solver = SolverConfig(**solver_kwargs)
     except ValueError as exc:

@@ -18,15 +18,7 @@ import numpy as np
 from . import _accel
 from .errors import ParameterError
 from .grid import DensityProfile, Grid, integrate, translate
-from .model import (
-    ModelSpec,
-    envelope_norms,
-    envelope_profiles,
-    envelope_tail_mass,
-    eval_beta,
-    eval_g,
-    eval_mu,
-)
+from .model import ModelSpec, envelope_norms, envelope_profiles, envelope_tail_mass, rates
 
 
 @dataclass(frozen=True)
@@ -48,42 +40,43 @@ def make_context(model: ModelSpec, grid: Grid) -> KernelContext:
                          norm_e1=norm_e1, norm_e2=norm_e2)
 
 
+def rates_and_survival(ctx: KernelContext, u: DensityProfile):
+    """(g, beta, pi) on the grid nodes from one rate evaluation under u.
+
+    pi is the survival shape (1/g) exp(-int_0^x mu/g) as a plain array.
+    """
+    nodes = ctx.grid.nodes
+    g, mu, beta = rates(ctx.model, nodes, u)
+    return g, beta, _accel.survival_from_rates(nodes, g, mu / g)
+
+
 def survival_pi(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
     """Survival shape (1/g) exp(-int_0^x mu/g) under environment u."""
-    nodes = ctx.grid.nodes
-    g = np.asarray(eval_g(ctx.model, nodes, u), dtype=float)
-    mu = np.asarray(eval_mu(ctx.model, nodes, u), dtype=float)
-    return DensityProfile(ctx.grid, _accel.survival_from_rates(nodes, g, mu / g))
+    return DensityProfile(ctx.grid, rates_and_survival(ctx, u)[2])
 
 
 def birth_G(ctx: KernelContext, u: DensityProfile) -> float:
     """Total birth output of profile u: integral of beta(x, u) u(x)."""
-    beta = np.asarray(eval_beta(ctx.model, ctx.grid.nodes, u), dtype=float)
+    beta = rates(ctx.model, ctx.grid.nodes, u)[2]
     return _accel.weighted_sum(ctx.grid.weights, beta * u.values)
 
 
 def net_reproduction_R(ctx: KernelContext, u: DensityProfile) -> float:
     """Expected offspring per individual over its life in environment u."""
-    beta = np.asarray(eval_beta(ctx.model, ctx.grid.nodes, u), dtype=float)
-    pi = survival_pi(ctx, u)
-    return _accel.weighted_sum(ctx.grid.weights, beta * pi.values)
+    _, beta, pi = rates_and_survival(ctx, u)
+    return _accel.weighted_sum(ctx.grid.weights, beta * pi)
 
 
 def apply_T(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
     """One application of the fixed-point map: birth output times survival shape."""
-    pi = survival_pi(ctx, u)
-    return DensityProfile(ctx.grid, birth_G(ctx, u) * pi.values)
+    _, beta, pi = rates_and_survival(ctx, u)
+    return DensityProfile(ctx.grid, _accel.weighted_sum(ctx.grid.weights, beta * u.values) * pi)
 
 
 def residual(ctx: KernelContext, u: DensityProfile) -> float:
     """L1 distance between u and its image under the fixed-point map (grid part)."""
     tu = apply_T(ctx, u)
     return _accel.weighted_sum(ctx.grid.weights, np.abs(u.values - tu.values))
-
-
-def e2_tail_mass(ctx: KernelContext, T: float) -> float:
-    """Certified upper-envelope mass beyond T (dominates every truncated tail)."""
-    return envelope_tail_mass(ctx.model.bounds, T)
 
 
 @dataclass(frozen=True)
@@ -156,23 +149,21 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     trans_rows = []
     ok = True
     for idx, s in enumerate(samples):
-        u = s.scaled()
-        pi = survival_pi(ctx, u)
+        g_here, _, pi = rates_and_survival(ctx, s.scaled())
         l1 = integrate(grid, pi)
         norm_bound = ctx.norm_e2 + quad_bias_norm
         norm_ok = l1 <= norm_bound * (1.0 + 1e-9)
         norm_rows.append((idx, l1, norm_bound, norm_ok))
 
-        tail = _accel.weighted_sum(wtail, pi.values)
+        tail = _accel.weighted_sum(wtail, pi)
         tail_bound = envelope_tail_mass(b, T_eff) + quad_bias_tail
         tail_ok = tail <= tail_bound * (1.0 + 1e-9) + 1e-15
         tail_rows.append((idx, tail, tail_bound, tail_ok))
         ok = ok and norm_ok and tail_ok
 
-        g_here = np.asarray(eval_g(ctx.model, nodes, u), dtype=float)
         for h in h_list:
-            pi_shift = translate(grid, pi.values, h)
-            measured = _accel.weighted_sum(wmask, np.abs(pi_shift - pi.values))
+            pi_shift = translate(grid, pi, h)
+            measured = _accel.weighted_sum(wmask, np.abs(pi_shift - pi))
             g_shift = translate(grid, g_here, h)
             # the zero extension of g beyond x_max is irrelevant on [0, T]
             g_term = _accel.weighted_sum(wmask, np.abs(g_shift - g_here))

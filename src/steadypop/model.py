@@ -168,47 +168,60 @@ def counterexample_f(a: float) -> float:
     return 0.5 * math.exp(1.25) * math.exp(-a)
 
 
-# -- raw rate evaluation (no bound check) -----------------------------------
+# -- rate evaluation ---------------------------------------------------------
+#
+# One function per variant maps (params, x, u) to the unchecked (g, mu, beta)
+# and computes each functional of u once; _RATES is the only place a variant
+# is dispatched to rate code.
 
 
-def _hier_tail(u: DensityProfile, x):
+def _fill(x, value):
+    """``value`` at every x: a fresh array for array x, the scalar itself otherwise."""
+    return np.full(np.shape(x), value, dtype=float) if np.ndim(x) else value
+
+
+def _constant_rates(p, x, u: DensityProfile):
+    return _fill(x, p["g0"]), _fill(x, p["mu0"]), _fill(x, p["beta0"])
+
+
+def _counterexample_rates(p, x, u: DensityProfile):
+    fval = counterexample_f(integrate(u.grid, u))
+    beta = 2.0 * p["g"] * (1.0 - np.exp(-np.asarray(x, dtype=float))) * fval
+    return _fill(x, p["g"]), _fill(x, p["g"]), beta
+
+
+def _hierarchical_rates(p, x, u: DensityProfile):
     tail = reverse_cumulative_integral(u.grid, u)
-    return np.interp(np.asarray(x, dtype=float), u.grid.nodes, tail)
+    if x is not u.grid.nodes:  # on the grid's own nodes interpolation is the identity
+        tail = np.interp(np.asarray(x, dtype=float), u.grid.nodes, tail)
+    g = p["g_low"] + (p["g_high"] - p["g_low"]) * np.exp(-tail)
+    beta = p["b0"] / (1.0 + integrate(u.grid, u))
+    return g, _fill(x, p["mu0"]), _fill(x, beta)
 
 
-def _raw_g(model: ModelSpec, x, u: DensityProfile):
-    p = model.params
-    if model.variant == CONSTANT:
-        return np.broadcast_to(p["g0"], np.shape(x)).copy() if np.ndim(x) else p["g0"]
-    if model.variant == COUNTEREXAMPLE:
-        return np.broadcast_to(p["g"], np.shape(x)).copy() if np.ndim(x) else p["g"]
-    if model.variant == HIERARCHICAL:
-        return p["g_low"] + (p["g_high"] - p["g_low"]) * np.exp(-_hier_tail(u, x))
-    return p["g"].value(x, p["g"].scalar_input(u))
+def _composite_rates(p, x, u: DensityProfile):
+    inputs = {}  # rates reading the same functional of u share its value
+
+    def value(rate: CompositeRate):
+        key = (rate.functional, rate.tail_from, rate.weight_decay)
+        if key not in inputs:
+            inputs[key] = rate.scalar_input(u)
+        return rate.value(x, inputs[key])
+
+    return value(p["g"]), value(p["mu"]), value(p["beta"])
 
 
-def _raw_mu(model: ModelSpec, x, u: DensityProfile):
-    p = model.params
-    if model.variant == CONSTANT:
-        return np.broadcast_to(p["mu0"], np.shape(x)).copy() if np.ndim(x) else p["mu0"]
-    if model.variant == COUNTEREXAMPLE:
-        return np.broadcast_to(p["g"], np.shape(x)).copy() if np.ndim(x) else p["g"]
-    if model.variant == HIERARCHICAL:
-        return np.broadcast_to(p["mu0"], np.shape(x)).copy() if np.ndim(x) else p["mu0"]
-    return p["mu"].value(x, p["mu"].scalar_input(u))
+_RATES = {
+    CONSTANT: _constant_rates,
+    COUNTEREXAMPLE: _counterexample_rates,
+    HIERARCHICAL: _hierarchical_rates,
+    COMPOSITE: _composite_rates,
+}
 
 
-def _raw_beta(model: ModelSpec, x, u: DensityProfile):
-    p = model.params
-    if model.variant == CONSTANT:
-        return np.broadcast_to(p["beta0"], np.shape(x)).copy() if np.ndim(x) else p["beta0"]
-    if model.variant == COUNTEREXAMPLE:
-        fval = counterexample_f(integrate(u.grid, u))
-        return 2.0 * p["g"] * (1.0 - np.exp(-np.asarray(x, dtype=float))) * fval
-    if model.variant == HIERARCHICAL:
-        val = p["b0"] / (1.0 + integrate(u.grid, u))
-        return np.broadcast_to(val, np.shape(x)).copy() if np.ndim(x) else val
-    return p["beta"].value(x, p["beta"].scalar_input(u))
+def raw_rates(model: ModelSpec, x, u: DensityProfile):
+    """(g, mu, beta) at x (scalar or array) under profile u, without the bounds check."""
+    return _RATES[model.variant](model.params, x, u)
 
 
 def _checked(value, low, high, name):
@@ -221,22 +234,30 @@ def _checked(value, low, high, name):
     return value
 
 
+def rates(model: ModelSpec, x, u: DensityProfile):
+    """(g, mu, beta) at x under profile u; raises if any leaves its declared bounds."""
+    g, mu, beta = raw_rates(model, x, u)
+    b = model.bounds
+    return (
+        _checked(g, b.g_low, b.g_high, "g"),
+        _checked(mu, b.mu_low, b.mu_high, "mu"),
+        _checked(beta, 0.0, b.beta_max, "beta"),
+    )
+
+
 def eval_g(model: ModelSpec, x, u: DensityProfile):
     """Growth rate at x (scalar or array) under population profile u."""
-    b = model.bounds
-    return _checked(_raw_g(model, x, u), b.g_low, b.g_high, "g")
+    return rates(model, x, u)[0]
 
 
 def eval_mu(model: ModelSpec, x, u: DensityProfile):
     """Mortality rate at x under population profile u."""
-    b = model.bounds
-    return _checked(_raw_mu(model, x, u), b.mu_low, b.mu_high, "mu")
+    return rates(model, x, u)[1]
 
 
 def eval_beta(model: ModelSpec, x, u: DensityProfile):
     """Fertility rate at x under population profile u."""
-    b = model.bounds
-    return _checked(_raw_beta(model, x, u), 0.0, b.beta_max, "beta")
+    return rates(model, x, u)[2]
 
 
 # -- exponential envelopes and the admissible "onion" region ----------------
@@ -362,10 +383,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     worst = 0.0
     gx_sup = 0.0
     for s in samples:
-        u = s.scaled()
-        g = np.asarray(_raw_g(model, nodes, u), dtype=float)
-        mu = np.asarray(_raw_mu(model, nodes, u), dtype=float)
-        beta = np.asarray(_raw_beta(model, nodes, u), dtype=float)
+        g, mu, beta = raw_rates(model, nodes, s.scaled())
         worst = max(
             worst,
             float(np.max(b.g_low - g, initial=0.0)),
@@ -398,7 +416,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     beta_sweep = []
     for lam in lams:
         u = DensityProfile(grid, lam * e2.values)
-        beta_sweep.append(float(np.max(np.asarray(_raw_beta(model, nodes, u), dtype=float))))
+        beta_sweep.append(float(np.max(raw_rates(model, nodes, u)[2])))
     nonincreasing = all(
         beta_sweep[i + 1] <= beta_sweep[i] + 1e-12 for i in range(len(beta_sweep) - 1)
     )
@@ -409,9 +427,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     delta = 1e-6 / max(integrate(grid, e2), 1e-300)
     pert = DensityProfile(grid, base.values + delta * e2.values)
     resp = 0.0
-    for raw in (_raw_g, _raw_mu, _raw_beta):
-        a0 = np.asarray(raw(model, nodes, base), dtype=float)
-        a1 = np.asarray(raw(model, nodes, pert), dtype=float)
+    for a0, a1 in zip(raw_rates(model, nodes, base), raw_rates(model, nodes, pert)):
         scale = max(float(np.max(np.abs(a0))), 1e-300)
         resp = max(resp, float(np.max(np.abs(a1 - a0))) / scale)
 

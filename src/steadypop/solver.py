@@ -16,16 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _accel
 from .errors import ConvergenceError, ParameterError
 from .grid import DensityProfile, integrate, zero_profile
-from .kernel import (
-    KernelContext,
-    e2_tail_mass,
-    net_reproduction_R,
-    residual,
-    survival_pi,
-)
-from .model import COUNTEREXAMPLE, _raw_beta, _raw_g, _raw_mu
+from .kernel import KernelContext, net_reproduction_R, rates_and_survival, residual
+from .model import COUNTEREXAMPLE, envelope_tail_mass, raw_rates
 
 
 @dataclass(frozen=True)
@@ -41,16 +36,23 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.picard_tol <= 0 or self.root_tol <= 0:
+        # "not (x > 0)" forms also reject NaN
+        if not (self.picard_tol > 0 and self.root_tol > 0):
             raise ParameterError("tolerances must be positive")
         if not (0 < self.picard_damping <= 1):
             raise ParameterError("picard_damping must lie in (0, 1]")
         if self.scan_points < 2:
             raise ParameterError("scan_points must be at least 2")
-        if self.lambda_min is not None and self.lambda_min < 0:
-            raise ParameterError("lambda_min must be nonnegative")
-        if self.lambda_max is not None and self.lambda_max <= (self.lambda_min or 0.0):
-            raise ParameterError("lambda_max must exceed lambda_min")
+        if self.picard_max_iter < 1 or self.map_A_max_iter < 1:
+            raise ParameterError("iteration caps must be at least 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
+        if self.lambda_min is not None and not (0 <= self.lambda_min < math.inf):
+            raise ParameterError("lambda_min must be finite and nonnegative")
+        if self.lambda_max is not None and not (
+            (self.lambda_min or 0.0) < self.lambda_max < math.inf
+        ):
+            raise ParameterError("lambda_max must be finite and exceed lambda_min")
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,7 @@ class PicardResult:
     iterations: int
     damping_used: float
     residual_l1: float
+    R: float                       # net reproduction at lam * v
 
 
 @dataclass(frozen=True)
@@ -113,11 +116,11 @@ def inner_picard(ctx: KernelContext, lam: float, cfg: SolverConfig) -> PicardRes
     prev_res = math.inf
     increases = 0
     for k in range(1, cfg.picard_max_iter + 1):
-        u = DensityProfile(grid, lam * v)
-        pi = survival_pi(ctx, u).values
+        _, beta, pi = rates_and_survival(ctx, DensityProfile(grid, lam * v))
         res = float(np.dot(grid.weights, np.abs(v - pi)))
         if res <= cfg.picard_tol:
-            return PicardResult(DensityProfile(grid, v), k, d, res)
+            R = _accel.weighted_sum(grid.weights, beta * pi)
+            return PicardResult(DensityProfile(grid, v), k, d, res, R)
         if res > prev_res:
             increases += 1
             if increases >= 3 and d > 0.25:
@@ -137,9 +140,7 @@ def inner_picard(ctx: KernelContext, lam: float, cfg: SolverConfig) -> PicardRes
 
 def lambda_residual(ctx: KernelContext, lam: float, cfg: SolverConfig) -> float:
     """Scalar residual R(lam v(lam)) - 1; positive roots are equilibria."""
-    pr = inner_picard(ctx, lam, cfg)
-    u = DensityProfile(ctx.grid, lam * pr.v.values)
-    return net_reproduction_R(ctx, u) - 1.0
+    return inner_picard(ctx, lam, cfg).R - 1.0
 
 
 def compute_M(ctx: KernelContext, rho0: float) -> float:
@@ -209,13 +210,13 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig) -> ScanResult:
 
 def _assemble_result(ctx: KernelContext, lam: float, pr: PicardResult) -> EquilibriumResult:
     u = DensityProfile(ctx.grid, lam * pr.v.values)
-    res = residual(ctx, u) + lam * e2_tail_mass(ctx, ctx.grid.x_max)
+    res = residual(ctx, u) + lam * envelope_tail_mass(ctx.model.bounds, ctx.grid.x_max)
     return EquilibriumResult(
         lambda_star=lam,
         v_star=pr.v,
         u_star=u,
         P_star=integrate(ctx.grid, u),
-        R_at_u=net_reproduction_R(ctx, u),
+        R_at_u=pr.R,
         residual_l1=res,
         inner_iterations=pr.iterations,
         damping_used=pr.damping_used,
@@ -263,16 +264,16 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
     lam_hist = [lam]
     changes = []
     for k in range(1, cfg.map_A_max_iter + 1):
-        u = DensityProfile(grid, lam * v)
-        pi = survival_pi(ctx, u).values
-        lam_new = max(lam + net_reproduction_R(ctx, u) - 1.0, 0.0)
+        _, beta, pi = rates_and_survival(ctx, DensityProfile(grid, lam * v))
+        lam_new = max(lam + _accel.weighted_sum(grid.weights, beta * pi) - 1.0, 0.0)
         change = float(np.dot(grid.weights, np.abs(pi - v))) + abs(lam_new - lam)
         v, lam = pi, lam_new
         lam_hist.append(lam)
         changes.append(change)
         if change < cfg.picard_tol:
             if lam > 0:
-                pr = PicardResult(DensityProfile(grid, v), k, cfg.picard_damping, change)
+                R = net_reproduction_R(ctx, DensityProfile(grid, lam * v))
+                pr = PicardResult(DensityProfile(grid, v), k, cfg.picard_damping, change, R)
                 return _assemble_result(ctx, lam, pr)
             break
     return MapATrace(
@@ -317,6 +318,12 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     return float(norms[ok[0]])
 
 
+def _ratios(model, nodes, u: DensityProfile):
+    """mu/g and beta/mu at the nodes, from one unchecked rate evaluation."""
+    g, mu, beta = raw_rates(model, nodes, u)
+    return mu / g, beta / mu
+
+
 def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
     """Sampled check of the monotonicity assumption in both strict/non-strict forms."""
     grid = ctx.grid
@@ -341,16 +348,12 @@ def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
     bm_x_nondec = bm_x_strict = True
     model = ctx.model
     for u1, u2 in pairs:
-        mg1 = np.asarray(_raw_mu(model, nodes, u1), float) / np.asarray(_raw_g(model, nodes, u1), float)
-        mg2 = np.asarray(_raw_mu(model, nodes, u2), float) / np.asarray(_raw_g(model, nodes, u2), float)
-        bm1 = np.asarray(_raw_beta(model, nodes, u1), float) / np.asarray(_raw_mu(model, nodes, u1), float)
-        bm2 = np.asarray(_raw_beta(model, nodes, u2), float) / np.asarray(_raw_mu(model, nodes, u2), float)
+        (mg1, bm1), (mg2, bm2) = (_ratios(model, nodes, u) for u in (u1, u2))
         mg_nondec &= bool(np.all(mg2 >= mg1 - tol))
         mg_strict &= bool(np.all(mg2 > mg1 + strict))
         bm_dec &= bool(np.all(bm2 < bm1 - strict))
         bm_noninc &= bool(np.all(bm2 <= bm1 + tol))
-        for u in (u1, u2):
-            bm = np.asarray(_raw_beta(model, nodes, u), float) / np.asarray(_raw_mu(model, nodes, u), float)
+        for bm in (bm1, bm2):
             d = np.diff(bm)
             bm_x_nondec &= bool(np.all(d >= -tol))
             bm_x_strict &= bool(np.all(d > strict))

@@ -88,11 +88,25 @@ class TestLoadConfig:
             ("model.variant = counterexample\nmodel.g = 1\nmodel.g = 2\n", "duplicate"),
             ("model.variant = counterexample\nnot a pair\n", "key = value"),
             ("model.variant = counterexample\nsolver.typo = 1\n", "solver.typo"),
+            ("model.variant = counterexample\nsolver.picard_max_iter = 2.7\n",
+             "solver.picard_max_iter"),
+            ("model.variant = counterexample\nsolver.scan_points = inf\n", "solver.scan_points"),
+            ("model.variant = counterexample\nsolver.seed = 1e400\n", "solver.seed"),
+            ("model.variant = counterexample\nsolver.map_a_max_iter = nan\n",
+             "solver.map_a_max_iter"),
+            ("model.variant = counterexample\nsolver.seed = -1\n", "seed"),
+            ("model.variant = counterexample\nsolver.picard_tol = nan\n", "tolerances"),
         ],
     )
     def test_rejected_configs(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path / "bad.cfg", text))
+
+    def test_integer_keys_accept_exponent_form(self, tmp_path):
+        text = "model.variant = counterexample\nsolver.picard_max_iter = 1e3\n"
+        run = load_config(write_config(tmp_path / "a.cfg", text))
+        assert run.solver.picard_max_iter == 1000
+        assert isinstance(run.solver.picard_max_iter, int)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):

@@ -109,16 +109,21 @@ class TestEvalRates:
         g = sp.build_grid(20.0, 401)
         assert sp.model.eval_beta(m, 1.0, sp.zero_profile(g)) == 2.0
 
-    def test_bounds_violation_raises(self):
-        # deliberately misdeclared bounds: evaluation must refuse
+    @pytest.mark.parametrize("rate", ["g", "mu", "beta"])
+    def test_bounds_violation_raises(self, rate):
+        # deliberately misdeclared bounds: one rate exceeds them, evaluation must refuse
+        params = {"g0": 1.0, "mu0": 1.0, "beta0": 1.0, rate + "0": 2.0}
         bad = ModelSpec(
             "constant",
             RateBounds(g_low=1.0, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=1.0),
-            {"mu0": 1.0, "g0": 2.0, "beta0": 1.0},
+            params,
         )
         g = sp.build_grid(10.0, 101)
-        with pytest.raises(BoundsViolationError):
-            sp.model.eval_g(bad, 1.0, sp.zero_profile(g))
+        evaluate = getattr(sp.model, "eval_" + rate)
+        with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
+            evaluate(bad, 1.0, sp.zero_profile(g))
+        with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
+            sp.model.rates(bad, g.nodes, sp.zero_profile(g))
 
     def test_random_sweep_stays_in_bounds(self):
         rng = np.random.default_rng(42)

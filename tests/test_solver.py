@@ -28,6 +28,14 @@ class TestSolverConfig:
             {"scan_points": 1},
             {"lambda_min": -1.0},
             {"lambda_min": 2.0, "lambda_max": 1.0},
+            {"picard_tol": float("nan")},
+            {"root_tol": float("nan")},
+            {"lambda_min": float("nan")},
+            {"lambda_max": float("nan")},
+            {"lambda_max": float("inf")},
+            {"picard_max_iter": 0},
+            {"map_A_max_iter": 0},
+            {"seed": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -68,6 +76,46 @@ class TestInnerPicard:
             sp.inner_picard(hier_ctx, 5.0, cfg)
         assert e.value.iterations == 1
         assert e.value.last_residual > 0
+
+
+def _composite_ctx():
+    m = sp.composite_model(
+        g=sp.CompositeRate(const=0.5, x_amp=0.5, u_inv=0.2, functional="tail", tail_from=1.0),
+        mu=sp.CompositeRate(const=1.0, u_sat=0.5),
+        beta=sp.CompositeRate(const=0.5, u_inv=2.0, functional="weighted"),
+    )
+    return sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 2001))
+
+
+class TestReproductionFromPicard:
+    """R reported from the converged Picard step equals a fresh evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["constant", "counterexample", "hierarchical", "composite"])
+    def test_lambda_residual_matches_net_reproduction(
+        self, variant, ce_ctx, hier_ctx, const_ctx_factory
+    ):
+        ctx = {
+            "constant": lambda: const_ctx_factory(1.3, 0.9, 1.0),
+            "counterexample": lambda: ce_ctx,
+            "hierarchical": lambda: hier_ctx,
+            "composite": _composite_ctx,
+        }[variant]()
+        cfg = sp.SolverConfig()
+        for lam in (0.3, 2.0):
+            v = sp.inner_picard(ctx, lam, cfg).v
+            u = sp.DensityProfile(ctx.grid, lam * v.values)
+            assert sp.lambda_residual(ctx, lam, cfg) == sp.net_reproduction_R(ctx, u) - 1.0
+
+    def test_equilibrium_R_matches_net_reproduction(self, ce_ctx, hier_ctx, ce_solutions):
+        _, hier_results = sp.solve_all(hier_ctx, sp.SolverConfig(scan_points=16))
+        results = [(ce_ctx, r) for r in ce_solutions[1]] + [(hier_ctx, r) for r in hier_results]
+        cfg = sp.SolverConfig(picard_tol=1e-8)
+        stable = ce_solutions[1][1]
+        results.append((ce_ctx, sp.iterate_map_A(ce_ctx, stable.v_star, stable.lambda_star, cfg)))
+        assert len(results) == 4
+        for ctx, r in results:
+            assert isinstance(r, sp.EquilibriumResult)
+            assert r.R_at_u == sp.net_reproduction_R(ctx, r.u_star)
 
 
 class TestScanAndBisect:
