@@ -28,7 +28,6 @@ from .kernel import (
     make_context,
     net_reproduction_R,
     residual,
-    survival_pi,
 )
 from .model import random_onion_samples, validate_hypotheses
 from .solver import certify, scan_roots, solve_all
@@ -40,11 +39,9 @@ EXIT_NO_EQUILIBRIUM = 3
 EXIT_VERIFY_FAIL = 4
 
 
-def _fmt(value) -> str:
-    return "%.12g" % value
-
-
 def _write(path: str, lines) -> None:
+    # one joined write: streaming the lines of a 1e5-row profile made later
+    # numpy temporaries fault in fresh pages and slowed scan and certify
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -59,25 +56,22 @@ def cmd_solve(run: RunConfig) -> int:
     scan, results = solve_all(ctx, run.solver)
     out = _ensure_out(run)
 
-    rows = ["lambda_star,P_star,R_at_u,residual_l1"]
-    for r in results:
-        rows.append(",".join(_fmt(v) for v in (r.lambda_star, r.P_star, r.R_at_u, r.residual_l1)))
-    _write(os.path.join(out, "equilibria.csv"), rows)
+    _write(os.path.join(out, "equilibria.csv"), ["lambda_star,P_star,R_at_u,residual_l1"] + [
+        "%.12g,%.12g,%.12g,%.12g" % (r.lambda_star, r.P_star, r.R_at_u, r.residual_l1)
+        for r in results])
 
     for i, r in enumerate(results, start=1):
-        lines = ["x,u_star,v_star,pi,e1,e2"]
-        pi = survival_pi(ctx, r.u_star)
-        for j, x in enumerate(ctx.grid.nodes):
-            lines.append(",".join(_fmt(v) for v in (
-                x, r.u_star.values[j], r.v_star.values[j], pi.values[j],
-                ctx.e1.values[j], ctx.e2.values[j])))
-        _write(os.path.join(out, "profile_%03d.csv" % i), lines)
+        columns = (ctx.grid.nodes, r.u_star.values, r.v_star.values, r.pi.values,
+                   ctx.e1.values, ctx.e2.values)
+        _write(os.path.join(out, "profile_%03d.csv" % i), ["x,u_star,v_star,pi,e1,e2"] + [
+            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g" % row
+            for row in zip(*columns)])
 
     if scan.degenerate:
         print("degenerate family: residual ~ 0 across the scan; no discrete roots reported")
     for r in results:
-        print("equilibrium lambda_star=%s P_star=%s residual=%s"
-              % (_fmt(r.lambda_star), _fmt(r.P_star), _fmt(r.residual_l1)))
+        print("equilibrium lambda_star=%.12g P_star=%.12g residual=%.12g"
+              % (r.lambda_star, r.P_star, r.residual_l1))
     if not results:
         print("no positive equilibrium found in the scanned range")
         return EXIT_NO_EQUILIBRIUM
@@ -88,16 +82,13 @@ def cmd_scan(run: RunConfig) -> int:
     ctx = make_context(run.model, run.grid)
     scan = scan_roots(ctx, run.solver)
     out = _ensure_out(run)
-    rows = ["lambda,residual,status"]
-    for i, lam in enumerate(scan.lambdas):
-        res = scan.residuals[i]
-        status = "failed" if i in scan.failed else "ok"
-        rows.append("%s,%s,%s" % (_fmt(lam), "nan" if np.isnan(res) else _fmt(res), status))
-    _write(os.path.join(out, "scan.csv"), rows)
+    _write(os.path.join(out, "scan.csv"), ["lambda,residual,status"] + [
+        "%.12g,%.12g,%s" % (lam, res, "failed" if i in scan.failed else "ok")
+        for i, (lam, res) in enumerate(zip(scan.lambdas.tolist(), scan.residuals.tolist()))])
     if scan.degenerate:
         print("degenerate family: residual ~ 0 across the scan")
     for lo, hi in scan.brackets:
-        print("bracket [%s, %s]" % (_fmt(lo), _fmt(hi)))
+        print("bracket [%.12g, %.12g]" % (lo, hi))
     return EXIT_OK if scan.brackets else EXIT_NO_EQUILIBRIUM
 
 
@@ -107,17 +98,18 @@ def cmd_certify(run: RunConfig) -> int:
     out = _ensure_out(run)
     lines = [
         "kind = %s" % cert.kind,
-        "R0 = %s" % _fmt(cert.R0),
-        "rho0_estimate = %s" % ("none" if cert.rho0_estimate is None else _fmt(cert.rho0_estimate)),
-        "M = %s" % _fmt(cert.M),
+        "R0 = %.12g" % cert.R0,
+        "rho0_estimate = %s"
+        % ("none" if cert.rho0_estimate is None else "%.12g" % cert.rho0_estimate),
+        "M = %.12g" % cert.M,
     ]
     for key in sorted(cert.evidence):
         value = cert.evidence[key]
         if isinstance(value, tuple):
-            value = " ".join(_fmt(v) if isinstance(v, float) else str(v) for v in value)
+            value = " ".join("%.12g" % v if isinstance(v, float) else str(v) for v in value)
         lines.append("evidence.%s = %s" % (key, value))
     _write(os.path.join(out, "certificate.txt"), lines)
-    print("certificate: %s (R0=%s)" % (cert.kind, _fmt(cert.R0)))
+    print("certificate: %s (R0=%.12g)" % (cert.kind, cert.R0))
     return EXIT_OK
 
 
@@ -127,20 +119,18 @@ def cmd_diagnose(run: RunConfig) -> int:
     lambdas = [10.0**k for k in range(-3, 4)]
     samples = random_onion_samples(run.model.bounds, run.grid, lambdas, 2, rng)
     report = validate_hypotheses(run.model, run.grid, samples)
-    rows = ["check,verdict,detail"]
-    for check, verdict, detail in report.rows():
-        rows.append("%s,%s,%s" % (check, verdict, detail.replace(",", ";")))
+    rows = list(report.rows())
     if run.grid.is_uniform:
-        comp = compactness_diagnostics(
+        rows += compactness_diagnostics(
             ctx, samples[:6], h_list=(0.1, 0.01, 0.001), T=0.5 * run.grid.x_max
-        )
-        for check, verdict, detail in comp.rows():
-            rows.append("%s,%s,%s" % (check, verdict, detail.replace(",", ";")))
+        ).rows()
     else:
-        rows.append("translation,skipped,non-uniform grid has no translation diagnostics")
+        rows.append(("translation", "skipped", "non-uniform grid has no translation diagnostics"))
+    lines = ["%s,%s,%s" % (check, verdict, detail.replace(",", ";"))
+             for check, verdict, detail in rows]
     out = _ensure_out(run)
-    _write(os.path.join(out, "diagnostics.txt"), rows)
-    for line in rows[1:]:
+    _write(os.path.join(out, "diagnostics.txt"), ["check,verdict,detail"] + lines)
+    for line in lines:
         print(line)
     return EXIT_OK
 
@@ -177,10 +167,10 @@ def cmd_verify(run: RunConfig, profile_path: str, tol: float) -> int:
     ctx = make_context(run.model, run.grid)
     u = _read_profile(profile_path, run.grid)
     res = residual(ctx, u)
-    print("residual_l1 = %s" % _fmt(res))
-    print("R = %s" % _fmt(net_reproduction_R(ctx, u)))
-    print("G = %s" % _fmt(birth_G(ctx, u)))
-    print("P = %s" % _fmt(integrate(run.grid, u)))
+    print("residual_l1 = %.12g" % res)
+    print("R = %.12g" % net_reproduction_R(ctx, u))
+    print("G = %.12g" % birth_G(ctx, u))
+    print("P = %.12g" % integrate(run.grid, u))
     return EXIT_OK if res < tol else EXIT_VERIFY_FAIL
 
 

@@ -28,29 +28,15 @@ from .model import (
 )
 from .solver import SolverConfig
 
+# scalar variant -> (builder, {parameter: default, or None if required})
 _MODEL_KEYS = {
-    CONSTANT: {"model.mu0": True, "model.g0": True, "model.beta0": True},
-    COUNTEREXAMPLE: {"model.g": False},
-    HIERARCHICAL: {
-        "model.g_low": True,
-        "model.g_high": True,
-        "model.mu0": True,
-        "model.b0": True,
-    },
+    CONSTANT: (constant_model, {"mu0": None, "g0": None, "beta0": None}),
+    COUNTEREXAMPLE: (counterexample_model, {"g": 1.0}),
+    HIERARCHICAL: (hierarchical_model, {"g_low": None, "g_high": None, "mu0": None, "b0": None}),
 }
 
-_COMPOSITE_SUBKEYS = {
-    "const": True,
-    "x_amp": False,
-    "x_rate": False,
-    "u_sat": False,
-    "u_inv": False,
-    "functional": False,
-    "tail_from": False,
-    "weight_decay": False,
-}
-
-_GRID_KEYS = ("grid.n", "grid.x_max", "grid.scheme")
+# optional numeric fields of a composite rate; "const" is required
+_COMPOSITE_NUMBERS = ("x_amp", "x_rate", "u_sat", "u_inv", "tail_from", "weight_decay")
 
 _SOLVER_KEYS = {
     "solver.picard_tol": ("picard_tol", float),
@@ -90,43 +76,35 @@ def _parse_pairs(text: str) -> dict:
     return pairs
 
 
-def _take_float(pairs: dict, key: str, default=None):
+def _take(pairs: dict, key: str, default, cast=float):
+    """Pop ``key`` as a finite number; ``default`` None makes the key required.
+
+    With ``cast=int`` only whole numbers pass, in any float form: "1e3" works,
+    "2.7" and "inf" do not.
+    """
     if key not in pairs:
         if default is None:
             raise ConfigError("missing required key %r" % key, key=key)
         return default
     raw = pairs.pop(key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError("key %r expects a number, got %r" % (key, raw), key=key) from None
-
-
-def _take_int(pairs: dict, key: str, default=None):
-    if key not in pairs:
-        if default is None:
-            raise ConfigError("missing required key %r" % key, key=key)
-        return default
-    raw = pairs.pop(key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("key %r expects an integer, got %r" % (key, raw), key=key) from None
+        value = math.nan
+    if not math.isfinite(value) or (cast is int and not value.is_integer()):
+        raise ConfigError("key %r expects a finite %s, got %r"
+                          % (key, "whole number" if cast is int else "number", raw), key=key)
+    return cast(value)
 
 
 def _build_composite_rate(pairs: dict, rate: str) -> CompositeRate:
     prefix = "model.%s." % rate
-    kwargs = {}
-    for sub, required in _COMPOSITE_SUBKEYS.items():
-        key = prefix + sub
-        if sub == "functional":
-            if key in pairs:
-                kwargs["functional"] = pairs.pop(key)
-            continue
-        if required:
-            kwargs[sub] = _take_float(pairs, key)
-        elif key in pairs:
-            kwargs[sub] = _take_float(pairs, key, default=0.0)
+    kwargs = {"const": _take(pairs, prefix + "const", None)}
+    for sub in _COMPOSITE_NUMBERS:
+        if prefix + sub in pairs:
+            kwargs[sub] = _take(pairs, prefix + sub, None)
+    if prefix + "functional" in pairs:
+        kwargs["functional"] = pairs.pop(prefix + "functional")
     try:
         return CompositeRate(**kwargs)
     except ValueError as exc:
@@ -143,26 +121,11 @@ def _build_model(pairs: dict) -> ModelSpec:
             key="model.variant",
         )
     try:
-        if variant == CONSTANT:
-            return constant_model(
-                mu0=_take_float(pairs, "model.mu0"),
-                g0=_take_float(pairs, "model.g0"),
-                beta0=_take_float(pairs, "model.beta0"),
-            )
-        if variant == COUNTEREXAMPLE:
-            return counterexample_model(g=_take_float(pairs, "model.g", default=1.0))
-        if variant == HIERARCHICAL:
-            return hierarchical_model(
-                g_low=_take_float(pairs, "model.g_low"),
-                g_high=_take_float(pairs, "model.g_high"),
-                mu0=_take_float(pairs, "model.mu0"),
-                b0=_take_float(pairs, "model.b0"),
-            )
-        return composite_model(
-            g=_build_composite_rate(pairs, "g"),
-            mu=_build_composite_rate(pairs, "mu"),
-            beta=_build_composite_rate(pairs, "beta"),
-        )
+        if variant == COMPOSITE:
+            return composite_model(*(_build_composite_rate(pairs, r) for r in ("g", "mu", "beta")))
+        builder, params = _MODEL_KEYS[variant]
+        return builder(**{name: _take(pairs, "model." + name, default)
+                          for name, default in params.items()})
     except ConfigError:
         raise
     except ValueError as exc:
@@ -180,7 +143,7 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
 
     model = _build_model(pairs)
 
-    n = _take_int(pairs, "grid.n", default=4001)
+    n = _take(pairs, "grid.n", 4001, int)
     scheme = pairs.pop("grid.scheme", UNIFORM)
     if scheme not in SCHEMES:
         raise ConfigError(
@@ -188,7 +151,7 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
             key="grid.scheme",
         )
     if "grid.x_max" in pairs:
-        x_max = _take_float(pairs, "grid.x_max")
+        x_max = _take(pairs, "grid.x_max", None)
         if x_max <= 0:
             raise ConfigError("key 'grid.x_max' must be positive", key="grid.x_max")
     else:
@@ -198,21 +161,8 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("invalid grid parameters: %s" % exc, key="grid.n")
 
-    solver_kwargs = {}
-    for key, (attr, cast) in _SOLVER_KEYS.items():
-        if key in pairs:
-            raw = pairs.pop(key)
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ConfigError("key %r expects a number, got %r" % (key, raw), key=key)
-            if cast is int:
-                # whole numbers only, so "1e3" works but "2.7" and "inf" do not
-                if not (math.isfinite(value) and value.is_integer()):
-                    raise ConfigError("key %r expects a whole number, got %r" % (key, raw),
-                                      key=key)
-                value = int(value)
-            solver_kwargs[attr] = value
+    solver_kwargs = {attr: _take(pairs, key, None, cast)
+                     for key, (attr, cast) in _SOLVER_KEYS.items() if key in pairs}
     try:
         solver = SolverConfig(**solver_kwargs)
     except ValueError as exc:

@@ -138,11 +138,14 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     if iT + 1 < grid.n:
         wtail[iT] = 0.5 * (nodes[iT + 1] - nodes[iT])
 
-    # trapezoid overshoots convex integrands; certified bias bounds via e2''
+    # trapezoid overshoots convex integrands; certified bias bounds via e2''.
+    # Products, not powers: a huge finite spacing gives inf, not OverflowError,
+    # and a row whose bound is not finite fails.
     h_max = float(np.max(np.diff(nodes)))
     decay = b.mu_low / b.g_high
-    quad_bias_norm = (h_max**2 / 12.0) * decay / b.g_low
-    quad_bias_tail = (h_max**2 / 12.0) * decay * math.exp(-decay * T) / b.g_low
+    quad_bias_norm = (h_max * h_max / 12.0) * decay / b.g_low
+    quad_bias_tail = (h_max * h_max / 12.0) * decay * math.exp(-decay * T) / b.g_low
+    g_low2 = b.g_low * b.g_low
 
     norm_rows = []
     tail_rows = []
@@ -152,12 +155,12 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
         g_here, _, pi = rates_and_survival(ctx, s.scaled())
         l1 = integrate(grid, pi)
         norm_bound = ctx.norm_e2 + quad_bias_norm
-        norm_ok = l1 <= norm_bound * (1.0 + 1e-9)
+        norm_ok = math.isfinite(norm_bound) and l1 <= norm_bound * (1.0 + 1e-9)
         norm_rows.append((idx, l1, norm_bound, norm_ok))
 
         tail = _accel.weighted_sum(wtail, pi)
         tail_bound = envelope_tail_mass(b, T_eff) + quad_bias_tail
-        tail_ok = tail <= tail_bound * (1.0 + 1e-9) + 1e-15
+        tail_ok = math.isfinite(tail_bound) and tail <= tail_bound * (1.0 + 1e-9) + 1e-15
         tail_rows.append((idx, tail, tail_bound, tail_ok))
         ok = ok and norm_ok and tail_ok
 
@@ -167,8 +170,8 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
             g_shift = translate(grid, g_here, h)
             # the zero extension of g beyond x_max is irrelevant on [0, T]
             g_term = _accel.weighted_sum(wmask, np.abs(g_shift - g_here))
-            bound = (T_eff * b.mu_high / b.g_low**2) * h + (T_eff / b.g_low**2) * g_term
-            row_ok = measured <= bound + 1e-6 * max(1.0, bound)
+            bound = (T_eff * b.mu_high / g_low2) * h + (T_eff / g_low2) * g_term
+            row_ok = math.isfinite(bound) and measured <= bound + 1e-6 * max(1.0, bound)
             trans_rows.append(TranslationRow(idx, h, measured, bound, row_ok))
             ok = ok and row_ok
 

@@ -62,6 +62,7 @@ class PicardResult:
     damping_used: float
     residual_l1: float
     R: float                       # net reproduction at lam * v
+    pi: np.ndarray                 # survival shape at lam * v
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,7 @@ class EquilibriumResult:
     P_star: float
     R_at_u: float
     residual_l1: float
+    pi: DensityProfile             # survival shape at u_star
     inner_iterations: int
     damping_used: float
 
@@ -120,7 +122,7 @@ def inner_picard(ctx: KernelContext, lam: float, cfg: SolverConfig) -> PicardRes
         res = float(np.dot(grid.weights, np.abs(v - pi)))
         if res <= cfg.picard_tol:
             R = _accel.weighted_sum(grid.weights, beta * pi)
-            return PicardResult(DensityProfile(grid, v), k, d, res, R)
+            return PicardResult(DensityProfile(grid, v), k, d, res, R, pi)
         if res > prev_res:
             increases += 1
             if increases >= 3 and d > 0.25:
@@ -218,6 +220,7 @@ def _assemble_result(ctx: KernelContext, lam: float, pr: PicardResult) -> Equili
         P_star=integrate(ctx.grid, u),
         R_at_u=pr.R,
         residual_l1=res,
+        pi=DensityProfile(ctx.grid, pr.pi),
         inner_iterations=pr.iterations,
         damping_used=pr.damping_used,
     )
@@ -272,8 +275,9 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
         changes.append(change)
         if change < cfg.picard_tol:
             if lam > 0:
-                R = net_reproduction_R(ctx, DensityProfile(grid, lam * v))
-                pr = PicardResult(DensityProfile(grid, v), k, cfg.picard_damping, change, R)
+                _, beta, pi = rates_and_survival(ctx, DensityProfile(grid, lam * v))
+                R = _accel.weighted_sum(grid.weights, beta * pi)
+                pr = PicardResult(DensityProfile(grid, v), k, cfg.picard_damping, change, R, pi)
                 return _assemble_result(ctx, lam, pr)
             break
     return MapATrace(

@@ -95,7 +95,10 @@ class TestLoadConfig:
             ("model.variant = counterexample\nsolver.map_a_max_iter = nan\n",
              "solver.map_a_max_iter"),
             ("model.variant = counterexample\nsolver.seed = -1\n", "seed"),
-            ("model.variant = counterexample\nsolver.picard_tol = nan\n", "tolerances"),
+            ("model.variant = counterexample\nsolver.picard_tol = nan\n", "solver.picard_tol"),
+            (HIER_TEXT.replace("model.b0 = 2.0", "model.b0 = inf"), "model.b0"),
+            ("model.variant = counterexample\ngrid.x_max = inf\n", "grid.x_max"),
+            ("model.variant = counterexample\ngrid.n = 2.5\n", "grid.n"),
         ],
     )
     def test_rejected_configs(self, tmp_path, text, fragment):
@@ -103,10 +106,11 @@ class TestLoadConfig:
             load_config(write_config(tmp_path / "bad.cfg", text))
 
     def test_integer_keys_accept_exponent_form(self, tmp_path):
-        text = "model.variant = counterexample\nsolver.picard_max_iter = 1e3\n"
+        text = "model.variant = counterexample\nsolver.picard_max_iter = 1e3\ngrid.n = 1e3\n"
         run = load_config(write_config(tmp_path / "a.cfg", text))
         assert run.solver.picard_max_iter == 1000
         assert isinstance(run.solver.picard_max_iter, int)
+        assert run.grid.n == 1000
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -173,6 +177,16 @@ class TestScanCommand:
         cfg = write_config(tmp_path / "sub.cfg", SUBCRIT_TEXT)
         assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_failed_points_rows(self, tmp_path):
+        text = HIER_TEXT.replace("solver.scan_points = 64\n", "") + (
+            "grid.n = 201\nsolver.picard_max_iter = 2\nsolver.scan_points = 6\n")
+        cfg = write_config(tmp_path / "h.cfg", text)
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        rows = open(str(tmp_path / "o" / "scan.csv")).read().splitlines()[1:]
+        assert rows[0].endswith(",ok")
+        assert len(rows) == 6
+        assert all(row.endswith(",nan,failed") for row in rows[1:])
+
 
 class TestCertifyCommand:
     def test_hierarchical_existence(self, tmp_path, capsys):
@@ -215,6 +229,16 @@ class TestDiagnoseCommand:
         assert "derivative_D,pass" in report
         assert "translation,pass" in report
         assert ",fail," not in report
+
+    def test_huge_horizon_fails_unformed_bounds(self, tmp_path, capsys):
+        text = "model.variant = counterexample\ngrid.x_max = 1e300\ngrid.n = 201\n"
+        cfg = write_config(tmp_path / "ce.cfg", text)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = open(str(tmp_path / "o" / "diagnostics.txt")).read().splitlines()
+        tail = [row for row in rows if row.startswith("tail_decay,")]
+        assert tail and all(row.startswith("tail_decay,fail,") for row in tail)
+        unformed = [row for row in rows if row.endswith(("bound=inf", "bound=nan"))]
+        assert unformed and all(",fail," in row for row in unformed)
 
     def test_graded_grid_skips_translation(self, tmp_path):
         cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)

@@ -116,6 +116,7 @@ class TestReproductionFromPicard:
         for ctx, r in results:
             assert isinstance(r, sp.EquilibriumResult)
             assert r.R_at_u == sp.net_reproduction_R(ctx, r.u_star)
+            assert np.array_equal(r.pi.values, sp.survival_pi(ctx, r.u_star).values)
 
 
 class TestScanAndBisect:
