@@ -55,6 +55,16 @@ class RateBounds:
             raise ParameterError("need 0 < mu_low <= mu_high")
         if not self.beta_max > 0:
             raise ParameterError("beta_max must be positive")
+        # the envelopes divide by products of the bounds, which can underflow
+        try:
+            derived = (*envelope_norms(self), default_x_max(self))
+        except (ArithmeticError, ValueError):
+            derived = (math.nan,)
+        if not all(0 < d < math.inf for d in derived):
+            raise ParameterError(
+                "rate bounds give envelope norms or a default horizon that are not "
+                "finite and positive"
+            )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 root scan in the scale variable, and existence/nonexistence certificates.
 
 The primary route nests a damped fixed-point iteration for the shape v at
-frozen scale lam inside a bracketing bisection on the scalar residual
-R(lam v) - 1. Compactness guarantees a fixed point of the clamped joint map
+frozen scale lam inside a root search on the scalar residual R(lam v) - 1:
+a scan brackets each sign change, and ITP refines it from the scan's own
+bracket ends, each inner solve starting from the last shape solved.
+Compactness guarantees a fixed point of the clamped joint map
 but not convergence of its raw iterates, so that map is kept only as a
 secondary cross-validation route: when it fails to settle it returns an
 explicitly flagged trace, never a guess.
@@ -91,6 +93,7 @@ class ScanResult:
     lambdas: np.ndarray
     residuals: np.ndarray          # nan where the inner iteration failed
     brackets: tuple                # (lo, hi) pairs with a sign change
+    ends: tuple                    # per bracket ((r_lo, v_lo), (r_hi, v_hi)) from the scan
     failed: tuple                  # scan indices whose inner iteration failed
     degenerate: bool               # residual ~ 0 across the scan
 
@@ -104,16 +107,19 @@ class Certificate:
     evidence: dict = field(default_factory=dict)
 
 
-def inner_picard(ctx: KernelContext, lam: float, cfg: SolverConfig) -> PicardResult:
+def inner_picard(
+    ctx: KernelContext, lam: float, cfg: SolverConfig, start: DensityProfile | None = None
+) -> PicardResult:
     """Damped fixed-point iteration for the shape at frozen scale lam.
 
-    Starts from the envelope midpoint; on three consecutive residual
-    increases the damping halves (floor 0.25).
+    Starts from the shape ``start`` when given, else from the envelope
+    midpoint; on three consecutive residual increases the damping halves
+    (floor 0.25).
     """
     if lam < 0:
         raise ParameterError("lam must be nonnegative")
     grid = ctx.grid
-    v = 0.5 * (ctx.e1.values + ctx.e2.values)
+    v = 0.5 * (ctx.e1.values + ctx.e2.values) if start is None else start.values
     d = cfg.picard_damping
     prev_res = math.inf
     increases = 0
@@ -174,37 +180,44 @@ def _scan_lambdas(ctx: KernelContext, cfg: SolverConfig) -> np.ndarray:
 def scan_roots(ctx: KernelContext, cfg: SolverConfig) -> ScanResult:
     """Evaluate the scalar residual on a scale grid and collect sign-change brackets.
 
-    Completeness is not guaranteed: only sign changes at scan resolution are
-    found. A residual that is ~0 at >= 90% of the points is reported as a
-    degenerate family and yields no brackets.
+    Every point starts cold, so each residual equals ``lambda_residual`` at
+    that scale. Each bracket keeps its two end residuals and shapes, for the
+    refinement to reuse. Completeness is not guaranteed: only sign changes at
+    scan resolution are found. A residual that is ~0 at >= 90% of the points
+    is reported as a degenerate family and yields no brackets.
     """
     lams = _scan_lambdas(ctx, cfg)
     residuals = np.full(lams.shape, np.nan)
     failed = []
+    brackets = []
+    ends = []
+    prev = None                    # (lam, (residual, shape)) of the last good point
     for i, lam in enumerate(lams):
         try:
-            residuals[i] = lambda_residual(ctx, float(lam), cfg)
+            pr = inner_picard(ctx, float(lam), cfg)
         except ConvergenceError:
             failed.append(i)
+            continue
+        r = residuals[i] = pr.R - 1.0
+        if prev is not None:
+            r_prev = prev[1][0]
+            if r_prev != 0.0 and (r_prev * r < 0 or r == 0.0):
+                brackets.append((float(prev[0]), float(lam)))
+                ends.append((prev[1], (r, pr.v)))
+        prev = (lam, (r, pr.v))
     good = ~np.isnan(residuals)
     n_good = int(np.count_nonzero(good))
     degenerate = bool(
         n_good > 0
         and np.count_nonzero(np.abs(residuals[good]) < cfg.root_tol) >= 0.9 * n_good
     )
-    brackets = []
-    if not degenerate:
-        idx = np.flatnonzero(good)
-        for a, bidx in zip(idx[:-1], idx[1:]):
-            ra, rb = residuals[a], residuals[bidx]
-            if ra == 0.0:
-                continue
-            if ra * rb < 0 or (rb == 0.0 and ra != 0.0):
-                brackets.append((float(lams[a]), float(lams[bidx])))
+    if degenerate:
+        brackets, ends = [], []
     return ScanResult(
         lambdas=lams,
         residuals=residuals,
         brackets=tuple(brackets),
+        ends=tuple(ends),
         failed=tuple(failed),
         degenerate=degenerate,
     )
@@ -226,31 +239,61 @@ def _assemble_result(ctx: KernelContext, lam: float, pr: PicardResult) -> Equili
     )
 
 
-def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig) -> EquilibriumResult:
-    """Bisection on the scalar residual inside a sign-change bracket."""
+def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends=None) -> EquilibriumResult:
+    """Refine a sign-change bracket of the scalar residual by ITP.
+
+    ``ends`` holds the scan's ``((r_lo, v_lo), (r_hi, v_hi))`` for the
+    bracket; without it both ends are solved here. ITP (Oliveira & Takahashi,
+    ACM TOMS 47, 2021) keeps a sign-change bracket, converges superlinearly
+    on smooth residuals, and needs at most one evaluation more than
+    bisection. It stops at width <= root_tol, or when the bracket can no
+    longer be split in floating point, and returns the midpoint, so
+    ``lambda*`` lies within root_tol/2 of a sign change of the discrete
+    residual. Each inner solve starts from the shape of the last scale
+    evaluated.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
-    r_lo = lambda_residual(ctx, lo, cfg)
-    r_hi = lambda_residual(ctx, hi, cfg)
+    if ends is None:
+        ends = []
+        for lam in (lo, hi):
+            pr = inner_picard(ctx, lam, cfg)
+            ends.append((pr.R - 1.0, pr.v))
+    (r_lo, v_lo), (r_hi, v) = ends      # v: shape at the last scale solved
     if r_lo == 0.0:
-        return _assemble_result(ctx, lo, inner_picard(ctx, lo, cfg))
+        return _assemble_result(ctx, lo, inner_picard(ctx, lo, cfg, v_lo))
     if r_hi == 0.0:
-        return _assemble_result(ctx, hi, inner_picard(ctx, hi, cfg))
+        return _assemble_result(ctx, hi, inner_picard(ctx, hi, cfg, v))
     if r_lo * r_hi > 0:
         raise ParameterError("bracket endpoints must have opposite residual signs")
+    eps = 0.5 * cfg.root_tol
+    k1 = 0.2 / (hi - lo)
+    n_max = max(math.ceil(math.log2((hi - lo) / cfg.root_tol)), 0) + 1   # n0 = 1
+    j = 0
     while hi - lo > cfg.root_tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        r_mid = lambda_residual(ctx, mid, cfg)
-        if r_mid == 0.0:
-            lo = hi = mid
-            break
-        if r_lo * r_mid < 0:
-            hi = mid
+        # interpolate (regula falsi), truncate towards the midpoint, then
+        # project into the ball that preserves bisection's worst case
+        x_f = (hi * r_lo - lo * r_hi) / (r_lo - r_hi)
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = k1 * (hi - lo) ** 2
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        rad = max(eps * 2.0 ** (n_max - j) - 0.5 * (hi - lo), 0.0)
+        x = x_t if abs(x_t - mid) <= rad else mid - sigma * rad
+        if not lo < x < hi:        # rounding can land x_f + delta on an end
+            x = mid
+        pr = inner_picard(ctx, x, cfg, v)
+        r, v = pr.R - 1.0, pr.v
+        if r == 0.0:
+            return _assemble_result(ctx, x, pr)
+        if r_lo * r < 0:
+            hi, r_hi = x, r
         else:
-            lo, r_lo = mid, r_mid
+            lo, r_lo = x, r
+        j += 1
     lam = 0.5 * (lo + hi)
-    return _assemble_result(ctx, lam, inner_picard(ctx, lam, cfg))
+    return _assemble_result(ctx, lam, inner_picard(ctx, lam, cfg, v))
 
 
 def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: SolverConfig):
@@ -445,8 +488,11 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
 
 
 def solve_all(ctx: KernelContext, cfg: SolverConfig):
-    """Scan, bisect every bracket, and return (scan, results sorted by scale)."""
+    """Scan, then refine every bracket by ITP from its scan ends.
+
+    Returns (scan, results sorted by scale).
+    """
     scan = scan_roots(ctx, cfg)
-    results = [bisect_root(ctx, br, cfg) for br in scan.brackets]
+    results = [bisect_root(ctx, br, cfg, ends) for br, ends in zip(scan.brackets, scan.ends)]
     results.sort(key=lambda r: r.lambda_star)
     return scan, results

@@ -116,6 +116,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/steadypop.cfg")
 
+    def test_underflowing_rates_rejected(self, tmp_path, capsys):
+        # g0 * mu0 underflows to 0, so the envelope norms would divide by zero
+        text = "model.variant = constant\nmodel.mu0 = %s\nmodel.g0 = %s\nmodel.beta0 = 1\n"
+        tiny = write_config(tmp_path / "tiny.cfg", text % ("1e-200", "1e-200"))
+        with pytest.raises(ConfigError, match="model parameters") as err:
+            load_config(tiny)
+        assert err.value.key == "model.variant"
+        for command in ("solve", "scan", "certify", "diagnose"):
+            assert main([command, "--config", tiny, "--out", str(tmp_path / "out")]) == 2
+        assert "model parameters" in capsys.readouterr().err
+        small = load_config(write_config(tmp_path / "small.cfg", text % ("1e-100", "1e-100")))
+        assert 0 < small.grid.x_max < np.inf
+
 
 @pytest.fixture(scope="module")
 def ce_run(tmp_path_factory):

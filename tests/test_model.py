@@ -38,6 +38,18 @@ class TestRateBounds:
         with pytest.raises(ParameterError):
             sp.RateBounds(g_low=1.0, g_high=1.0, mu_low=0.0, mu_high=1.0, beta_max=1.0)
 
+    def test_envelopes_must_be_finite(self):
+        # g_low * mu_low underflows to 0: the envelope norms would divide by zero
+        with pytest.raises(ParameterError, match="finite and positive"):
+            sp.RateBounds(g_low=1e-200, g_high=1e-200, mu_low=1e-200, mu_high=1e-200,
+                          beta_max=1.0)
+        # the upper envelope mass is below the tail tolerance: no positive horizon
+        with pytest.raises(ParameterError, match="finite and positive"):
+            sp.RateBounds(g_low=1.0, g_high=1.0, mu_low=1e12, mu_high=1e12, beta_max=1.0)
+        b = sp.RateBounds(g_low=1e-100, g_high=1e-100, mu_low=1e-100, mu_high=1e-100,
+                          beta_max=1.0)
+        assert 0 < sp.default_x_max(b) < np.inf
+
 
 class TestEvalRates:
     def test_constant_variant(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,54 @@ class TestScanAndBisect:
         assert r.P_star == pytest.approx(1.0, abs=1e-6)
         assert r.R_at_u == pytest.approx(1.0, abs=1e-6)
         assert r.residual_l1 < 1e-6
+
+    def test_refinement_reuses_scan_ends(self, hier_ctx, monkeypatch):
+        calls = []
+        inner = sp.solver.inner_picard
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sp.solver, "inner_picard", counted)
+        scan, results = sp.solve_all(hier_ctx, sp.SolverConfig(scan_points=64))
+        assert len(results) == 1
+        # cold-started bisection to root_tol = 1e-9 needs 32 here
+        assert len(calls) - len(scan.lambdas) <= 12
+
+    def test_scan_residuals_are_cold_started(self, hier_ctx):
+        cfg = sp.SolverConfig(scan_points=16)
+        scan = sp.scan_roots(hier_ctx, cfg)
+        for lam, r in zip(scan.lambdas, scan.residuals):
+            assert r == sp.lambda_residual(hier_ctx, float(lam), cfg)
+        assert len(scan.ends) == len(scan.brackets) == 1
+        (r_lo, _), (r_hi, _) = scan.ends[0]
+        assert r_lo * r_hi < 0
+
+    def test_tiny_root_tol_stops_at_float_resolution(self, hier_ctx):
+        _, (coarse,) = sp.solve_all(hier_ctx, sp.SolverConfig(scan_points=64))
+        _, (fine,) = sp.solve_all(hier_ctx, sp.SolverConfig(scan_points=64, root_tol=1e-18))
+        assert fine.lambda_star == pytest.approx(coarse.lambda_star, abs=1e-9)
+
+    @pytest.mark.parametrize("ctx_name,base,n_roots", [
+        ("ce_ctx", CE_CFG, 2),
+        ("hier_ctx", sp.SolverConfig(scan_points=64), 1),
+    ])
+    def test_root_within_half_tol_of_sign_change(self, request, ctx_name, base, n_roots):
+        ctx = request.getfixturevalue(ctx_name)
+        cfg = replace(base, root_tol=1e-6)
+        _, results = sp.solve_all(ctx, cfg)
+        assert len(results) == n_roots
+        for r in results:
+            below = sp.lambda_residual(ctx, r.lambda_star - cfg.root_tol, cfg)
+            above = sp.lambda_residual(ctx, r.lambda_star + cfg.root_tol, cfg)
+            assert below * above < 0
+
+    def test_bisect_without_ends_agrees(self, ce_ctx, ce_solutions):
+        scan, results = ce_solutions
+        for bracket, r in zip(scan.brackets, results):
+            alone = sp.bisect_root(ce_ctx, bracket, CE_CFG)
+            assert alone.lambda_star == pytest.approx(r.lambda_star, abs=CE_CFG.root_tol)
 
     def test_bisect_rejects_bad_bracket(self, ce_ctx):
         with pytest.raises(ParameterError):
