@@ -14,8 +14,10 @@ arithmetic beyond formatting.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -136,26 +138,29 @@ def cmd_diagnose(run: RunConfig) -> int:
 
 
 def _read_profile(path: str, grid) -> DensityProfile:
-    xs, us = [], []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.replace(",", " ").split()
-                if parts[0].lower() in ("x", "x,u"):
-                    continue
-                if len(parts) < 2:
-                    raise ParameterError("profile rows need two columns: x u")
-                xs.append(float(parts[0]))
-                us.append(float(parts[1]))
+        # bytes, not str: io.StringIO would hold the text at 4 bytes a character
+        with open(path, "rb") as fh:
+            text = io.BytesIO(fh.read().replace(b",", b" "))
+        # only the first row that is not a comment may be an "x ..." header
+        while True:
+            start = text.tell()
+            line = text.readline()
+            tokens = line.split(b"#", 1)[0].split()
+            if tokens or not line:
+                break
+        if not tokens or tokens[0].lower() != b"x":
+            text.seek(start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # no rows at all: the size check below
+            data = np.loadtxt(text, comments="#", usecols=(0, 1), ndmin=2, encoding="utf-8")
     except (OSError, ValueError) as exc:
         raise ParameterError("cannot read profile %s: %s" % (path, exc))
-    if len(xs) < 2:
+    if len(data) < 2:
         raise ParameterError("profile file %s has fewer than 2 samples" % path)
-    xs = np.asarray(xs)
-    us = np.asarray(us)
+    if not np.all(np.isfinite(data)):
+        raise ParameterError("profile file %s has non-finite values" % path)
+    xs, us = data[:, 0], data[:, 1]
     order = np.argsort(xs)
     values = np.interp(grid.nodes, xs[order], us[order], left=0.0, right=0.0)
     if np.any(values < 0):

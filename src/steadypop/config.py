@@ -41,12 +41,10 @@ _COMPOSITE_NUMBERS = ("x_amp", "x_rate", "u_sat", "u_inv", "tail_from", "weight_
 _SOLVER_KEYS = {
     "solver.picard_tol": ("picard_tol", float),
     "solver.picard_max_iter": ("picard_max_iter", int),
-    "solver.picard_damping": ("picard_damping", float),
     "solver.lambda_min": ("lambda_min", float),
     "solver.lambda_max": ("lambda_max", float),
     "solver.scan_points": ("scan_points", int),
     "solver.root_tol": ("root_tol", float),
-    "solver.map_a_max_iter": ("map_A_max_iter", int),
     "solver.seed": ("seed", int),
 }
 

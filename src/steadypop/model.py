@@ -237,7 +237,8 @@ def raw_rates(model: ModelSpec, x, u: DensityProfile):
 def _checked(value, low, high, name):
     tol_lo = 1e-12 * max(1.0, abs(low))
     tol_hi = 1e-12 * max(1.0, abs(high))
-    if np.any(np.asarray(value) < low - tol_lo) or np.any(np.asarray(value) > high + tol_hi):
+    # one min and one max pass; the negated form also flags NaN
+    if not (low - tol_lo <= np.min(value) and np.max(value) <= high + tol_hi):
         raise BoundsViolationError(
             "%s evaluated outside declared bounds [%g, %g]" % (name, low, high)
         )

@@ -1,7 +1,7 @@
-"""Equilibrium solver: damped inner iteration in the shape variable, scalar
+"""Equilibrium solver: fixed-point iteration in the shape variable, scalar
 root scan in the scale variable, and existence/nonexistence certificates.
 
-The primary route nests a damped fixed-point iteration for the shape v at
+The primary route nests a fixed-point iteration for the shape v at
 frozen scale lam inside a root search on the scalar residual R(lam v) - 1:
 a scan brackets each sign change, and ITP refines it from the scan's own
 bracket ends, each inner solve starting from the last shape solved.
@@ -22,30 +22,26 @@ from . import _accel
 from .errors import ConvergenceError, ParameterError
 from .grid import DensityProfile, integrate, zero_profile
 from .kernel import KernelContext, net_reproduction_R, rates_and_survival, residual
-from .model import COUNTEREXAMPLE, envelope_tail_mass, raw_rates
+from .model import COUNTEREXAMPLE, envelope_tail_mass, random_onion_samples, raw_rates
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     picard_tol: float = 1e-10
-    picard_max_iter: int = 200
-    picard_damping: float = 1.0
+    picard_max_iter: int = 200        # caps the inner solve and map A alike
     lambda_min: float | None = None   # default: root_tol
     lambda_max: float | None = None   # default: the invariant-box scale bound
     scan_points: int = 256
     root_tol: float = 1e-9
-    map_A_max_iter: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         # "not (x > 0)" forms also reject NaN
         if not (self.picard_tol > 0 and self.root_tol > 0):
             raise ParameterError("tolerances must be positive")
-        if not (0 < self.picard_damping <= 1):
-            raise ParameterError("picard_damping must lie in (0, 1]")
         if self.scan_points < 2:
             raise ParameterError("scan_points must be at least 2")
-        if self.picard_max_iter < 1 or self.map_A_max_iter < 1:
+        if self.picard_max_iter < 1:
             raise ParameterError("iteration caps must be at least 1")
         if self.seed < 0:
             raise ParameterError("seed must be nonnegative")
@@ -61,7 +57,6 @@ class SolverConfig:
 class PicardResult:
     v: DensityProfile
     iterations: int
-    damping_used: float
     residual_l1: float
     R: float                       # net reproduction at lam * v
     pi: np.ndarray                 # survival shape at lam * v
@@ -77,7 +72,6 @@ class EquilibriumResult:
     residual_l1: float
     pi: DensityProfile             # survival shape at u_star
     inner_iterations: int
-    damping_used: float
 
 
 @dataclass(frozen=True)
@@ -110,38 +104,27 @@ class Certificate:
 def inner_picard(
     ctx: KernelContext, lam: float, cfg: SolverConfig, start: DensityProfile | None = None
 ) -> PicardResult:
-    """Damped fixed-point iteration for the shape at frozen scale lam.
+    """Fixed-point iteration v <- Pi(., lam v) for the shape at frozen scale lam.
 
     Starts from the shape ``start`` when given, else from the envelope
-    midpoint; on three consecutive residual increases the damping halves
-    (floor 0.25).
+    midpoint. Raises :class:`ConvergenceError` carrying the last step's
+    residual when ``picard_max_iter`` steps do not reach ``picard_tol``.
     """
     if lam < 0:
         raise ParameterError("lam must be nonnegative")
     grid = ctx.grid
     v = 0.5 * (ctx.e1.values + ctx.e2.values) if start is None else start.values
-    d = cfg.picard_damping
-    prev_res = math.inf
-    increases = 0
     for k in range(1, cfg.picard_max_iter + 1):
         _, beta, pi = rates_and_survival(ctx, DensityProfile(grid, lam * v))
         res = float(np.dot(grid.weights, np.abs(v - pi)))
         if res <= cfg.picard_tol:
             R = _accel.weighted_sum(grid.weights, beta * pi)
-            return PicardResult(DensityProfile(grid, v), k, d, res, R, pi)
-        if res > prev_res:
-            increases += 1
-            if increases >= 3 and d > 0.25:
-                d = max(d / 2.0, 0.25)
-                increases = 0
-        else:
-            increases = 0
-        v = (1.0 - d) * v + d * pi
-        prev_res = res
+            return PicardResult(DensityProfile(grid, v), k, res, R, pi)
+        v = pi
     raise ConvergenceError(
         "inner iteration did not reach %g after %d steps (last residual %g)"
-        % (cfg.picard_tol, cfg.picard_max_iter, prev_res),
-        last_residual=prev_res,
+        % (cfg.picard_tol, cfg.picard_max_iter, res),
+        last_residual=res,
         iterations=cfg.picard_max_iter,
     )
 
@@ -235,7 +218,6 @@ def _assemble_result(ctx: KernelContext, lam: float, pr: PicardResult) -> Equili
         residual_l1=res,
         pi=DensityProfile(ctx.grid, pr.pi),
         inner_iterations=pr.iterations,
-        damping_used=pr.damping_used,
     )
 
 
@@ -309,7 +291,7 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
     lam = float(lambda0)
     lam_hist = [lam]
     changes = []
-    for k in range(1, cfg.map_A_max_iter + 1):
+    for k in range(1, cfg.picard_max_iter + 1):
         _, beta, pi = rates_and_survival(ctx, DensityProfile(grid, lam * v))
         lam_new = max(lam + _accel.weighted_sum(grid.weights, beta * pi) - 1.0, 0.0)
         change = float(np.dot(grid.weights, np.abs(pi - v))) + abs(lam_new - lam)
@@ -320,7 +302,7 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
             if lam > 0:
                 _, beta, pi = rates_and_survival(ctx, DensityProfile(grid, lam * v))
                 R = _accel.weighted_sum(grid.weights, beta * pi)
-                pr = PicardResult(DensityProfile(grid, v), k, cfg.picard_damping, change, R, pi)
+                pr = PicardResult(DensityProfile(grid, v), k, change, R, pi)
                 return _assemble_result(ctx, lam, pr)
             break
     return MapATrace(
@@ -332,12 +314,10 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
 
 
 def _sample_shapes(ctx: KernelContext, rng, n_random: int = 5):
-    e1, e2 = ctx.e1.values, ctx.e2.values
-    shapes = [e1, e2, 0.5 * (e1 + e2)]
-    for _ in range(n_random):
-        r = rng.random(ctx.grid.n)
-        shapes.append(e1 + r * (e2 - e1))
-    return [DensityProfile(ctx.grid, s) for s in shapes]
+    """Both envelopes, their midpoint and ``n_random`` seeded shapes between them."""
+    mid = DensityProfile(ctx.grid, 0.5 * (ctx.e1.values + ctx.e2.values))
+    onion = random_onion_samples(ctx.model.bounds, ctx.grid, (1.0,), n_random, rng)
+    return [ctx.e1, ctx.e2, mid] + [s.v for s in onion]
 
 
 def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:

@@ -92,8 +92,12 @@ class TestLoadConfig:
              "solver.picard_max_iter"),
             ("model.variant = counterexample\nsolver.scan_points = inf\n", "solver.scan_points"),
             ("model.variant = counterexample\nsolver.seed = 1e400\n", "solver.seed"),
-            ("model.variant = counterexample\nsolver.map_a_max_iter = nan\n",
-             "solver.map_a_max_iter"),
+            ("model.variant = counterexample\nsolver.picard_max_iter = nan\n",
+             "solver.picard_max_iter"),
+            ("model.variant = counterexample\nsolver.picard_damping = 0.5\n",
+             "unknown key 'solver.picard_damping'"),
+            ("model.variant = counterexample\nsolver.map_a_max_iter = 10\n",
+             "unknown key 'solver.map_a_max_iter'"),
             ("model.variant = counterexample\nsolver.seed = -1\n", "seed"),
             ("model.variant = counterexample\nsolver.picard_tol = nan\n", "solver.picard_tol"),
             (HIER_TEXT.replace("model.b0 = 2.0", "model.b0 = inf"), "model.b0"),
@@ -288,6 +292,35 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
         assert main(["verify", "--config", cfg, "--profile",
                      str(tmp_path / "nope.csv"), "--tol", "1e-4"]) == 2
+
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            ("# comment\nx,u\n0,1\n40,0\n", 4),
+            ("x u\n0 1\n40 0\n", 4),
+            ("X,u,v,pi,e1,e2\n0,1,1,1,1,1\n40,0,0,0,0,0\n", 4),
+            ("x,u\n0,1\n40\n", 2),
+            ("x,u\n0,1\n40,zero\n", 2),
+            ("x,u\n0,1\n", 2),
+            ("x,u\n0,nan\n40,0\n", 2),
+            ("x,u\n0,1\ninf,0\n", 2),
+            ("0,1\nx,u\n40,0\n", 2),
+        ],
+        ids=["comment", "spaces", "six_columns", "one_column", "not_a_number",
+             "one_row", "nan_density", "inf_x", "late_header"],
+    )
+    def test_profile_grammar(self, tmp_path, capsys, text, code):
+        # exit 4: parsed, then rejected on its residual; exit 2: refused as input
+        cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
+        prof = tmp_path / "prof.csv"
+        prof.write_text(text)
+        assert main(["verify", "--config", cfg, "--profile", str(prof), "--tol", "1e-4"]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("input error: ")
+            assert captured.out == ""
+        else:
+            assert captured.out.startswith("residual_l1 = ")
 
 
 class TestExitCodes:

@@ -137,6 +137,15 @@ class TestEvalRates:
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
             sp.model.rates(bad, g.nodes, sp.zero_profile(g))
 
+    def test_nan_profile_raises(self):
+        # NaN compares false with both bounds, so only a negated check catches it
+        m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)
+        g = sp.build_grid(20.0, 401)
+        values = np.exp(-g.nodes)
+        values[200] = np.nan
+        with pytest.raises(BoundsViolationError):
+            sp.model.rates(m, g.nodes, sp.DensityProfile(g, values))
+
     def test_random_sweep_stays_in_bounds(self):
         rng = np.random.default_rng(42)
         g = sp.build_grid(20.0, 401)

@@ -25,8 +25,6 @@ class TestSolverConfig:
         [
             {"picard_tol": 0.0},
             {"root_tol": -1.0},
-            {"picard_damping": 0.0},
-            {"picard_damping": 1.5},
             {"scan_points": 1},
             {"lambda_min": -1.0},
             {"lambda_min": 2.0, "lambda_max": 1.0},
@@ -36,7 +34,6 @@ class TestSolverConfig:
             {"lambda_max": float("nan")},
             {"lambda_max": float("inf")},
             {"picard_max_iter": 0},
-            {"map_A_max_iter": 0},
             {"seed": -1},
         ],
     )
@@ -240,7 +237,7 @@ class TestMapA:
 
     def test_flagged_trace_when_not_settling(self, ce_ctx):
         # starting between the equilibria the raw joint update oscillates
-        cfg = sp.SolverConfig(picard_tol=1e-12, map_A_max_iter=30)
+        cfg = sp.SolverConfig(picard_tol=1e-12, picard_max_iter=30)
         v0 = sp.DensityProfile(ce_ctx.grid, np.exp(-ce_ctx.grid.nodes))
         out = sp.iterate_map_A(ce_ctx, v0, 0.5, cfg)
         assert isinstance(out, sp.MapATrace)
