@@ -169,6 +169,8 @@ def _read_profile(path: str, grid) -> DensityProfile:
 
 
 def cmd_verify(run: RunConfig, profile_path: str, tol: float) -> int:
+    if not tol > 0:     # also rejects nan
+        raise ParameterError("--tol must be positive, got %s" % tol)
     ctx = make_context(run.model, run.grid)
     u = _read_profile(profile_path, run.grid)
     res = residual(ctx, u)

@@ -415,12 +415,15 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
         # sup over scales of lam*v*exp(-lam*tail) is bounded via sup lam*e^(-a*lam)=1/(a*e)
         _, e2_at_0 = envelope_values(b, 0.0)
         tail_e1 = (b.g_low / (b.g_high * b.mu_high)) * math.exp(-b.mu_high * T / b.g_low)
+        # the exponential underflows to 0 once mu_high T / g_low passes ~745,
+        # and a tiny tail can overflow the quotient: neither bound is formed
         gx_bound = (
             (model.params["g_high"] - model.params["g_low"])
             * float(e2_at_0)
             / (math.e * tail_e1)
+            if tail_e1 > 0 else math.inf
         )
-        gx_ok = gx_sup <= gx_bound * (1.0 + 1e-6)
+        gx_ok = math.isfinite(gx_bound) and gx_sup <= gx_bound * (1.0 + 1e-6)
 
     _, e2 = envelope_profiles(b, grid)
     lams = (1.0, 10.0, 1e2, 1e3, 1e4)

@@ -13,6 +13,7 @@ explicitly flagged trace, never a guess.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -116,7 +117,7 @@ def inner_picard(
     v = 0.5 * (ctx.e1.values + ctx.e2.values) if start is None else start.values
     for k in range(1, cfg.picard_max_iter + 1):
         _, beta, pi = rates_and_survival(ctx, DensityProfile(grid, lam * v))
-        res = float(np.dot(grid.weights, np.abs(v - pi)))
+        res = _accel.weighted_sum(grid.weights, np.abs(v - pi))
         if res <= cfg.picard_tol:
             R = _accel.weighted_sum(grid.weights, beta * pi)
             return PicardResult(DensityProfile(grid, v), k, res, R, pi)
@@ -294,7 +295,7 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
     for k in range(1, cfg.picard_max_iter + 1):
         _, beta, pi = rates_and_survival(ctx, DensityProfile(grid, lam * v))
         lam_new = max(lam + _accel.weighted_sum(grid.weights, beta * pi) - 1.0, 0.0)
-        change = float(np.dot(grid.weights, np.abs(pi - v))) + abs(lam_new - lam)
+        change = _accel.weighted_sum(grid.weights, np.abs(pi - v)) + abs(lam_new - lam)
         v, lam = pi, lam_new
         lam_hist.append(lam)
         changes.append(change)
@@ -320,29 +321,31 @@ def _sample_shapes(ctx: KernelContext, rng, n_random: int = 5):
     return [ctx.e1, ctx.e2, mid] + [s.v for s in onion]
 
 
+def _ray_R(ctx: KernelContext, w: DensityProfile, lams) -> list:
+    """R at ``lam * w`` for each scale ``lam`` in ``lams``."""
+    return [net_reproduction_R(ctx, DensityProfile(ctx.grid, lam * w.values)) for lam in lams]
+
+
 def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
-    """Smallest scanned population size beyond which R stays at or below 1.
+    """Smallest sampled population size at and beyond which every sample has R <= 1.
 
     Sampled over scaled envelope shapes; heuristic evidence, not a proof.
+    Sizes are visited from the largest down, and the walk stops at the first
+    size with a sample of R > 1, since no smaller size can then qualify.
     """
     rng = np.random.default_rng(cfg.seed)
-    shapes = _sample_shapes(ctx, rng)
-    lams = np.geomspace(1e-3, 1e4, 100)
-    entries = []
-    for w in shapes:
-        for lam in lams:
-            u = DensityProfile(ctx.grid, lam * w.values)
-            entries.append((integrate(ctx.grid, u), net_reproduction_R(ctx, u)))
-    entries.sort()
-    norms = np.array([e[0] for e in entries])
-    rvals = np.array([e[1] for e in entries])
-    above = rvals > 1.0
-    # smallest sampled norm such that every sample at or beyond it has R <= 1
-    suffix_bad = np.flip(np.logical_or.accumulate(np.flip(above)))
-    ok = np.flatnonzero(~suffix_bad)
-    if ok.size == 0:
-        return None
-    return float(norms[ok[0]])
+    samples = [
+        (integrate(ctx.grid, lam * w.values), lam, w)
+        for w in _sample_shapes(ctx, rng)
+        for lam in np.geomspace(1e-3, 1e4, 100)
+    ]
+    samples.sort(key=lambda s: s[0], reverse=True)
+    rho0 = None
+    for size, group in itertools.groupby(samples, key=lambda s: s[0]):
+        if any(_ray_R(ctx, w, (lam,))[0] > 1.0 for _, lam, w in group):
+            break
+        rho0 = size
+    return rho0
 
 
 def _ratios(model, nodes, u: DensityProfile):
@@ -388,14 +391,9 @@ def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
     alt_strict_bm = bm_dec and mg_nondec and bm_x_nondec
     alt_strict_others = bm_noninc and mg_strict and bm_x_strict
 
-    # R decreasing along rays
     r_decreasing = True
-    ray_lams = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
     for w in shapes[:4]:
-        vals = [
-            net_reproduction_R(ctx, DensityProfile(grid, lam * w.values))
-            for lam in ray_lams
-        ]
+        vals = _ray_R(ctx, w, (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0))
         r_decreasing &= all(b < a - 1e-14 for a, b in zip(vals, vals[1:]))
 
     return {
@@ -404,20 +402,6 @@ def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
         "assumption_M_strict_others": alt_strict_others,
         "R_decreasing_along_rays": r_decreasing,
         "pairs_sampled": len(pairs),
-    }
-
-
-def _lbeta_evidence(ctx: KernelContext) -> dict:
-    lams = (1.0, 10.0, 1e2, 1e3, 1e4)
-    vals = [
-        net_reproduction_R(ctx, DensityProfile(ctx.grid, lam * ctx.e2.values))
-        for lam in lams
-    ]
-    nonincreasing = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-    return {
-        "sweep_lambdas": lams,
-        "sweep_R": tuple(vals),
-        "pass": nonincreasing and vals[-1] < 1e-3,
     }
 
 
@@ -432,25 +416,25 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
     R0 = net_reproduction_R(ctx, zero_profile(ctx.grid))
     rho0 = find_rho0(ctx, cfg)
     M = compute_M(ctx, rho0 if rho0 is not None else _rho0_proxy(ctx))
-    lbeta = _lbeta_evidence(ctx)
+    # one sweep along the scaled upper envelope: its first four scales test
+    # for a degenerate family, its last five for fertility decay
+    ray_lams = (0.01, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4)
+    ray = _ray_R(ctx, ctx.e2, ray_lams)
+    lbeta_R = tuple(ray[2:])
+    lbeta_pass = all(b <= a + 1e-12 for a, b in zip(lbeta_R, lbeta_R[1:])) and lbeta_R[-1] < 1e-3
     mono = _monotonicity_evidence(ctx, cfg)
 
     notes = []
     b = ctx.model.bounds
     if R0 > 1.0 and b.beta_max * ctx.norm_e2 <= 1.0:
         notes.append("inconsistency: R0 > 1 requires beta_max * |e2|_1 > 1")
-    # degenerate family: R constant ~ 1 along a ray
-    ray = [
-        net_reproduction_R(ctx, DensityProfile(ctx.grid, lam * ctx.e2.values))
-        for lam in (0.01, 0.1, 1.0, 10.0)
-    ]
     tol_deg = max(cfg.root_tol, 1e-6)  # quadrature limits how flat "flat" can look
-    if max(ray) - min(ray) < tol_deg and abs(R0 - 1.0) < tol_deg:
+    if max(ray[:4]) - min(ray[:4]) < tol_deg and abs(R0 - 1.0) < tol_deg:
         notes.append("degenerate family: R is ~1 along scaled-envelope rays")
     if ctx.model.variant == COUNTEREXAMPLE and R0 < 1.0:
         notes.append("R0 < 1 does not preclude equilibria; run a root scan")
 
-    if R0 > 1.0 and (rho0 is not None or lbeta["pass"]):
+    if R0 > 1.0 and (rho0 is not None or lbeta_pass):
         kind = "existence"
     elif R0 <= 1.0 and mono["assumption_M_pass"] and mono["R_decreasing_along_rays"]:
         kind = "nonexistence"
@@ -458,9 +442,9 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
         kind = "inconclusive"
 
     evidence = {
-        "lbeta_pass": lbeta["pass"],
-        "lbeta_sweep_lambdas": lbeta["sweep_lambdas"],
-        "lbeta_sweep_R": lbeta["sweep_R"],
+        "lbeta_pass": lbeta_pass,
+        "lbeta_sweep_lambdas": ray_lams[2:],
+        "lbeta_sweep_R": lbeta_R,
         **mono,
         "notes": tuple(notes),
     }

@@ -1,10 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 import steadypop as sp
+from steadypop import cli
 from steadypop.cli import main
 from steadypop.config import load_config
-from steadypop.errors import ConfigError
+from steadypop.errors import ConfigError, ConvergenceError
 
 from conftest import write_config
 
@@ -257,6 +260,17 @@ class TestDiagnoseCommand:
         unformed = [row for row in rows if row.endswith(("bound=inf", "bound=nan"))]
         assert unformed and all(",fail," in row for row in unformed)
 
+    @pytest.mark.parametrize("g_low", [0.001, 0.019])
+    def test_unformed_derivative_bound_fails(self, tmp_path, g_low):
+        # the envelope tail in the g_x bound underflows (0.001) or the bound overflows (0.019)
+        text = HIER_TEXT.replace("model.g_low = 0.5", "model.g_low = %g" % g_low) + "grid.n = 201\n"
+        cfg = write_config(tmp_path / "h.cfg", text)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = open(str(tmp_path / "o" / "diagnostics.txt")).read().splitlines()
+        (row,) = [row for row in rows if row.startswith("derivative_D,")]
+        assert row.startswith("derivative_D,fail,")
+        assert row.endswith("analytic_bound=inf")
+
     def test_graded_grid_skips_translation(self, tmp_path):
         cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -305,9 +319,10 @@ class TestVerifyCommand:
             ("x,u\n0,nan\n40,0\n", 2),
             ("x,u\n0,1\ninf,0\n", 2),
             ("0,1\nx,u\n40,0\n", 2),
+            ("x,u\n0,1\n20,-1\n40,0\n", 2),
         ],
         ids=["comment", "spaces", "six_columns", "one_column", "not_a_number",
-             "one_row", "nan_density", "inf_x", "late_header"],
+             "one_row", "nan_density", "inf_x", "late_header", "negative_density"],
     )
     def test_profile_grammar(self, tmp_path, capsys, text, code):
         # exit 4: parsed, then rejected on its residual; exit 2: refused as input
@@ -322,8 +337,62 @@ class TestVerifyCommand:
         else:
             assert captured.out.startswith("residual_l1 = ")
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_tol_must_be_positive(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
+        prof = self._profile_file(tmp_path, 1.0)
+        assert main(["verify", "--config", cfg, "--profile", prof, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: --tol must be positive")
+        assert captured.out == ""
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+# config -> (equilibria.csv column, closed-form values, tolerance)
+SHIPPED_SOLUTIONS = {
+    "counterexample": ("lambda_star", (1.0 / 6.0, 1.0), 1e-6),
+    "hierarchical": ("P_star", (1.0,), 1e-5),
+}
+
+
+class TestShippedConfigs:
+    """Each shipped config gives the outcome its header comment promises."""
+
+    @pytest.mark.parametrize("name,command,code,first_line", [
+        ("counterexample", "solve", 0, "equilibrium lambda_star="),
+        ("hierarchical", "solve", 0, "equilibrium lambda_star="),
+        ("hierarchical", "certify", 0, "certificate: existence"),
+        ("constant_subcritical", "solve", 3, "no positive equilibrium"),
+        ("constant_degenerate", "scan", 3, "degenerate family: residual ~ 0 across the scan"),
+        ("constant_degenerate", "solve", 3,
+         "degenerate family: residual ~ 0 across the scan; no discrete roots reported"),
+        ("composite_increasing_mu", "certify", 0, "certificate: nonexistence"),
+    ])
+    def test_promised_outcome(self, tmp_path, capsys, name, command, code, first_line):
+        out = tmp_path / "o"
+        assert main([command, "--config", os.path.join(CONFIGS, name + ".cfg"),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().out.splitlines()[0].startswith(first_line)
+        if command == "solve" and code == 0:
+            column, expect, tol = SHIPPED_SOLUTIONS[name]
+            rows = np.genfromtxt(str(out / "equilibria.csv"), delimiter=",", names=True,
+                                 dtype=float, ndmin=1)
+            assert rows[column] == pytest.approx(expect, abs=tol)
+
 
 class TestExitCodes:
+    def test_runtime_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(ctx, cfg):
+            raise ConvergenceError("inner iteration did not settle")
+
+        monkeypatch.setattr(cli, "solve_all", fail)
+        cfg = write_config(tmp_path / "sub.cfg", SUBCRIT_TEXT)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: inner iteration did not settle\n"
+        assert captured.out == ""
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.cfg", "model.variant = nope\n")
         assert main(["solve", "--config", cfg]) == 2

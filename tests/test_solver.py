@@ -249,6 +249,32 @@ class TestMapA:
             sp.iterate_map_A(ce_ctx, ce_ctx.e1, -0.1, sp.SolverConfig())
 
 
+def _subcritical_composite_ctx():
+    # beta decays with population: R = 0.5 / (1 + s) < 1 and decreasing
+    m = sp.composite_model(
+        g=sp.CompositeRate(const=1.0),
+        mu=sp.CompositeRate(const=1.0),
+        beta=sp.CompositeRate(const=0.0, u_inv=0.5),
+    )
+    return sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 2001, "graded_trapezoid"))
+
+
+def _rho0_reference(ctx, cfg):
+    """find_rho0's rule applied to all 800 samples: sort (size, R), then a suffix OR."""
+    shapes = sp.solver._sample_shapes(ctx, np.random.default_rng(cfg.seed))
+    entries = []
+    for w in shapes:
+        for lam in np.geomspace(1e-3, 1e4, 100):
+            u = sp.DensityProfile(ctx.grid, lam * w.values)
+            entries.append((sp.integrate(ctx.grid, u), sp.net_reproduction_R(ctx, u)))
+    entries.sort()
+    norms = np.array([e[0] for e in entries])
+    above = np.array([e[1] for e in entries]) > 1.0
+    suffix_bad = np.flip(np.logical_or.accumulate(np.flip(above)))
+    ok = np.flatnonzero(~suffix_bad)
+    return float(norms[ok[0]]) if ok.size else None
+
+
 class TestCertificates:
     def test_hierarchical_existence(self, hier_ctx):
         cert = sp.certify(hier_ctx, sp.SolverConfig())
@@ -259,15 +285,8 @@ class TestCertificates:
         assert cert.M > 0
         assert cert.evidence["lbeta_pass"]
 
-    def test_subcritical_nonexistence(self, const_ctx_factory):
-        # beta decays with population: R = 0.5 / (1 + s) < 1 and decreasing
-        m = sp.composite_model(
-            g=sp.CompositeRate(const=1.0),
-            mu=sp.CompositeRate(const=1.0),
-            beta=sp.CompositeRate(const=0.0, u_inv=0.5),
-        )
-        ctx = sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 2001,
-                                               "graded_trapezoid"))
+    def test_subcritical_nonexistence(self):
+        ctx = _subcritical_composite_ctx()
         cert = sp.certify(ctx, sp.SolverConfig())
         assert cert.kind == "nonexistence"
         assert cert.R0 < 1.0
@@ -303,3 +322,32 @@ class TestCertificates:
     def test_find_rho0_none_for_supercritical_constant(self, const_ctx_factory):
         ctx = const_ctx_factory(1.0, 1.0, 2.0)  # R = 2 at every population
         assert sp.find_rho0(ctx, sp.SolverConfig()) is None
+
+    @pytest.mark.parametrize("case", [
+        "hier_ctx", "ce_ctx", "composite_subcritical", "constant_subcritical",
+        "constant_supercritical",
+    ])
+    def test_find_rho0_matches_full_sample_rule(self, request, const_ctx_factory, case):
+        # in a constant model the 8 shapes coincide, so every size is an 8-way tie
+        ctx = {
+            "composite_subcritical": _subcritical_composite_ctx,
+            "constant_subcritical": lambda: const_ctx_factory(1.0, 1.0, 0.5),
+            "constant_supercritical": lambda: const_ctx_factory(1.0, 1.0, 2.0),
+        }.get(case, lambda: request.getfixturevalue(case))()
+        cfg = sp.SolverConfig()
+        expect = _rho0_reference(ctx, cfg)
+        assert (expect is None) == (case == "constant_supercritical")
+        assert sp.find_rho0(ctx, cfg) == expect
+
+    def test_find_rho0_stops_at_first_size_above_one(self, hier_ctx, monkeypatch):
+        calls = []
+        net_R = sp.solver.net_reproduction_R
+
+        def counted(ctx, u):
+            calls.append(1)
+            return net_R(ctx, u)
+
+        monkeypatch.setattr(sp.solver, "net_reproduction_R", counted)
+        assert sp.find_rho0(hier_ctx, sp.SolverConfig()) is not None
+        # evaluating every sample first takes all 800
+        assert len(calls) <= 500
