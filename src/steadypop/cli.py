@@ -123,9 +123,9 @@ def cmd_diagnose(run: RunConfig) -> int:
     report = validate_hypotheses(run.model, run.grid, samples)
     rows = list(report.rows())
     if run.grid.is_uniform:
-        rows += compactness_diagnostics(
-            ctx, samples[:6], h_list=(0.1, 0.01, 0.001), T=0.5 * run.grid.x_max
-        ).rows()
+        # a short horizon keeps only the shifts that fit inside it
+        shifts = [h for h in (0.1, 0.01, 0.001) if h < run.grid.x_max]
+        rows += compactness_diagnostics(ctx, samples[:6], shifts, 0.5 * run.grid.x_max).rows()
     else:
         rows.append(("translation", "skipped", "non-uniform grid has no translation diagnostics"))
     lines = ["%s,%s,%s" % (check, verdict, detail.replace(",", ";"))

@@ -1,15 +1,16 @@
 """Truncated quadrature grids on [0, x_max] standing in for the half line.
 
-A :class:`Grid` carries composite-trapezoid weights, so plain, cumulative and
-reverse-cumulative integrals are mutually consistent. Two node layouts are
-available: uniform spacing and a geometrically graded layout that clusters
-nodes near 0, which cuts the trapezoid bias on decaying exponentials by more
-than an order of magnitude at equal node count.
+A :class:`Grid` derives its spacings and composite-trapezoid weights from its
+nodes, once, so plain, cumulative and reverse-cumulative integrals are mutually
+consistent. Two node layouts are available: uniform spacing and a
+geometrically graded layout that clusters nodes near 0, which cuts the
+trapezoid bias on decaying exponentials by more than an order of magnitude at
+equal node count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,28 +27,36 @@ _GRADED_SPACING_RATIO = 100.0
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing nodes starting at 0, with positive quadrature weights."""
+    """Strictly increasing nodes from 0, with their spacings and trapezoid weights."""
 
     nodes: np.ndarray
-    weights: np.ndarray
+    steps: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+    is_uniform: bool = field(init=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise ParameterError("nodes and weights must be 1-D arrays of equal length")
+        if nodes.ndim != 1:
+            raise ParameterError("nodes must be a 1-D array")
         if nodes.size < 3:
             raise ParameterError("a grid needs at least 3 nodes")
         if nodes[0] != 0.0:
             raise ParameterError("first node must be exactly 0")
-        if np.any(np.diff(nodes) <= 0):
+        d = np.diff(nodes)
+        if np.any(d <= 0):
             raise ParameterError("nodes must be strictly increasing")
+        weights = np.empty(nodes.size)
+        weights[0] = 0.5 * d[0]
+        weights[-1] = 0.5 * d[-1]
+        weights[1:-1] = 0.5 * (d[:-1] + d[1:])
+        # a subnormal spacing halves to 0
         if np.any(weights <= 0):
             raise ParameterError("all quadrature weights must be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        for name, arr in (("nodes", nodes), ("steps", d), ("weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "is_uniform",
+                           bool(np.allclose(d, d[0], rtol=1e-9, atol=0.0)))
 
     @property
     def n(self) -> int:
@@ -56,11 +65,6 @@ class Grid:
     @property
     def x_max(self) -> float:
         return float(self.nodes[-1])
-
-    @property
-    def is_uniform(self) -> bool:
-        d = np.diff(self.nodes)
-        return bool(np.allclose(d, d[0], rtol=1e-9, atol=0.0))
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,7 @@ def build_grid(x_max: float, n: int, scheme: str = UNIFORM) -> Grid:
         nodes[-1] = x_max
     else:
         raise ParameterError("unknown scheme %r (expected one of %s)" % (scheme, SCHEMES))
-    d = np.diff(nodes)
-    weights = np.empty(n)
-    weights[0] = 0.5 * d[0]
-    weights[-1] = 0.5 * d[-1]
-    weights[1:-1] = 0.5 * (d[:-1] + d[1:])
-    return Grid(nodes=nodes, weights=weights)
+    return Grid(nodes)
 
 
 def _values(grid: Grid, f) -> np.ndarray:
@@ -129,12 +128,12 @@ def integrate(grid: Grid, f) -> float:
 
 def cumulative_integral(grid: Grid, f) -> np.ndarray:
     """Running trapezoid integral F with F(0) = 0."""
-    return _accel.cumtrapz(grid.nodes, _values(grid, f))
+    return _accel.cumtrapz(grid.steps, _values(grid, f))
 
 
 def reverse_cumulative_integral(grid: Grid, f) -> np.ndarray:
     """Tail trapezoid integral G with G(x_max) = 0."""
-    return _accel.revcumtrapz(grid.nodes, _values(grid, f))
+    return _accel.revcumtrapz(grid.steps, _values(grid, f))
 
 
 def translate(grid: Grid, f, h: float) -> np.ndarray:

@@ -45,9 +45,8 @@ def rates_and_survival(ctx: KernelContext, u: DensityProfile):
 
     pi is the survival shape (1/g) exp(-int_0^x mu/g) as a plain array.
     """
-    nodes = ctx.grid.nodes
-    g, mu, beta = rates(ctx.model, nodes, u)
-    return g, beta, _accel.survival_from_rates(nodes, g, mu / g)
+    g, mu, beta = rates(ctx.model, ctx.grid.nodes, u)
+    return g, beta, _accel.survival_from_rates(ctx.grid.steps, g, mu / g)
 
 
 def survival_pi(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
@@ -136,12 +135,12 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     # trapezoid weights restricted to [T_eff, x_max]: only half an interval at T_eff
     wtail = grid.weights * (nodes > T_eff)
     if iT + 1 < grid.n:
-        wtail[iT] = 0.5 * (nodes[iT + 1] - nodes[iT])
+        wtail[iT] = 0.5 * grid.steps[iT]
 
     # trapezoid overshoots convex integrands; certified bias bounds via e2''.
     # Products, not powers: a huge finite spacing gives inf, not OverflowError,
     # and a row whose bound is not finite fails.
-    h_max = float(np.max(np.diff(nodes)))
+    h_max = float(np.max(grid.steps))
     decay = b.mu_low / b.g_high
     quad_bias_norm = (h_max * h_max / 12.0) * decay / b.g_low
     quad_bias_tail = (h_max * h_max / 12.0) * decay * math.exp(-decay * T) / b.g_low

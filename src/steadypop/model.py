@@ -404,7 +404,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
             float(np.max(-beta, initial=0.0)),
             float(np.max(beta - b.beta_max, initial=0.0)),
         )
-        gx = np.abs(np.diff(g) / np.diff(nodes))
+        gx = np.abs(np.diff(g) / grid.steps)
         gx_sup = max(gx_sup, float(np.max(gx[in_window[:-1]], initial=0.0)))
     tol = 1e-12 * max(1.0, b.g_high, b.mu_high, b.beta_max)
     bounds_ok = worst <= tol

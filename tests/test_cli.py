@@ -41,6 +41,14 @@ grid.n = 1001
 solver.scan_points = 16
 """
 
+COMPOSITE_TEXT = """\
+model.variant = composite
+model.g.const = 1.0
+model.mu.const = 1.0
+model.mu.u_sat = 0.5
+model.beta.const = 0.5
+"""
+
 
 class TestLoadConfig:
     def test_counterexample_roundtrip(self, tmp_path):
@@ -66,14 +74,7 @@ class TestLoadConfig:
         assert load_config(path, out_dir="there").out_dir == "there"
 
     def test_composite_model(self, tmp_path):
-        text = (
-            "model.variant = composite\n"
-            "model.g.const = 1.0\n"
-            "model.mu.const = 1.0\n"
-            "model.mu.u_sat = 0.5\n"
-            "model.beta.const = 0.5\n"
-            "model.beta.functional = weighted\n"
-        )
+        text = COMPOSITE_TEXT + "model.beta.functional = weighted\n"
         run = load_config(write_config(tmp_path / "a.cfg", text))
         assert run.model.variant == "composite"
         assert run.model.bounds.mu_high == 1.5
@@ -106,6 +107,11 @@ class TestLoadConfig:
             (HIER_TEXT.replace("model.b0 = 2.0", "model.b0 = inf"), "model.b0"),
             ("model.variant = counterexample\ngrid.x_max = inf\n", "grid.x_max"),
             ("model.variant = counterexample\ngrid.n = 2.5\n", "grid.n"),
+            ("model.variant = counterexample\ngrid.n = 2\n", "invalid grid parameters"),
+            (COMPOSITE_TEXT + "model.beta.functional = bogus\n", "invalid composite rate 'beta'"),
+            (COMPOSITE_TEXT + "model.beta.x_rate = 0\n", "invalid composite rate 'beta'"),
+            ("model.variant = counterexample\ngrid.n =\n", "empty key or value"),
+            ("model.variant = counterexample\n= 5\n", "empty key or value"),
         ],
     )
     def test_rejected_configs(self, tmp_path, text, fragment):
@@ -193,6 +199,24 @@ class TestScanCommand:
         assert lines[0] == "lambda,residual,status"
         assert len(lines) == 201
 
+    def test_scan_from_zero_is_evenly_spaced(self, tmp_path):
+        text = (CE_TEXT.replace("grid.n = 4001", "grid.n = 2001")
+                .replace("solver.lambda_min = 0.01", "solver.lambda_min = 0")
+                .replace("solver.scan_points = 200", "solver.scan_points = 41"))
+        cfg = write_config(tmp_path / "ce.cfg", text)
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        scan = np.genfromtxt(str(tmp_path / "o" / "scan.csv"), delimiter=",",
+                             names=True, dtype=None, encoding="utf-8")
+        assert scan["lambda"][0] == 0.0
+        # R(0) = 1/2 for the counterexample, up to the quadrature error
+        assert scan["residual"][0] == pytest.approx(-0.5, abs=1e-6)
+        assert np.allclose(scan["lambda"], np.linspace(0.0, 10.0, 41), rtol=0, atol=1e-12)
+        assert np.all(scan["status"] == "ok")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        stars = np.genfromtxt(str(tmp_path / "s" / "equilibria.csv"), delimiter=",",
+                              names=True)["lambda_star"]
+        assert stars == pytest.approx([1.0 / 6.0, 1.0], abs=1e-5)
+
     def test_empty_scan_exit_3(self, tmp_path):
         cfg = write_config(tmp_path / "sub.cfg", SUBCRIT_TEXT)
         assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -276,6 +300,18 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         report = open(str(tmp_path / "o" / "diagnostics.txt")).read()
         assert "translation,skipped" in report
+
+    @pytest.mark.parametrize("x_max,shifts", [("0.05", ["0.01", "0.001"]), ("0.0005", [])])
+    def test_short_horizon_keeps_shifts_inside_it(self, tmp_path, x_max, shifts):
+        text = "model.variant = counterexample\ngrid.x_max = %s\ngrid.n = 201\n" % x_max
+        cfg = write_config(tmp_path / "ce.cfg", text)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = open(str(tmp_path / "o" / "diagnostics.txt")).read().splitlines()
+        trans = [row for row in rows if row.startswith("translation,")]
+        assert len(trans) == 6 * len(shifts)
+        assert {row.split(" h=")[1].split(" ")[0] for row in trans} == set(shifts)
+        assert all(row.startswith("translation,pass,") for row in trans)
+        assert sum(row.startswith(("l1_bound,", "tail_decay,")) for row in rows) == 12
 
 
 class TestVerifyCommand:

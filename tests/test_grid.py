@@ -53,6 +53,28 @@ class TestBuildGrid:
         assert abs(sp.integrate(gg, np.exp(-gg.nodes)) - 1.0) < 1e-6
 
 
+class TestGrid:
+    @pytest.mark.parametrize("nodes", [
+        [[0.0, 1.0, 2.0]],              # 2-D
+        [0.0, 1.0],                     # too few nodes
+        [0.5, 1.0, 2.0],                # first node not 0
+        [0.0, 1.0, 1.0, 2.0],           # repeated node
+        [0.0, 5e-324, 1e-323],          # first weight, half a subnormal step, rounds to 0
+    ])
+    def test_bad_nodes_rejected(self, nodes):
+        with pytest.raises(ParameterError):
+            sp.Grid(np.array(nodes))
+
+    @pytest.mark.parametrize("scheme", sp.grid.SCHEMES)
+    def test_derived_geometry(self, scheme):
+        g = sp.build_grid(7.0, 101, scheme)
+        assert np.array_equal(g.steps, np.diff(g.nodes))
+        assert g.is_uniform == (scheme == sp.grid.UNIFORM)
+        for arr in (g.nodes, g.steps, g.weights):
+            with pytest.raises(ValueError):
+                arr[1] = 1.0
+
+
 class TestIntegrate:
     def test_zero_function(self):
         g = sp.build_grid(10.0, 101)
