@@ -31,7 +31,6 @@ from .kernel import (
 from .model import (
     CompositeRate,
     ModelSpec,
-    OnionSample,
     RateBounds,
     composite_model,
     constant_model,

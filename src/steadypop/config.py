@@ -7,8 +7,9 @@ are deliberately absent.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .grid import SCHEMES, UNIFORM, Grid, build_grid
@@ -28,25 +29,19 @@ from .model import (
 )
 from .solver import SolverConfig
 
-# scalar variant -> (builder, {parameter: default, or None if required})
-_MODEL_KEYS = {
-    CONSTANT: (constant_model, {"mu0": None, "g0": None, "beta0": None}),
-    COUNTEREXAMPLE: (counterexample_model, {"g": 1.0}),
-    HIERARCHICAL: (hierarchical_model, {"g_low": None, "g_high": None, "mu0": None, "b0": None}),
+# scalar variant -> builder; the builder's parameters are the variant's
+# model.* keys, and a parameter without a default is a required key
+_BUILDERS = {
+    CONSTANT: constant_model,
+    COUNTEREXAMPLE: counterexample_model,
+    HIERARCHICAL: hierarchical_model,
 }
 
 # optional numeric fields of a composite rate; "const" is required
-_COMPOSITE_NUMBERS = ("x_amp", "x_rate", "u_sat", "u_inv", "tail_from", "weight_decay")
+_COMPOSITE_NUMBERS = tuple(f.name for f in fields(CompositeRate) if type(f.default) is float)
 
-_SOLVER_KEYS = {
-    "solver.picard_tol": ("picard_tol", float),
-    "solver.picard_max_iter": ("picard_max_iter", int),
-    "solver.lambda_min": ("lambda_min", float),
-    "solver.lambda_max": ("lambda_max", float),
-    "solver.scan_points": ("scan_points", int),
-    "solver.root_tol": ("root_tol", float),
-    "solver.seed": ("seed", int),
-}
+_SOLVER_KEYS = {"solver." + f.name: (f.name, int if type(f.default) is int else float)
+                for f in fields(SolverConfig)}
 
 
 @dataclass(frozen=True)
@@ -121,9 +116,11 @@ def _build_model(pairs: dict) -> ModelSpec:
     try:
         if variant == COMPOSITE:
             return composite_model(*(_build_composite_rate(pairs, r) for r in ("g", "mu", "beta")))
-        builder, params = _MODEL_KEYS[variant]
-        return builder(**{name: _take(pairs, "model." + name, default)
-                          for name, default in params.items()})
+        builder = _BUILDERS[variant]
+        return builder(**{
+            p.name: _take(pairs, "model." + p.name, None if p.default is p.empty else p.default)
+            for p in inspect.signature(builder).parameters.values()
+        })
     except ConfigError:
         raise
     except ValueError as exc:

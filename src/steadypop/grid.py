@@ -85,9 +85,6 @@ class DensityProfile:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def norm_l1(self) -> float:
-        return integrate(self.grid, self.values)
-
 
 def build_grid(x_max: float, n: int, scheme: str = UNIFORM) -> Grid:
     """Build a composite-trapezoid grid on [0, x_max] with ``n`` nodes."""

@@ -151,7 +151,7 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     trans_rows = []
     ok = True
     for idx, s in enumerate(samples):
-        g_here, _, pi = rates_and_survival(ctx, s.scaled())
+        g_here, _, pi = rates_and_survival(ctx, s)
         l1 = integrate(grid, pi)
         norm_bound = ctx.norm_e2 + quad_bias_norm
         norm_ok = math.isfinite(norm_bound) and l1 <= norm_bound * (1.0 + 1e-9)

@@ -307,37 +307,16 @@ def default_x_max(bounds: RateBounds, tail_tol: float = 1e-10) -> float:
     return (b.g_high / b.mu_low) * math.log(b.g_high / (b.g_low * b.mu_low * tail_tol))
 
 
-@dataclass(frozen=True)
-class OnionSample:
-    """A scale lam > 0 and a shape v constrained to the envelope interval."""
-
-    lam: float
-    v: DensityProfile
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ParameterError("onion sample scale must be positive")
-
-    def scaled(self) -> DensityProfile:
-        return DensityProfile(self.v.grid, self.lam * self.v.values)
-
-
-def validate_onion_sample(sample: OnionSample, bounds: RateBounds) -> None:
-    e1, e2 = envelope_values(bounds, sample.v.grid.nodes)
-    v = sample.v.values
-    slack = 1e-12 * np.maximum(1.0, e2)
-    if np.any(v < e1 - slack) or np.any(v > e2 + slack):
-        raise ParameterError("shape leaves the envelope interval [e1, e2]")
-
-
 def random_onion_samples(bounds, grid, lambdas, per_lambda, rng) -> list:
-    """Seeded onion samples: random shapes between the envelopes at each scale."""
+    """Seeded onion samples: profiles ``lam * v``, shapes ``v`` random between the envelopes."""
     e1, e2 = envelope_values(bounds, grid.nodes)
     out = []
     for lam in lambdas:
+        if not lam > 0:
+            raise ParameterError("onion sample scale must be positive")
         for _ in range(per_lambda):
             r = rng.random(grid.n)
-            out.append(OnionSample(lam, DensityProfile(grid, e1 + r * (e2 - e1))))
+            out.append(DensityProfile(grid, lam * (e1 + r * (e2 - e1))))
     return out
 
 
@@ -394,7 +373,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     worst = 0.0
     gx_sup = 0.0
     for s in samples:
-        g, mu, beta = raw_rates(model, nodes, s.scaled())
+        g, mu, beta = raw_rates(model, nodes, s)
         worst = max(
             worst,
             float(np.max(b.g_low - g, initial=0.0)),
@@ -437,7 +416,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     lbeta_pass = nonincreasing and beta_sweep[-1] <= 1e-3 * max(beta_sweep[0], 1e-300)
 
     # continuity evidence: relative rate response to a 1e-6 L1 perturbation
-    base = samples[0].scaled()
+    base = samples[0]
     delta = 1e-6 / max(integrate(grid, e2), 1e-300)
     pert = DensityProfile(grid, base.values + delta * e2.values)
     resp = 0.0

@@ -48,10 +48,14 @@ class SolverConfig:
             raise ParameterError("seed must be nonnegative")
         if self.lambda_min is not None and not (0 <= self.lambda_min < math.inf):
             raise ParameterError("lambda_min must be finite and nonnegative")
-        if self.lambda_max is not None and not (
-            (self.lambda_min or 0.0) < self.lambda_max < math.inf
-        ):
-            raise ParameterError("lambda_max must be finite and exceed lambda_min")
+        if self.lambda_max is not None and not (self.scan_min < self.lambda_max < math.inf):
+            raise ParameterError(
+                "lambda_max must be finite and exceed lambda_min (root_tol when unset)")
+
+    @property
+    def scan_min(self) -> float:
+        """Smallest scale scanned: ``lambda_min``, or ``root_tol`` when unset."""
+        return self.root_tol if self.lambda_min is None else self.lambda_min
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ def _rho0_proxy(ctx: KernelContext) -> float:
 
 
 def _scan_lambdas(ctx: KernelContext, cfg: SolverConfig) -> np.ndarray:
-    lo = cfg.lambda_min if cfg.lambda_min is not None else cfg.root_tol
+    lo = cfg.scan_min
     if cfg.lambda_max is not None:
         hi = cfg.lambda_max
     else:
@@ -317,8 +321,8 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
 def _sample_shapes(ctx: KernelContext, rng, n_random: int = 5):
     """Both envelopes, their midpoint and ``n_random`` seeded shapes between them."""
     mid = DensityProfile(ctx.grid, 0.5 * (ctx.e1.values + ctx.e2.values))
-    onion = random_onion_samples(ctx.model.bounds, ctx.grid, (1.0,), n_random, rng)
-    return [ctx.e1, ctx.e2, mid] + [s.v for s in onion]
+    return [ctx.e1, ctx.e2, mid] + random_onion_samples(
+        ctx.model.bounds, ctx.grid, (1.0,), n_random, rng)
 
 
 def _ray_R(ctx: KernelContext, w: DensityProfile, lams) -> list:

@@ -90,7 +90,7 @@ def test_criterion_02_constant_coefficient_oracle(tmp_path):
         ctx = sp.make_context(model, grid)
         for s in sp.random_onion_samples(model.bounds, grid,
                                          [0.05, 0.3, 1.0, 4.0, 20.0], 4, rng):
-            R = sp.net_reproduction_R(ctx, s.scaled())
+            R = sp.net_reproduction_R(ctx, s)
             c.check(abs(R - beta0 / mu0) < 1e-6,
                     "R=%.9g vs %.9g (mu0=%g beta0=%g)" % (R, beta0 / mu0, mu0, beta0))
     sub = write_config(tmp_path / "sub.cfg",
@@ -133,7 +133,7 @@ def test_criterion_03_envelope_property():
         ctx = sp.make_context(model, grid)
         lam = 10.0 ** rng.uniform(-2, 2)
         s = sp.random_onion_samples(model.bounds, grid, [lam], 1, rng)[0]
-        pi = sp.survival_pi(ctx, s.scaled()).values
+        pi = sp.survival_pi(ctx, s).values
         lo_ok = np.all(pi >= ctx.e1.values * (1 - 1e-12))
         hi_ok = np.all(pi <= ctx.e2.values * (1 + 1e-12))
         c.check(lo_ok and hi_ok, "draw %d (%s) violated envelope" % (k, model.variant))
@@ -237,8 +237,7 @@ def test_criterion_08_translation_bound():
         nodes = grid.nodes
         samples = sp.random_onion_samples(b, grid, [0.1, 0.7, 3.0, 12.0, 60.0], 2, rng)
         triples = 0
-        for s in samples:  # 10 profiles x 5 (h, T) pairs = 50 triples per builtin
-            u = s.scaled()
+        for u in samples:  # 10 profiles x 5 (h, T) pairs = 50 triples per builtin
             pi = sp.survival_pi(ctx, u).values
             g_here = np.asarray(sp.model.eval_g(model, nodes, u), dtype=float)
             for _ in range(5):

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 
 import numpy as np
@@ -112,11 +114,37 @@ class TestLoadConfig:
             (COMPOSITE_TEXT + "model.beta.x_rate = 0\n", "invalid composite rate 'beta'"),
             ("model.variant = counterexample\ngrid.n =\n", "empty key or value"),
             ("model.variant = counterexample\n= 5\n", "empty key or value"),
+            # the scan would start at root_tol = 0.4 and run down to 0.01
+            ("model.variant = counterexample\nsolver.root_tol = 0.4\nsolver.lambda_max = 0.01\n",
+             "lambda_max"),
         ],
     )
     def test_rejected_configs(self, tmp_path, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path / "bad.cfg", text))
+
+    def test_keys_are_the_objects_fields(self, tmp_path):
+        # every SolverConfig field loads as solver.<field>
+        solver_values = {"picard_tol": 1e-7, "picard_max_iter": 17, "lambda_min": 0.5,
+                         "lambda_max": 5.0, "scan_points": 9, "root_tol": 1e-8, "seed": 3}
+        lines = ["model.variant = counterexample"] + [
+            "solver.%s = %r" % (f.name, solver_values[f.name])
+            for f in dataclasses.fields(sp.SolverConfig)]
+        run = load_config(write_config(tmp_path / "s.cfg", "\n".join(lines) + "\n"))
+        assert run.solver == sp.SolverConfig(**solver_values)
+        # every parameter of a scalar variant's builder loads as model.<parameter>
+        model_values = {
+            "constant": (sp.constant_model, {"mu0": 1.5, "g0": 0.75, "beta0": 0.5}),
+            "counterexample": (sp.counterexample_model, {"g": 2.0}),
+            "hierarchical": (sp.hierarchical_model,
+                             {"g_low": 0.25, "g_high": 1.5, "mu0": 1.25, "b0": 3.0}),
+        }
+        for variant, (builder, values) in model_values.items():
+            lines = ["model.variant = %s" % variant] + [
+                "model.%s = %r" % (name, values[name])
+                for name in inspect.signature(builder).parameters]
+            run = load_config(write_config(tmp_path / "m.cfg", "\n".join(lines) + "\n"))
+            assert run.model == builder(**values)
 
     def test_integer_keys_accept_exponent_form(self, tmp_path):
         text = "model.variant = counterexample\nsolver.picard_max_iter = 1e3\ngrid.n = 1e3\n"

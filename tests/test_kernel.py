@@ -45,7 +45,7 @@ class TestSurvivalPi:
             for m in models:
                 ctx = sp.make_context(m, grid)
                 for s in sp.random_onion_samples(m.bounds, grid, [0.1, 1.0, 10.0], 1, rng):
-                    pi = sp.survival_pi(ctx, s.scaled())
+                    pi = sp.survival_pi(ctx, s)
                     assert np.all(pi.values >= ctx.e1.values * (1 - 1e-12))
                     assert np.all(pi.values <= ctx.e2.values * (1 + 1e-12))
 
@@ -62,7 +62,7 @@ class TestBirthAndReproduction:
 
     def test_birth_bounded_by_beta_max(self, ce_ctx):
         u = exp_profile(ce_ctx.grid, scale=0.3)
-        bound = ce_ctx.model.bounds.beta_max * u.norm_l1()
+        bound = ce_ctx.model.bounds.beta_max * sp.integrate(u.grid, u)
         assert 0.0 <= sp.birth_G(ce_ctx, u) <= bound
 
     def test_constant_model_reproduction_ratio(self, const_ctx_factory):
@@ -70,13 +70,13 @@ class TestBirthAndReproduction:
             ctx = const_ctx_factory(mu0, g0, beta0)
             rng = np.random.default_rng(1)
             for s in sp.random_onion_samples(ctx.model.bounds, ctx.grid, [0.5, 5.0], 2, rng):
-                R = sp.net_reproduction_R(ctx, s.scaled())
+                R = sp.net_reproduction_R(ctx, s)
                 assert R == pytest.approx(beta0 / mu0, abs=1e-6)
 
     def test_counterexample_reproduction_is_f_of_norm(self, ce_ctx):
         for scale in (0.1, 0.5, 1.0, 2.0):
             u = exp_profile(ce_ctx.grid, scale=scale)
-            expected = sp.counterexample_f(u.norm_l1())
+            expected = sp.counterexample_f(sp.integrate(u.grid, u))
             assert sp.net_reproduction_R(ce_ctx, u) == pytest.approx(expected, abs=1e-5)
 
     def test_hierarchical_supercriticality_at_zero(self, hier_ctx):
@@ -88,7 +88,7 @@ class TestBirthAndReproduction:
         cap = ce_ctx.model.bounds.beta_max * ce_ctx.norm_e2
         rng = np.random.default_rng(4)
         for s in sp.random_onion_samples(ce_ctx.model.bounds, ce_ctx.grid, [0.1, 1.0, 10.0], 2, rng):
-            R = sp.net_reproduction_R(ce_ctx, s.scaled())
+            R = sp.net_reproduction_R(ce_ctx, s)
             assert 0.0 <= R <= cap
 
     def test_vanishing_reproduction_at_large_population(self, ce_ctx, hier_ctx):
@@ -163,3 +163,8 @@ class TestCompactnessDiagnostics:
     def test_bad_window_rejected(self, ce_ctx):
         with pytest.raises(ParameterError):
             sp.compactness_diagnostics(ce_ctx, self._samples(ce_ctx), [0.1], T=100.0)
+        with pytest.raises(ParameterError, match="at least one onion sample"):
+            sp.compactness_diagnostics(ce_ctx, [], [0.1], T=5.0)
+        # x_max = 40: a shift of 50 leaves the grid
+        with pytest.raises(ParameterError, match="shifts"):
+            sp.compactness_diagnostics(ce_ctx, self._samples(ce_ctx), [50.0], T=5.0)

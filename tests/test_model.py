@@ -37,6 +37,8 @@ class TestRateBounds:
             sp.RateBounds(g_low=2.0, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=1.0)
         with pytest.raises(ParameterError):
             sp.RateBounds(g_low=1.0, g_high=1.0, mu_low=0.0, mu_high=1.0, beta_max=1.0)
+        with pytest.raises(ParameterError, match="beta_max"):
+            sp.RateBounds(g_low=1.0, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=0.0)
 
     def test_envelopes_must_be_finite(self):
         # g_low * mu_low underflows to 0: the envelope norms would divide by zero
@@ -49,6 +51,23 @@ class TestRateBounds:
         b = sp.RateBounds(g_low=1e-100, g_high=1e-100, mu_low=1e-100, mu_high=1e-100,
                           beta_max=1.0)
         assert 0 < sp.default_x_max(b) < np.inf
+
+
+class TestBuilders:
+    @pytest.mark.parametrize("build,fragment", [
+        (lambda: sp.CompositeRate(const=-1.0), "nonnegative"),
+        (lambda: sp.CompositeRate(const=1.0, tail_from=-1.0), "tail_from"),
+        (lambda: ModelSpec("bogus", RateBounds(1.0, 1.0, 1.0, 1.0, 1.0)), "unknown model variant"),
+        (lambda: sp.constant_model(0.0, 1.0, 1.0), "constant model"),
+        (lambda: sp.counterexample_model(0.0), "counterexample model"),
+        (lambda: sp.hierarchical_model(1.0, 0.5, 1.0, 1.0), "hierarchical model"),
+        (lambda: sp.composite_model(sp.CompositeRate(const=0.0), sp.CompositeRate(const=1.0),
+                                    sp.CompositeRate(const=1.0)), "positive lower bounds"),
+    ], ids=["composite_const", "composite_tail_from", "variant", "constant", "counterexample",
+            "hierarchical", "composite_g"])
+    def test_invalid_parameters_rejected(self, build, fragment):
+        with pytest.raises(ParameterError, match=fragment):
+            build()
 
 
 class TestEvalRates:
@@ -164,8 +183,7 @@ class TestEvalRates:
             samples = sp.random_onion_samples(
                 b, g, [1e-3, 1e-1, 1.0, 1e1, 1e3], 5, rng
             )
-            for s in samples:
-                u = s.scaled()
+            for u in samples:
                 x = rng.uniform(0.0, g.x_max, size=10)
                 gv = np.asarray(sp.model.eval_g(m, x, u))
                 mv = np.asarray(sp.model.eval_mu(m, x, u))
@@ -194,14 +212,9 @@ class TestEnvelopes:
     def test_onion_sample_validation(self):
         b = sp.RateBounds(g_low=0.5, g_high=1.0, mu_low=0.8, mu_high=1.2, beta_max=2.0)
         g = sp.build_grid(30.0, 301)
-        e1, e2 = sp.envelope_profiles(b, g)
-        good = sp.OnionSample(2.0, e1)
-        sp.model.validate_onion_sample(good, b)
-        bad = sp.OnionSample(2.0, sp.DensityProfile(g, 2.0 * e2.values))
-        with pytest.raises(ParameterError):
-            sp.model.validate_onion_sample(bad, b)
-        with pytest.raises(ParameterError):
-            sp.OnionSample(0.0, e1)
+        for lam in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError, match="scale must be positive"):
+                sp.random_onion_samples(b, g, [1.0, lam], 1, np.random.default_rng(0))
 
 
 class TestValidateHypotheses:

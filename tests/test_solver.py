@@ -35,6 +35,8 @@ class TestSolverConfig:
             {"lambda_max": float("inf")},
             {"picard_max_iter": 0},
             {"seed": -1},
+            # without lambda_min the scan starts at root_tol, above this lambda_max
+            {"root_tol": 0.4, "lambda_max": 0.01},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -213,6 +215,34 @@ class TestScanAndBisect:
             alone = sp.bisect_root(ce_ctx, bracket, CE_CFG)
             assert alone.lambda_star == pytest.approx(r.lambda_star, abs=CE_CFG.root_tol)
 
+    @pytest.mark.parametrize("zero_end", [0, 1])
+    def test_zero_residual_end_is_the_root(self, ce_ctx, monkeypatch, zero_end):
+        bracket = (0.1, 0.3)
+        shapes = [sp.inner_picard(ce_ctx, lam, CE_CFG).v for lam in bracket]
+        ends = [(-0.5, shapes[0]), (0.5, shapes[1])]
+        ends[zero_end] = (0.0, shapes[zero_end])
+        calls = []
+        inner = sp.solver.inner_picard
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sp.solver, "inner_picard", counted)
+        result = sp.bisect_root(ce_ctx, bracket, CE_CFG, ends)
+        # no ITP step: one solve at the zero end to assemble the result
+        assert calls == [bracket[zero_end]]
+        assert result.lambda_star == bracket[zero_end]
+
+    def test_bracket_of_adjacent_floats_stops(self, ce_ctx):
+        lo = 1.0 / 6.0
+        hi = float(np.nextafter(lo, 1.0))
+        cfg = replace(CE_CFG, root_tol=1e-20)
+        v = sp.inner_picard(ce_ctx, lo, cfg).v
+        # the midpoint rounds to an end, so ITP stops before its first step
+        result = sp.bisect_root(ce_ctx, (lo, hi), cfg, ((-1e-3, v), (1e-3, v)))
+        assert result.lambda_star in (lo, hi)
+
     def test_bisect_rejects_bad_bracket(self, ce_ctx):
         with pytest.raises(ParameterError):
             sp.bisect_root(ce_ctx, (0.3, 0.5), CE_CFG)  # same residual sign
@@ -243,6 +273,14 @@ class TestMapA:
         assert isinstance(out, sp.MapATrace)
         assert not out.converged
         assert len(out.lambdas) == 31
+
+    def test_trace_when_scale_settles_at_zero(self, const_ctx_factory):
+        # subcritical (R = 1/2): the clamped scale drops to 0 and stays there
+        ctx = const_ctx_factory(mu0=1.0, g0=1.0, beta0=0.5, n=401)
+        out = sp.iterate_map_A(ctx, ctx.e1, 0.3, sp.SolverConfig())
+        assert isinstance(out, sp.MapATrace)
+        assert not out.converged
+        assert out.lambdas == (0.3, 0.0, 0.0)
 
     def test_negative_start_rejected(self, ce_ctx):
         with pytest.raises(ParameterError):
