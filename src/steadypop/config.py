@@ -11,7 +11,7 @@ import inspect
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .grid import SCHEMES, UNIFORM, Grid, build_grid
 from .model import (
     COMPOSITE,
@@ -100,8 +100,8 @@ def _build_composite_rate(pairs: dict, rate: str) -> CompositeRate:
         kwargs["functional"] = pairs.pop(prefix + "functional")
     try:
         return CompositeRate(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("invalid composite rate %r: %s" % (rate, exc), key=prefix + "const")
+    except ParameterError as exc:
+        raise ConfigError("invalid composite rate %r: %s" % (rate, exc), key=prefix + exc.field)
 
 
 def _build_model(pairs: dict) -> ModelSpec:
@@ -160,8 +160,8 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
                      for key, (attr, cast) in _SOLVER_KEYS.items() if key in pairs}
     try:
         solver = SolverConfig(**solver_kwargs)
-    except ValueError as exc:
-        raise ConfigError("invalid solver parameters: %s" % exc, key="solver.picard_tol")
+    except ParameterError as exc:
+        raise ConfigError("invalid solver parameters: %s" % exc, key="solver." + exc.field)
 
     cfg_out = pairs.pop("output.dir", "steadypop_out")
     if pairs:

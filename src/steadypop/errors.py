@@ -6,7 +6,11 @@ class SteadypopError(Exception):
 
 
 class ParameterError(SteadypopError, ValueError):
-    """An argument is outside its documented domain."""
+    """An argument is outside its documented domain; ``field`` names it when known."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class GridMismatchError(SteadypopError, ValueError):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,14 +91,17 @@ class CompositeRate:
     weight_decay: float = 1.0
 
     def __post_init__(self):
-        if min(self.const, self.x_amp, self.u_sat, self.u_inv) < 0:
-            raise ParameterError("composite rate coefficients must be nonnegative")
-        if self.x_rate <= 0 or self.weight_decay <= 0:
-            raise ParameterError("x_rate and weight_decay must be positive")
+        # each error names the first field at fault
+        for name in ("const", "x_amp", "u_sat", "u_inv"):
+            if getattr(self, name) < 0:
+                raise ParameterError("composite rate coefficients must be nonnegative", name)
+        for name in ("x_rate", "weight_decay"):
+            if getattr(self, name) <= 0:
+                raise ParameterError("x_rate and weight_decay must be positive", name)
         if self.functional not in ("norm", "tail", "weighted"):
-            raise ParameterError("unknown functional %r" % (self.functional,))
+            raise ParameterError("unknown functional %r" % (self.functional,), "functional")
         if self.tail_from < 0:
-            raise ParameterError("tail_from must be nonnegative")
+            raise ParameterError("tail_from must be nonnegative", "tail_from")
 
     def low(self) -> float:
         return self.const + min(self.u_sat, self.u_inv)
@@ -181,8 +185,9 @@ def counterexample_f(a: float) -> float:
 # -- rate evaluation ---------------------------------------------------------
 #
 # One function per variant maps (params, x, u) to the unchecked (g, mu, beta)
-# and computes each functional of u once; _RATES is the only place a variant
-# is dispatched to rate code.
+# and computes each functional of u once; a second maps (params, P) to a bound
+# on that beta over all x for every u of integral P. _RATES is the only place
+# a variant is dispatched to rate code.
 
 
 def _fill(x, value):
@@ -221,24 +226,47 @@ def _composite_rates(p, x, u: DensityProfile):
     return value(p["g"]), value(p["mu"]), value(p["beta"])
 
 
+def _composite_beta_sup(p, P):
+    beta = p["beta"]
+    if beta.functional == "norm":
+        # the x-shape rises to x_amp as x -> inf; the u-terms read P itself
+        return float(beta.value(math.inf, P))
+    return beta.high()
+
+
+class _Variant(NamedTuple):
+    rates: Callable          # (params, x, u) -> unchecked (g, mu, beta)
+    beta_sup: Callable       # (params, P) -> bound on beta over all x, any u of integral P
+
+
 _RATES = {
-    CONSTANT: _constant_rates,
-    COUNTEREXAMPLE: _counterexample_rates,
-    HIERARCHICAL: _hierarchical_rates,
-    COMPOSITE: _composite_rates,
+    CONSTANT: _Variant(_constant_rates, lambda p, P: p["beta0"]),
+    # 1 - e^{-x} <= 1
+    COUNTEREXAMPLE: _Variant(_counterexample_rates,
+                             lambda p, P: 2.0 * p["g"] * counterexample_f(P)),
+    HIERARCHICAL: _Variant(_hierarchical_rates, lambda p, P: p["b0"] / (1.0 + P)),
+    COMPOSITE: _Variant(_composite_rates, _composite_beta_sup),
 }
 
 
 def raw_rates(model: ModelSpec, x, u: DensityProfile):
     """(g, mu, beta) at x (scalar or array) under profile u, without the bounds check."""
-    return _RATES[model.variant](model.params, x, u)
+    return _RATES[model.variant].rates(model.params, x, u)
+
+
+def beta_sup(model: ModelSpec, P: float) -> float:
+    """Bound on beta(x, u) over all x, for every profile u whose integral is P."""
+    return _RATES[model.variant].beta_sup(model.params, P)
+
+
+def _tolerance(bound):
+    """How far past ``bound`` the bounds check lets a rate go."""
+    return 1e-12 * max(1.0, abs(bound))
 
 
 def _checked(value, low, high, name):
-    tol_lo = 1e-12 * max(1.0, abs(low))
-    tol_hi = 1e-12 * max(1.0, abs(high))
     # one min and one max pass; the negated form also flags NaN
-    if not (low - tol_lo <= np.min(value) and np.max(value) <= high + tol_hi):
+    if not (low - _tolerance(low) <= np.min(value) and np.max(value) <= high + _tolerance(high)):
         raise BoundsViolationError(
             "%s evaluated outside declared bounds [%g, %g]" % (name, low, high)
         )
@@ -299,6 +327,22 @@ def envelope_tail_mass(bounds: RateBounds, T: float) -> float:
     return (bounds.g_high / (bounds.g_low * bounds.mu_low)) * math.exp(
         -bounds.mu_low * T / bounds.g_high
     )
+
+
+def survival_mass_bound(bounds: RateBounds, grid: Grid) -> float:
+    """``I`` with ``R(u) <= beta_sup(P) * I`` for every u of integral P whose rates pass the check.
+
+    The check admits ``g >= g_low - t`` and ``mu/g >= c = (mu_low - t)/(g_high + t)``
+    (``t`` its tolerances), so the running trapezoid of mu/g at node x is at least
+    ``c x`` and the survival shape is at most ``exp(-c x)/(g_low - t)``; ``I`` is the
+    quadrature of that bound. It is inf when ``g_low - t`` or ``c`` is not positive.
+    """
+    g_low = bounds.g_low - _tolerance(bounds.g_low)
+    c = ((bounds.mu_low - _tolerance(bounds.mu_low))
+         / (bounds.g_high + _tolerance(bounds.g_high)))
+    if not (g_low > 0 and c > 0):
+        return math.inf
+    return _accel.weighted_sum(grid.weights, np.exp(-c * grid.nodes)) / g_low
 
 
 def default_x_max(bounds: RateBounds, tail_tol: float = 1e-10) -> float:

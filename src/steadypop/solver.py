@@ -23,7 +23,14 @@ from . import _accel
 from .errors import ConvergenceError, ParameterError
 from .grid import DensityProfile, integrate, zero_profile
 from .kernel import KernelContext, net_reproduction_R, rates_and_survival, residual
-from .model import COUNTEREXAMPLE, envelope_tail_mass, random_onion_samples, raw_rates
+from .model import (
+    COUNTEREXAMPLE,
+    beta_sup,
+    envelope_tail_mass,
+    random_onion_samples,
+    raw_rates,
+    survival_mass_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -37,20 +44,22 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # "not (x > 0)" forms also reject NaN
-        if not (self.picard_tol > 0 and self.root_tol > 0):
-            raise ParameterError("tolerances must be positive")
+        # "not (x > 0)" forms also reject NaN; each error names the field at fault
+        for name in ("picard_tol", "root_tol"):
+            if not getattr(self, name) > 0:
+                raise ParameterError("tolerances must be positive", name)
         if self.scan_points < 2:
-            raise ParameterError("scan_points must be at least 2")
+            raise ParameterError("scan_points must be at least 2", "scan_points")
         if self.picard_max_iter < 1:
-            raise ParameterError("iteration caps must be at least 1")
+            raise ParameterError("iteration caps must be at least 1", "picard_max_iter")
         if self.seed < 0:
-            raise ParameterError("seed must be nonnegative")
+            raise ParameterError("seed must be nonnegative", "seed")
         if self.lambda_min is not None and not (0 <= self.lambda_min < math.inf):
-            raise ParameterError("lambda_min must be finite and nonnegative")
+            raise ParameterError("lambda_min must be finite and nonnegative", "lambda_min")
         if self.lambda_max is not None and not (self.scan_min < self.lambda_max < math.inf):
             raise ParameterError(
-                "lambda_max must be finite and exceed lambda_min (root_tol when unset)")
+                "lambda_max must be finite and exceed lambda_min (root_tol when unset)",
+                "lambda_max")
 
     @property
     def scan_min(self) -> float:
@@ -336,6 +345,10 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     Sampled over scaled envelope shapes; heuristic evidence, not a proof.
     Sizes are visited from the largest down, and the walk stops at the first
     size with a sample of R > 1, since no smaller size can then qualify.
+    A size P with ``beta_sup(P) * I <= 1`` (``I`` from
+    :func:`survival_mass_bound`, with a rounding margin) is passed without
+    evaluating its samples: every profile of that size whose rates pass the
+    bounds check has R <= 1. Every sample that is evaluated is checked.
     """
     rng = np.random.default_rng(cfg.seed)
     samples = [
@@ -344,9 +357,22 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
         for lam in np.geomspace(1e-3, 1e4, 100)
     ]
     samples.sort(key=lambda s: s[0], reverse=True)
+    # The computed R differs from the exact sum that beta_sup(P) * I bounds by
+    # relative rounding only. The ratio mu/g, c and each trapezoid segment
+    # carry a few ulps and a running sum of n positive terms at most n, so the
+    # integral C of mu/g is off by a factor within (n + 8) ulps; exp(-C) is 0
+    # past C ~ 745, so before that it moves by a factor within
+    # exp(745 (n + 8) ulps). exp, the division by g, beta (its P included) and
+    # the two dot products of nonnegative terms add under n + 10 ulps. The
+    # n-term covers all of it; the 1e-6 keeps R below 1 by more than
+    # subnormal exp values can add.
+    margin = 1e-6 + 1e3 * ctx.grid.n * np.finfo(float).eps
+    bound = survival_mass_bound(ctx.model.bounds, ctx.grid) * (1.0 + margin)
     rho0 = None
     for size, group in itertools.groupby(samples, key=lambda s: s[0]):
-        if any(_ray_R(ctx, w, (lam,))[0] > 1.0 for _, lam, w in group):
+        # the negated form evaluates when the product is NaN (0 * inf)
+        if not beta_sup(ctx.model, size) * bound <= 1.0 and any(
+                _ray_R(ctx, w, (lam,))[0] > 1.0 for _, lam, w in group):
             break
         rho0 = size
     return rho0

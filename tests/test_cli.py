@@ -123,6 +123,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path / "bad.cfg", text))
 
+    @pytest.mark.parametrize("text,key,message", [
+        ("solver.scan_points = 1\n", "solver.scan_points",
+         "invalid solver parameters: scan_points must be at least 2"),
+        ("solver.seed = -1\n", "solver.seed",
+         "invalid solver parameters: seed must be nonnegative"),
+        ("solver.lambda_min = 2\nsolver.lambda_max = 1\n", "solver.lambda_max",
+         "invalid solver parameters: lambda_max must be finite and exceed lambda_min "
+         "(root_tol when unset)"),
+        (COMPOSITE_TEXT + "model.beta.x_rate = 0\n", "model.beta.x_rate",
+         "invalid composite rate 'beta': x_rate and weight_decay must be positive"),
+        (COMPOSITE_TEXT + "model.mu.tail_from = -1\n", "model.mu.tail_from",
+         "invalid composite rate 'mu': tail_from must be nonnegative"),
+    ])
+    def test_error_names_the_key_at_fault(self, tmp_path, text, key, message):
+        if not text.startswith("model.variant"):
+            text = "model.variant = counterexample\n" + text
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path / "bad.cfg", text))
+        assert err.value.key == key
+        assert str(err.value) == message
+
     def test_keys_are_the_objects_fields(self, tmp_path):
         # every SolverConfig field loads as solver.<field>
         solver_values = {"picard_tol": 1e-7, "picard_max_iter": 17, "lambda_min": 0.5,
@@ -432,12 +453,19 @@ class TestShippedConfigs:
         ("constant_degenerate", "solve", 3,
          "degenerate family: residual ~ 0 across the scan; no discrete roots reported"),
         ("composite_increasing_mu", "certify", 0, "certificate: nonexistence"),
+        ("counterexample", "certify", 0, "certificate: inconclusive"),
+        ("constant_subcritical", "certify", 0, "certificate: inconclusive"),
+        ("constant_degenerate", "certify", 0, "certificate: inconclusive"),
     ])
     def test_promised_outcome(self, tmp_path, capsys, name, command, code, first_line):
         out = tmp_path / "o"
         assert main([command, "--config", os.path.join(CONFIGS, name + ".cfg"),
                      "--out", str(out)]) == code
         assert capsys.readouterr().out.splitlines()[0].startswith(first_line)
+        if command == "certify":
+            (notes,) = [line for line in (out / "certificate.txt").read_text().splitlines()
+                        if line.startswith("evidence.notes = ")]
+            assert ("degenerate family" in notes) == (name == "constant_degenerate")
         if command == "solve" and code == 0:
             column, expect, tol = SHIPPED_SOLUTIONS[name]
             rows = np.genfromtxt(str(out / "equilibria.csv"), delimiter=",", names=True,

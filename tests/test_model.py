@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steadypop as sp
 from steadypop.errors import BoundsViolationError, ParameterError
@@ -215,6 +218,74 @@ class TestEnvelopes:
         for lam in (0.0, -1.0, math.nan):
             with pytest.raises(ParameterError, match="scale must be positive"):
                 sp.random_onion_samples(b, g, [1.0, lam], 1, np.random.default_rng(0))
+
+
+_TAIL_G = sp.CompositeRate(const=0.5, x_amp=0.5, u_inv=0.2, functional="tail", tail_from=1.0)
+_SAT_MU = sp.CompositeRate(const=1.0, u_sat=0.5)
+
+# every variant, and composite fertility reading each functional
+BOUND_MODELS = {
+    "constant_subcritical": sp.constant_model(mu0=1.0, g0=1.0, beta0=0.5),
+    "constant_mixed": sp.constant_model(mu0=1.3, g0=0.9, beta0=1.0),
+    "counterexample": sp.counterexample_model(2.5),
+    "hierarchical": sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0),
+    "hierarchical_stiff": sp.hierarchical_model(g_low=0.02, g_high=1.0, mu0=1.0, b0=10.0),
+    "composite_norm": sp.composite_model(_TAIL_G, _SAT_MU, sp.CompositeRate(
+        const=0.3, x_amp=0.7, x_rate=2.0, u_sat=0.4, u_inv=1.5)),
+    "composite_tail": sp.composite_model(_TAIL_G, _SAT_MU, sp.CompositeRate(
+        const=0.5, u_inv=2.0, functional="tail", tail_from=0.5)),
+    "composite_weighted": sp.composite_model(_TAIL_G, _SAT_MU, sp.CompositeRate(
+        const=0.5, u_inv=2.0, functional="weighted")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_ctx(name, scheme):
+    model = BOUND_MODELS[name]
+    return sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), 401, scheme))
+
+
+class TestReproductionBound:
+    """R(u) <= beta_sup(P) * I, the bound find_rho0 passes sizes with."""
+
+    @pytest.mark.parametrize("scheme", ["uniform_trapezoid", "graded_trapezoid"])
+    @pytest.mark.parametrize("name", sorted(BOUND_MODELS))
+    @settings(max_examples=15, deadline=None)
+    @given(log_scale=st.floats(-3.0, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_R_within_bound(self, name, scheme, log_scale, seed):
+        ctx = _bound_ctx(name, scheme)
+        I = sp.model.survival_mass_bound(ctx.model.bounds, ctx.grid)
+        rng = np.random.default_rng(seed)
+        for u in sp.random_onion_samples(ctx.model.bounds, ctx.grid, [10.0**log_scale], 4, rng):
+            P = sp.integrate(ctx.grid, u)
+            assert sp.net_reproduction_R(ctx, u) <= sp.model.beta_sup(ctx.model, P) * I
+
+    def test_beta_sup_per_variant(self):
+        P = 0.75
+        beta_sup = sp.model.beta_sup
+        assert beta_sup(BOUND_MODELS["constant_mixed"], P) == 1.0
+        assert beta_sup(BOUND_MODELS["counterexample"], P) == 5.0 * sp.counterexample_f(P)
+        assert beta_sup(BOUND_MODELS["hierarchical"], P) == 2.0 / (1.0 + P)
+        assert beta_sup(BOUND_MODELS["composite_norm"], P) == pytest.approx(
+            0.3 + 0.7 + (0.4 * P + 1.5) / (1.0 + P), rel=1e-15)
+        for name in ("composite_tail", "composite_weighted"):
+            assert beta_sup(BOUND_MODELS[name], P) == BOUND_MODELS[name].bounds.beta_max
+
+    def test_survival_bound_is_the_widened_upper_envelope(self):
+        b = sp.RateBounds(g_low=0.5, g_high=1.0, mu_low=0.8, mu_high=1.2, beta_max=2.0)
+        g = sp.build_grid(30.0, 301)
+        e2 = sp.envelope_profiles(b, g)[1]
+        I = sp.model.survival_mass_bound(b, g)
+        assert I > sp.integrate(g, e2)
+        assert I == pytest.approx(sp.integrate(g, e2), rel=1e-10)
+
+    @pytest.mark.parametrize("low", ["g_low", "mu_low"])
+    def test_survival_bound_inf_below_the_check_tolerance(self, low):
+        # the check admits rates down to low - 1e-12, which is not positive here
+        kwargs = dict(g_low=0.5, g_high=1.0, mu_low=0.8, mu_high=1.2, beta_max=2.0)
+        kwargs[low] = 1e-13
+        b = sp.RateBounds(**kwargs)
+        assert sp.model.survival_mass_bound(b, sp.build_grid(30.0, 301)) == math.inf
 
 
 class TestValidateHypotheses:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import steadypop as sp
-from steadypop.errors import ConvergenceError, ParameterError
+from steadypop.errors import BoundsViolationError, ConvergenceError, ParameterError
+from steadypop.model import ModelSpec, RateBounds
 
 from conftest import exp_profile
 
@@ -287,14 +288,53 @@ class TestMapA:
             sp.iterate_map_A(ce_ctx, ce_ctx.e1, -0.1, sp.SolverConfig())
 
 
+def _graded_ctx(model, n=2001):
+    return sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n,
+                                                "graded_trapezoid"))
+
+
 def _subcritical_composite_ctx():
     # beta decays with population: R = 0.5 / (1 + s) < 1 and decreasing
-    m = sp.composite_model(
+    return _graded_ctx(sp.composite_model(
         g=sp.CompositeRate(const=1.0),
         mu=sp.CompositeRate(const=1.0),
         beta=sp.CompositeRate(const=0.0, u_inv=0.5),
-    )
-    return sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 2001, "graded_trapezoid"))
+    ))
+
+
+def _increasing_mu_ctx():
+    # configs/composite_increasing_mu.cfg
+    return _graded_ctx(sp.composite_model(
+        g=sp.CompositeRate(const=1.0),
+        mu=sp.CompositeRate(const=1.0, u_sat=0.5),
+        beta=sp.CompositeRate(const=0.5),
+    ))
+
+
+def _tail_fertility_ctx():
+    # beta reads a tail integral, so beta_sup is beta_max and no size is passed
+    return _graded_ctx(sp.composite_model(
+        g=sp.CompositeRate(const=0.5, x_amp=0.5, u_inv=0.2, functional="tail", tail_from=1.0),
+        mu=sp.CompositeRate(const=1.0, u_sat=0.5),
+        beta=sp.CompositeRate(const=0.5, u_inv=2.0, functional="tail", tail_from=0.5),
+    ))
+
+
+def _stiff_hierarchical_ctx():
+    m = sp.hierarchical_model(g_low=0.02, g_high=1.0, mu0=1.0, b0=10.0)
+    return sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 4001))
+
+
+def _count_R_evals(monkeypatch):
+    calls = []
+    net_R = sp.solver.net_reproduction_R
+
+    def counted(ctx, u):
+        calls.append(1)
+        return net_R(ctx, u)
+
+    monkeypatch.setattr(sp.solver, "net_reproduction_R", counted)
+    return calls
 
 
 def _rho0_reference(ctx, cfg):
@@ -363,7 +403,8 @@ class TestCertificates:
 
     @pytest.mark.parametrize("case", [
         "hier_ctx", "ce_ctx", "composite_subcritical", "constant_subcritical",
-        "constant_supercritical",
+        "constant_supercritical", "hierarchical_stiff", "constant_degenerate",
+        "composite_tail_fertility",
     ])
     def test_find_rho0_matches_full_sample_rule(self, request, const_ctx_factory, case):
         # in a constant model the 8 shapes coincide, so every size is an 8-way tie
@@ -371,21 +412,45 @@ class TestCertificates:
             "composite_subcritical": _subcritical_composite_ctx,
             "constant_subcritical": lambda: const_ctx_factory(1.0, 1.0, 0.5),
             "constant_supercritical": lambda: const_ctx_factory(1.0, 1.0, 2.0),
+            "hierarchical_stiff": _stiff_hierarchical_ctx,
+            # R is 1 up to the quadrature error, which is above 1 on this grid
+            "constant_degenerate": lambda: const_ctx_factory(1.0, 1.0, 1.0),
+            "composite_tail_fertility": _tail_fertility_ctx,
         }.get(case, lambda: request.getfixturevalue(case))()
         cfg = sp.SolverConfig()
         expect = _rho0_reference(ctx, cfg)
-        assert (expect is None) == (case == "constant_supercritical")
+        assert (expect is None) == (case in ("constant_supercritical", "constant_degenerate"))
         assert sp.find_rho0(ctx, cfg) == expect
 
     def test_find_rho0_stops_at_first_size_above_one(self, hier_ctx, monkeypatch):
-        calls = []
-        net_R = sp.solver.net_reproduction_R
-
-        def counted(ctx, u):
-            calls.append(1)
-            return net_R(ctx, u)
-
-        monkeypatch.setattr(sp.solver, "net_reproduction_R", counted)
+        calls = _count_R_evals(monkeypatch)
         assert sp.find_rho0(hier_ctx, sp.SolverConfig()) is not None
-        # evaluating every sample first takes all 800
-        assert len(calls) <= 500
+        # evaluating every sample first takes all 800, the stop alone 463; the
+        # bound beta_sup(P) * I <= 1 passes every size P >= 3 unevaluated
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize("case", ["constant_subcritical", "composite_increasing_mu"])
+    def test_find_rho0_evaluates_nothing_the_bound_settles(
+        self, const_ctx_factory, monkeypatch, case
+    ):
+        # beta_sup(P) * I <= 1 at every size
+        ctx = {
+            "constant_subcritical": lambda: const_ctx_factory(1.0, 1.0, 0.5),
+            "composite_increasing_mu": _increasing_mu_ctx,
+        }[case]()
+        calls = _count_R_evals(monkeypatch)
+        assert sp.find_rho0(ctx, sp.SolverConfig()) is not None
+        assert calls == []
+
+    @pytest.mark.parametrize("rate", ["g", "mu", "beta"])
+    def test_certify_keeps_the_bounds_check(self, rate):
+        # deliberately misdeclared bounds, as in test_model's bounds-violation test
+        params = {"g0": 1.0, "mu0": 1.0, "beta0": 1.0, rate + "0": 2.0}
+        bad = ModelSpec(
+            "constant",
+            RateBounds(g_low=1.0, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=1.0),
+            params,
+        )
+        ctx = sp.make_context(bad, sp.build_grid(10.0, 101))
+        with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
+            sp.certify(ctx, sp.SolverConfig())
