@@ -1,6 +1,9 @@
 """Core functionals: survival shape, birth output, net reproduction, and the
 fixed-point map whose fixed points are the stationary population densities.
 
+Rates and survival are computed from plain arrays on the context's grid; each
+public function checks the profile it takes against that grid once, on entry.
+
 All operations are pure functions of an immutable :class:`KernelContext`, so
 they are safe to call concurrently. The survival shape is always computed as
 the exponential of one running integral of mu/g (never as products of
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import _accel
 from .errors import ParameterError
-from .grid import DensityProfile, Grid, integrate, translate
+from .grid import DensityProfile, Grid, _values, integrate, translate
 from .model import ModelSpec, envelope_norms, envelope_profiles, envelope_tail_mass, rates
 
 
@@ -40,42 +43,44 @@ def make_context(model: ModelSpec, grid: Grid) -> KernelContext:
                          norm_e1=norm_e1, norm_e2=norm_e2)
 
 
-def rates_and_survival(ctx: KernelContext, u: DensityProfile):
-    """(g, beta, pi) on the grid nodes from one rate evaluation under u.
+def rates_and_survival(ctx: KernelContext, u_values: np.ndarray):
+    """(g, beta, pi) on the grid nodes from one rate evaluation under density ``u_values``.
 
     pi is the survival shape (1/g) exp(-int_0^x mu/g) as a plain array.
     """
-    g, mu, beta = rates(ctx.model, ctx.grid.nodes, u)
+    g, mu, beta = rates(ctx.model, ctx.grid, u_values)
     return g, beta, _accel.survival_from_rates(ctx.grid.steps, g, mu / g)
 
 
 def survival_pi(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
     """Survival shape (1/g) exp(-int_0^x mu/g) under environment u."""
-    return DensityProfile(ctx.grid, rates_and_survival(ctx, u)[2])
+    return DensityProfile(ctx.grid, rates_and_survival(ctx, _values(ctx.grid, u))[2])
 
 
 def birth_G(ctx: KernelContext, u: DensityProfile) -> float:
     """Total birth output of profile u: integral of beta(x, u) u(x)."""
-    beta = rates(ctx.model, ctx.grid.nodes, u)[2]
-    return _accel.weighted_sum(ctx.grid.weights, beta * u.values)
+    u = _values(ctx.grid, u)
+    beta = rates(ctx.model, ctx.grid, u)[2]
+    return _accel.weighted_sum(ctx.grid.weights, beta * u)
 
 
 def net_reproduction_R(ctx: KernelContext, u: DensityProfile) -> float:
     """Expected offspring per individual over its life in environment u."""
-    _, beta, pi = rates_and_survival(ctx, u)
+    _, beta, pi = rates_and_survival(ctx, _values(ctx.grid, u))
     return _accel.weighted_sum(ctx.grid.weights, beta * pi)
 
 
 def apply_T(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
     """One application of the fixed-point map: birth output times survival shape."""
+    u = _values(ctx.grid, u)
     _, beta, pi = rates_and_survival(ctx, u)
-    return DensityProfile(ctx.grid, _accel.weighted_sum(ctx.grid.weights, beta * u.values) * pi)
+    return DensityProfile(ctx.grid, _accel.weighted_sum(ctx.grid.weights, beta * u) * pi)
 
 
 def residual(ctx: KernelContext, u: DensityProfile) -> float:
     """L1 distance between u and its image under the fixed-point map (grid part)."""
-    tu = apply_T(ctx, u)
-    return _accel.weighted_sum(ctx.grid.weights, np.abs(u.values - tu.values))
+    u = _values(ctx.grid, u)
+    return _accel.weighted_sum(ctx.grid.weights, np.abs(u - apply_T(ctx, u).values))
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     trans_rows = []
     ok = True
     for idx, s in enumerate(samples):
-        g_here, _, pi = rates_and_survival(ctx, s)
+        g_here, _, pi = rates_and_survival(ctx, _values(grid, s))
         l1 = integrate(grid, pi)
         norm_bound = ctx.norm_e2 + quad_bias_norm
         norm_ok = math.isfinite(norm_bound) and l1 <= norm_bound * (1.0 + 1e-9)

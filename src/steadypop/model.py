@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _accel
 from .errors import BoundsViolationError, ParameterError
-from .grid import DensityProfile, Grid, integrate, reverse_cumulative_integral
+from .grid import DensityProfile, Grid, _values, integrate, reverse_cumulative_integral
 
 CONSTANT = "constant"
 COUNTEREXAMPLE = "counterexample"
@@ -91,16 +91,16 @@ class CompositeRate:
     weight_decay: float = 1.0
 
     def __post_init__(self):
-        # each error names the first field at fault
+        # each error names the first field at fault; the negated forms also reject NaN
         for name in ("const", "x_amp", "u_sat", "u_inv"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ParameterError("composite rate coefficients must be nonnegative", name)
         for name in ("x_rate", "weight_decay"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ParameterError("x_rate and weight_decay must be positive", name)
         if self.functional not in ("norm", "tail", "weighted"):
             raise ParameterError("unknown functional %r" % (self.functional,), "functional")
-        if self.tail_from < 0:
+        if not self.tail_from >= 0:
             raise ParameterError("tail_from must be nonnegative", "tail_from")
 
     def low(self) -> float:
@@ -109,22 +109,21 @@ class CompositeRate:
     def high(self) -> float:
         return self.const + self.x_amp + max(self.u_sat, self.u_inv)
 
-    def scalar_input(self, u: DensityProfile) -> float:
-        g = u.grid
+    def scalar_input(self, grid: Grid, u_values: np.ndarray) -> float:
         if self.functional == "norm":
-            return integrate(g, u)
+            return integrate(grid, u_values)
         if self.functional == "tail":
-            tail = reverse_cumulative_integral(g, u)
-            return float(np.interp(self.tail_from, g.nodes, tail))
+            tail = reverse_cumulative_integral(grid, u_values)
+            return float(np.interp(self.tail_from, grid.nodes, tail))
         return _accel.weighted_sum(
-            g.weights, np.exp(-self.weight_decay * g.nodes) * u.values
+            grid.weights, np.exp(-self.weight_decay * grid.nodes) * u_values
         )
 
     def value(self, x, s: float):
         sig = s / (1.0 + s)
         return (
             self.const
-            + self.x_amp * (1.0 - np.exp(-self.x_rate * np.asarray(x, dtype=float)))
+            + self.x_amp * (1.0 - np.exp(-self.x_rate * x))
             + self.u_sat * sig
             + self.u_inv / (1.0 + s)
         )
@@ -184,44 +183,43 @@ def counterexample_f(a: float) -> float:
 
 # -- rate evaluation ---------------------------------------------------------
 #
-# One function per variant maps (params, x, u) to the unchecked (g, mu, beta)
-# and computes each functional of u once; a second maps (params, P) to a bound
-# on that beta over all x for every u of integral P. _RATES is the only place
-# a variant is dispatched to rate code.
+# Rates are evaluated at a grid's nodes under a plain density array on that
+# grid. One function per variant maps (params, grid, u_values) to the unchecked
+# (g, mu, beta) and computes each functional of u once; a second maps
+# (params, P) to a bound on that beta over all x for every u of integral P.
+# _RATES is the only place a variant is dispatched to rate code.
 
 
-def _fill(x, value):
-    """``value`` at every x: a fresh array for array x, the scalar itself otherwise."""
-    return np.full(np.shape(x), value, dtype=float) if np.ndim(x) else value
+def _fill(grid: Grid, value) -> np.ndarray:
+    """``value`` at every node, as a fresh float array (callers may pass ints)."""
+    return np.full(grid.n, value, dtype=float)
 
 
-def _constant_rates(p, x, u: DensityProfile):
-    return _fill(x, p["g0"]), _fill(x, p["mu0"]), _fill(x, p["beta0"])
+def _constant_rates(p, grid: Grid, u: np.ndarray):
+    return _fill(grid, p["g0"]), _fill(grid, p["mu0"]), _fill(grid, p["beta0"])
 
 
-def _counterexample_rates(p, x, u: DensityProfile):
-    fval = counterexample_f(integrate(u.grid, u))
-    beta = 2.0 * p["g"] * (1.0 - np.exp(-np.asarray(x, dtype=float))) * fval
-    return _fill(x, p["g"]), _fill(x, p["g"]), beta
+def _counterexample_rates(p, grid: Grid, u: np.ndarray):
+    fval = counterexample_f(integrate(grid, u))
+    beta = 2.0 * p["g"] * (1.0 - np.exp(-grid.nodes)) * fval
+    return _fill(grid, p["g"]), _fill(grid, p["g"]), beta
 
 
-def _hierarchical_rates(p, x, u: DensityProfile):
-    tail = reverse_cumulative_integral(u.grid, u)
-    if x is not u.grid.nodes:  # on the grid's own nodes interpolation is the identity
-        tail = np.interp(np.asarray(x, dtype=float), u.grid.nodes, tail)
+def _hierarchical_rates(p, grid: Grid, u: np.ndarray):
+    tail = reverse_cumulative_integral(grid, u)
     g = p["g_low"] + (p["g_high"] - p["g_low"]) * np.exp(-tail)
-    beta = p["b0"] / (1.0 + integrate(u.grid, u))
-    return g, _fill(x, p["mu0"]), _fill(x, beta)
+    beta = p["b0"] / (1.0 + integrate(grid, u))
+    return g, _fill(grid, p["mu0"]), _fill(grid, beta)
 
 
-def _composite_rates(p, x, u: DensityProfile):
+def _composite_rates(p, grid: Grid, u: np.ndarray):
     inputs = {}  # rates reading the same functional of u share its value
 
     def value(rate: CompositeRate):
         key = (rate.functional, rate.tail_from, rate.weight_decay)
         if key not in inputs:
-            inputs[key] = rate.scalar_input(u)
-        return rate.value(x, inputs[key])
+            inputs[key] = rate.scalar_input(grid, u)
+        return rate.value(grid.nodes, inputs[key])
 
     return value(p["g"]), value(p["mu"]), value(p["beta"])
 
@@ -235,7 +233,7 @@ def _composite_beta_sup(p, P):
 
 
 class _Variant(NamedTuple):
-    rates: Callable          # (params, x, u) -> unchecked (g, mu, beta)
+    rates: Callable          # (params, grid, u_values) -> unchecked (g, mu, beta) at the nodes
     beta_sup: Callable       # (params, P) -> bound on beta over all x, any u of integral P
 
 
@@ -249,9 +247,9 @@ _RATES = {
 }
 
 
-def raw_rates(model: ModelSpec, x, u: DensityProfile):
-    """(g, mu, beta) at x (scalar or array) under profile u, without the bounds check."""
-    return _RATES[model.variant].rates(model.params, x, u)
+def raw_rates(model: ModelSpec, grid: Grid, u_values: np.ndarray):
+    """(g, mu, beta) at the grid's nodes under density ``u_values``, without the bounds check."""
+    return _RATES[model.variant].rates(model.params, grid, u_values)
 
 
 def beta_sup(model: ModelSpec, P: float) -> float:
@@ -273,9 +271,9 @@ def _checked(value, low, high, name):
     return value
 
 
-def rates(model: ModelSpec, x, u: DensityProfile):
-    """(g, mu, beta) at x under profile u; raises if any leaves its declared bounds."""
-    g, mu, beta = raw_rates(model, x, u)
+def rates(model: ModelSpec, grid: Grid, u_values: np.ndarray):
+    """(g, mu, beta) at the grid's nodes under density ``u_values``; raises if any leaves its bounds."""
+    g, mu, beta = raw_rates(model, grid, u_values)
     b = model.bounds
     return (
         _checked(g, b.g_low, b.g_high, "g"),
@@ -284,19 +282,19 @@ def rates(model: ModelSpec, x, u: DensityProfile):
     )
 
 
-def eval_g(model: ModelSpec, x, u: DensityProfile):
-    """Growth rate at x (scalar or array) under population profile u."""
-    return rates(model, x, u)[0]
+def eval_g(model: ModelSpec, u: DensityProfile) -> np.ndarray:
+    """Growth rate at the nodes of ``u``'s grid under population profile u."""
+    return rates(model, u.grid, u.values)[0]
 
 
-def eval_mu(model: ModelSpec, x, u: DensityProfile):
-    """Mortality rate at x under population profile u."""
-    return rates(model, x, u)[1]
+def eval_mu(model: ModelSpec, u: DensityProfile) -> np.ndarray:
+    """Mortality rate at the nodes of ``u``'s grid under population profile u."""
+    return rates(model, u.grid, u.values)[1]
 
 
-def eval_beta(model: ModelSpec, x, u: DensityProfile):
-    """Fertility rate at x under population profile u."""
-    return rates(model, x, u)[2]
+def eval_beta(model: ModelSpec, u: DensityProfile) -> np.ndarray:
+    """Fertility rate at the nodes of ``u``'s grid under population profile u."""
+    return rates(model, u.grid, u.values)[2]
 
 
 # -- exponential envelopes and the admissible "onion" region ----------------
@@ -414,10 +412,11 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     T = 0.5 * grid.x_max
     in_window = nodes <= T
 
+    values = [_values(grid, s) for s in samples]
     worst = 0.0
     gx_sup = 0.0
-    for s in samples:
-        g, mu, beta = raw_rates(model, nodes, s)
+    for u in values:
+        g, mu, beta = raw_rates(model, grid, u)
         worst = max(
             worst,
             float(np.max(b.g_low - g, initial=0.0)),
@@ -448,23 +447,19 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
         )
         gx_ok = math.isfinite(gx_bound) and gx_sup <= gx_bound * (1.0 + 1e-6)
 
-    _, e2 = envelope_profiles(b, grid)
+    _, e2 = envelope_values(b, nodes)
     lams = (1.0, 10.0, 1e2, 1e3, 1e4)
-    beta_sweep = []
-    for lam in lams:
-        u = DensityProfile(grid, lam * e2.values)
-        beta_sweep.append(float(np.max(raw_rates(model, nodes, u)[2])))
+    beta_sweep = [float(np.max(raw_rates(model, grid, lam * e2)[2])) for lam in lams]
     nonincreasing = all(
         beta_sweep[i + 1] <= beta_sweep[i] + 1e-12 for i in range(len(beta_sweep) - 1)
     )
     lbeta_pass = nonincreasing and beta_sweep[-1] <= 1e-3 * max(beta_sweep[0], 1e-300)
 
     # continuity evidence: relative rate response to a 1e-6 L1 perturbation
-    base = samples[0]
+    base = values[0]
     delta = 1e-6 / max(integrate(grid, e2), 1e-300)
-    pert = DensityProfile(grid, base.values + delta * e2.values)
     resp = 0.0
-    for a0, a1 in zip(raw_rates(model, nodes, base), raw_rates(model, nodes, pert)):
+    for a0, a1 in zip(raw_rates(model, grid, base), raw_rates(model, grid, base + delta * e2)):
         scale = max(float(np.max(np.abs(a0))), 1e-300)
         resp = max(resp, float(np.max(np.abs(a1 - a0))) / scale)
 

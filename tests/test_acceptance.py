@@ -239,7 +239,7 @@ def test_criterion_08_translation_bound():
         triples = 0
         for u in samples:  # 10 profiles x 5 (h, T) pairs = 50 triples per builtin
             pi = sp.survival_pi(ctx, u).values
-            g_here = np.asarray(sp.model.eval_g(model, nodes, u), dtype=float)
+            g_here = sp.model.eval_g(model, u)
             for _ in range(5):
                 h = 10.0 ** rng.uniform(-3, np.log10(0.5))
                 T = float(nodes[np.searchsorted(

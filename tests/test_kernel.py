@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import steadypop as sp
-from steadypop.errors import ParameterError
+from steadypop.errors import GridMismatchError, ParameterError
 
 from conftest import exp_profile
 
@@ -168,3 +168,23 @@ class TestCompactnessDiagnostics:
         # x_max = 40: a shift of 50 leaves the grid
         with pytest.raises(ParameterError, match="shifts"):
             sp.compactness_diagnostics(ce_ctx, self._samples(ce_ctx), [50.0], T=5.0)
+
+
+class TestGridCheck:
+    """A profile from another grid is refused on entry, never interpolated or broadcast."""
+
+    @pytest.mark.parametrize("n,scheme", [(2001, "graded_trapezoid"), (4001, "uniform_trapezoid")],
+                             ids=["other_size", "other_nodes"])
+    @pytest.mark.parametrize("call", [
+        sp.survival_pi,
+        sp.birth_G,
+        sp.net_reproduction_R,
+        sp.apply_T,
+        sp.residual,
+        lambda ctx, u: sp.compactness_diagnostics(ctx, [u], [], T=5.0),
+    ], ids=["survival_pi", "birth_G", "net_reproduction_R", "apply_T", "residual",
+            "compactness_diagnostics"])
+    def test_profile_from_another_grid_rejected(self, hier_ctx, call, n, scheme):
+        u = exp_profile(sp.build_grid(hier_ctx.grid.x_max, n, scheme))
+        with pytest.raises(GridMismatchError):
+            call(hier_ctx, u)

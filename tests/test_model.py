@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steadypop as sp
-from steadypop.errors import BoundsViolationError, ParameterError
+from steadypop.errors import BoundsViolationError, GridMismatchError, ParameterError
 from steadypop.model import ModelSpec, RateBounds
 
 from conftest import exp_profile
@@ -73,35 +73,45 @@ class TestBuilders:
             build()
 
 
+class TestCompositeRateFields:
+    @pytest.mark.parametrize("name", ["const", "x_amp", "x_rate", "u_sat", "u_inv",
+                                      "tail_from", "weight_decay"])
+    def test_nan_rejected_and_named(self, name):
+        fields = {"const": 1.0, name: float("nan")}
+        with pytest.raises(ParameterError) as info:
+            sp.CompositeRate(**fields)
+        assert info.value.field == name
+
+
 class TestEvalRates:
     def test_constant_variant(self):
         m = sp.constant_model(mu0=2.0, g0=0.5, beta0=3.0)
         g = sp.build_grid(10.0, 101)
         u = exp_profile(g)
-        assert sp.model.eval_g(m, 1.0, u) == 0.5
-        assert sp.model.eval_mu(m, 1.0, u) == 2.0
-        assert sp.model.eval_beta(m, 1.0, u) == 3.0
+        assert np.all(sp.model.eval_g(m, u) == 0.5)
+        assert np.all(sp.model.eval_mu(m, u) == 2.0)
+        assert np.all(sp.model.eval_beta(m, u) == 3.0)
 
     def test_counterexample_mu_equals_g(self):
         m = sp.counterexample_model(1.7)
         g = sp.build_grid(10.0, 101)
         u = exp_profile(g)
-        assert sp.model.eval_mu(m, 2.0, u) == sp.model.eval_g(m, 2.0, u) == 1.7
+        assert np.all(sp.model.eval_mu(m, u) == sp.model.eval_g(m, u))
+        assert np.all(sp.model.eval_g(m, u) == 1.7)
 
     def test_counterexample_beta_vanishes_at_zero(self):
         m = sp.counterexample_model(1.0)
         g = sp.build_grid(10.0, 101)
         for scale in (0.0, 0.5, 2.0):
             u = sp.DensityProfile(g, scale * np.exp(-g.nodes))
-            assert sp.model.eval_beta(m, 0.0, u) == 0.0
+            assert sp.model.eval_beta(m, u)[0] == 0.0  # the first node is x = 0
 
     def test_counterexample_beta_at_zero_population(self):
         m = sp.counterexample_model(1.3)
         g = sp.build_grid(10.0, 101)
         u = sp.zero_profile(g)
-        x = np.array([0.5, 1.0, 3.0])
-        expected = 2.0 * 1.3 * (1.0 - np.exp(-x)) * 0.5
-        assert np.allclose(sp.model.eval_beta(m, x, u), expected, rtol=1e-14)
+        expected = 2.0 * 1.3 * (1.0 - np.exp(-g.nodes)) * 0.5
+        assert np.allclose(sp.model.eval_beta(m, u), expected, rtol=1e-14)
 
     def test_counterexample_beta_depends_only_on_norm(self):
         m = sp.counterexample_model(1.0)
@@ -110,22 +120,19 @@ class TestEvalRates:
         flat = np.where(g.nodes <= 1.0, 1.0, 0.0)
         flat *= sp.integrate(g, u1.values) / sp.integrate(g, flat)
         u2 = sp.DensityProfile(g, flat)
-        x = g.nodes[::100]
-        assert np.allclose(
-            sp.model.eval_beta(m, x, u1), sp.model.eval_beta(m, x, u2), rtol=1e-12
-        )
+        assert np.allclose(sp.model.eval_beta(m, u1), sp.model.eval_beta(m, u2), rtol=1e-12)
 
     def test_hierarchical_empty_population_gives_g_high(self):
         m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)
         g = sp.build_grid(20.0, 2001)
-        vals = sp.model.eval_g(m, g.nodes, sp.zero_profile(g))
+        vals = sp.model.eval_g(m, sp.zero_profile(g))
         assert np.allclose(vals, 1.0, rtol=1e-14)
 
     def test_hierarchical_crowding_drives_g_to_floor(self):
         m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)
         g = sp.build_grid(20.0, 2001)
         u = exp_profile(g, scale=1e3)
-        assert sp.model.eval_g(m, 0.0, u) == pytest.approx(0.5, abs=1e-10)
+        assert sp.model.eval_g(m, u)[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_hierarchical_monotone_in_population(self):
         m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)
@@ -134,14 +141,14 @@ class TestEvalRates:
         base = rng.random(g.n)
         u1 = sp.DensityProfile(g, base)
         u2 = sp.DensityProfile(g, base + rng.random(g.n))
-        g1 = sp.model.eval_g(m, g.nodes, u1)
-        g2 = sp.model.eval_g(m, g.nodes, u2)
+        g1 = sp.model.eval_g(m, u1)
+        g2 = sp.model.eval_g(m, u2)
         assert np.all(g1 >= g2)
 
     def test_hierarchical_beta_at_zero_population(self):
         m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)
         g = sp.build_grid(20.0, 401)
-        assert sp.model.eval_beta(m, 1.0, sp.zero_profile(g)) == 2.0
+        assert np.all(sp.model.eval_beta(m, sp.zero_profile(g)) == 2.0)
 
     @pytest.mark.parametrize("rate", ["g", "mu", "beta"])
     def test_bounds_violation_raises(self, rate):
@@ -155,9 +162,9 @@ class TestEvalRates:
         g = sp.build_grid(10.0, 101)
         evaluate = getattr(sp.model, "eval_" + rate)
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
-            evaluate(bad, 1.0, sp.zero_profile(g))
+            evaluate(bad, sp.zero_profile(g))
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
-            sp.model.rates(bad, g.nodes, sp.zero_profile(g))
+            sp.model.rates(bad, g, np.zeros(g.n))
 
     def test_nan_profile_raises(self):
         # NaN compares false with both bounds, so only a negated check catches it
@@ -166,7 +173,7 @@ class TestEvalRates:
         values = np.exp(-g.nodes)
         values[200] = np.nan
         with pytest.raises(BoundsViolationError):
-            sp.model.rates(m, g.nodes, sp.DensityProfile(g, values))
+            sp.model.rates(m, g, values)
 
     def test_random_sweep_stays_in_bounds(self):
         rng = np.random.default_rng(42)
@@ -187,10 +194,9 @@ class TestEvalRates:
                 b, g, [1e-3, 1e-1, 1.0, 1e1, 1e3], 5, rng
             )
             for u in samples:
-                x = rng.uniform(0.0, g.x_max, size=10)
-                gv = np.asarray(sp.model.eval_g(m, x, u))
-                mv = np.asarray(sp.model.eval_mu(m, x, u))
-                bv = np.asarray(sp.model.eval_beta(m, x, u))
+                gv = sp.model.eval_g(m, u)
+                mv = sp.model.eval_mu(m, u)
+                bv = sp.model.eval_beta(m, u)
                 assert np.all((gv >= b.g_low - 1e-12) & (gv <= b.g_high + 1e-12))
                 assert np.all((mv >= b.mu_low - 1e-12) & (mv <= b.mu_high + 1e-12))
                 assert np.all((bv >= -1e-12) & (bv <= b.beta_max + 1e-12))
@@ -325,3 +331,10 @@ class TestValidateHypotheses:
         g = sp.build_grid(20.0, 801)
         with pytest.raises(ParameterError):
             sp.validate_hypotheses(m, g, [])
+
+    def test_samples_from_another_grid_rejected(self):
+        m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)
+        g = sp.build_grid(20.0, 801)
+        other = sp.build_grid(20.0, 801, "graded_trapezoid")
+        with pytest.raises(GridMismatchError):
+            sp.validate_hypotheses(m, g, self._samples(m, other))

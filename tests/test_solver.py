@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import steadypop as sp
-from steadypop.errors import BoundsViolationError, ConvergenceError, ParameterError
+from steadypop.errors import (
+    BoundsViolationError,
+    ConvergenceError,
+    GridMismatchError,
+    ParameterError,
+)
 from steadypop.model import ModelSpec, RateBounds
 
 from conftest import exp_profile
@@ -78,6 +83,39 @@ class TestInnerPicard:
             sp.inner_picard(hier_ctx, 5.0, cfg)
         assert e.value.iterations == 1
         assert e.value.last_residual > 0
+
+    def test_builds_one_profile_whatever_its_step_count(self, monkeypatch):
+        m = sp.hierarchical_model(g_low=0.02, g_high=1.0, mu0=1.0, b0=10.0)
+        ctx = sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 2001,
+                                               "graded_trapezoid"))
+        built = []
+        validate = sp.DensityProfile.__post_init__
+
+        def counted(profile):
+            built.append(profile)
+            validate(profile)
+
+        monkeypatch.setattr(sp.DensityProfile, "__post_init__", counted)
+        runs = []
+        for tol in (1e-2, 1e-10):
+            built.clear()
+            pr = sp.inner_picard(ctx, 10.0, sp.SolverConfig(picard_tol=tol))
+            runs.append((pr.iterations, len(built)))
+        (short, short_built), (long, long_built) = runs
+        assert short < long and long >= 20
+        # the steps work on arrays; only the returned shape is a profile
+        assert short_built == long_built == 1
+
+    @pytest.mark.parametrize("n,scheme", [(2001, "graded_trapezoid"), (4001, "uniform_trapezoid")],
+                             ids=["other_size", "other_nodes"])
+    @pytest.mark.parametrize("route", ["inner_picard", "iterate_map_A"])
+    def test_shape_from_another_grid_rejected(self, hier_ctx, route, n, scheme):
+        v = exp_profile(sp.build_grid(hier_ctx.grid.x_max, n, scheme))
+        with pytest.raises(GridMismatchError):
+            if route == "inner_picard":
+                sp.inner_picard(hier_ctx, 1.0, sp.SolverConfig(), start=v)
+            else:
+                sp.iterate_map_A(hier_ctx, v, 1.0, sp.SolverConfig())
 
 
 def _composite_ctx():
