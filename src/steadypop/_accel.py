@@ -33,11 +33,6 @@ def weighted_sum(w: np.ndarray, f: np.ndarray) -> float:
     return float(np.dot(w, f))
 
 
-# bound here so that rebinding the public cumtrapz (say, to time or count its
-# calls) leaves survival_from_rates on the same loop
-_cumtrapz = cumtrapz
-
-
 def survival_from_rates(steps: np.ndarray, g: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     # survival shape (1/g) * exp(-running trapezoid integral of mu/g)
-    return np.exp(-_cumtrapz(steps, ratio)) / g
+    return np.exp(-cumtrapz(steps, ratio)) / g

@@ -162,10 +162,7 @@ def _read_profile(path: str, grid) -> DensityProfile:
         raise ParameterError("profile file %s has non-finite values" % path)
     xs, us = data[:, 0], data[:, 1]
     order = np.argsort(xs)
-    values = np.interp(grid.nodes, xs[order], us[order], left=0.0, right=0.0)
-    if np.any(values < 0):
-        raise ParameterError("profile contains negative densities")
-    return DensityProfile(grid, values)
+    return DensityProfile(grid, np.interp(grid.nodes, xs[order], us[order], left=0.0, right=0.0))
 
 
 def cmd_verify(run: RunConfig, profile_path: str, tol: float) -> int:

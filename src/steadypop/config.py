@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ParameterError
-from .grid import SCHEMES, UNIFORM, Grid, build_grid
+from .grid import UNIFORM, Grid, build_grid
 from .model import (
     COMPOSITE,
     CONSTANT,
@@ -140,21 +140,12 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
 
     n = _take(pairs, "grid.n", 4001, int)
     scheme = pairs.pop("grid.scheme", UNIFORM)
-    if scheme not in SCHEMES:
-        raise ConfigError(
-            "key 'grid.scheme' must be one of %s, got %r" % (list(SCHEMES), scheme),
-            key="grid.scheme",
-        )
-    if "grid.x_max" in pairs:
-        x_max = _take(pairs, "grid.x_max", None)
-        if x_max <= 0:
-            raise ConfigError("key 'grid.x_max' must be positive", key="grid.x_max")
-    else:
-        x_max = default_x_max(model.bounds)
+    x_max = _take(pairs, "grid.x_max", default_x_max(model.bounds))
     try:
         grid = build_grid(x_max=x_max, n=n, scheme=scheme)
-    except ValueError as exc:
-        raise ConfigError("invalid grid parameters: %s" % exc, key="grid.n")
+    except ParameterError as exc:
+        key = "grid." + exc.field
+        raise ConfigError("invalid grid parameters: key %r: %s" % (key, exc), key=key)
 
     solver_kwargs = {attr: _take(pairs, key, None, cast)
                      for key, (attr, cast) in _SOLVER_KEYS.items() if key in pairs}

@@ -10,6 +10,7 @@ equal node count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Nonnegative samples of an L1 density on a grid."""
+    """Nonnegative samples of an L1 density on a grid; the one owner of the sign check."""
 
     grid: Grid
     values: np.ndarray
@@ -87,11 +88,11 @@ class DensityProfile:
 
 
 def build_grid(x_max: float, n: int, scheme: str = UNIFORM) -> Grid:
-    """Build a composite-trapezoid grid on [0, x_max] with ``n`` nodes."""
-    if not x_max > 0:
-        raise ParameterError("x_max must be positive, got %r" % (x_max,))
+    """Build a composite-trapezoid grid on [0, x_max] with ``n`` nodes; errors name their field."""
+    if not 0 < x_max < math.inf:
+        raise ParameterError("x_max must be finite and positive, got %r" % (x_max,), "x_max")
     if n < 3:
-        raise ParameterError("n must be at least 3, got %r" % (n,))
+        raise ParameterError("n must be at least 3, got %r" % (n,), "n")
     if scheme == UNIFORM:
         nodes = np.linspace(0.0, x_max, n)
     elif scheme == GRADED:
@@ -101,11 +102,16 @@ def build_grid(x_max: float, n: int, scheme: str = UNIFORM) -> Grid:
         nodes = np.concatenate(([0.0], np.cumsum(spacings)))
         nodes[-1] = x_max
     else:
-        raise ParameterError("unknown scheme %r (expected one of %s)" % (scheme, SCHEMES))
-    return Grid(nodes)
+        raise ParameterError("unknown scheme %r (expected one of %s)" % (scheme, SCHEMES),
+                             "scheme")
+    try:
+        return Grid(nodes)
+    except ParameterError as exc:      # nodes too close together for floating point
+        raise ParameterError(str(exc), "x_max") from exc
 
 
 def _values(grid: Grid, f) -> np.ndarray:
+    """Samples of ``f`` on ``grid`` (a profile, or an array of its length), signed or not."""
     if isinstance(f, DensityProfile):
         if f.grid is not grid and not np.array_equal(f.grid.nodes, grid.nodes):
             raise GridMismatchError("profile belongs to a different grid")
@@ -116,6 +122,14 @@ def _values(grid: Grid, f) -> np.ndarray:
             "got %d samples for a grid of %d nodes" % (arr.size, grid.n)
         )
     return arr
+
+
+def _density_values(grid: Grid, u) -> np.ndarray:
+    """Values of the density ``u`` on ``grid``; a plain array gets a profile's checks."""
+    if not isinstance(u, DensityProfile):
+        # a view, so that the caller's own array stays writable
+        u = DensityProfile(grid, np.asarray(u, dtype=float).view())
+    return _values(grid, u)
 
 
 def integrate(grid: Grid, f) -> float:

@@ -2,7 +2,8 @@
 fixed-point map whose fixed points are the stationary population densities.
 
 Rates and survival are computed from plain arrays on the context's grid; each
-public function checks the profile it takes against that grid once, on entry.
+public function checks the density it takes (a profile, or an array of the
+grid's length) once, on entry: against that grid, and for its sign.
 
 All operations are pure functions of an immutable :class:`KernelContext`, so
 they are safe to call concurrently. The survival shape is always computed as
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import _accel
 from .errors import ParameterError
-from .grid import DensityProfile, Grid, _values, integrate, translate
+from .grid import DensityProfile, Grid, _density_values, _values, integrate, translate
 from .model import ModelSpec, envelope_norms, envelope_profiles, envelope_tail_mass, rates
 
 
@@ -54,33 +55,33 @@ def rates_and_survival(ctx: KernelContext, u_values: np.ndarray):
 
 def survival_pi(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
     """Survival shape (1/g) exp(-int_0^x mu/g) under environment u."""
-    return DensityProfile(ctx.grid, rates_and_survival(ctx, _values(ctx.grid, u))[2])
+    return DensityProfile(ctx.grid, rates_and_survival(ctx, _density_values(ctx.grid, u))[2])
 
 
 def birth_G(ctx: KernelContext, u: DensityProfile) -> float:
     """Total birth output of profile u: integral of beta(x, u) u(x)."""
-    u = _values(ctx.grid, u)
+    u = _density_values(ctx.grid, u)
     beta = rates(ctx.model, ctx.grid, u)[2]
     return _accel.weighted_sum(ctx.grid.weights, beta * u)
 
 
 def net_reproduction_R(ctx: KernelContext, u: DensityProfile) -> float:
     """Expected offspring per individual over its life in environment u."""
-    _, beta, pi = rates_and_survival(ctx, _values(ctx.grid, u))
+    _, beta, pi = rates_and_survival(ctx, _density_values(ctx.grid, u))
     return _accel.weighted_sum(ctx.grid.weights, beta * pi)
 
 
 def apply_T(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
     """One application of the fixed-point map: birth output times survival shape."""
-    u = _values(ctx.grid, u)
+    u = _density_values(ctx.grid, u)
     _, beta, pi = rates_and_survival(ctx, u)
     return DensityProfile(ctx.grid, _accel.weighted_sum(ctx.grid.weights, beta * u) * pi)
 
 
 def residual(ctx: KernelContext, u: DensityProfile) -> float:
     """L1 distance between u and its image under the fixed-point map (grid part)."""
-    u = _values(ctx.grid, u)
-    return _accel.weighted_sum(ctx.grid.weights, np.abs(u - apply_T(ctx, u).values))
+    Tu = apply_T(ctx, u)           # checks u
+    return _accel.weighted_sum(ctx.grid.weights, np.abs(_values(ctx.grid, u) - Tu.values))
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     trans_rows = []
     ok = True
     for idx, s in enumerate(samples):
-        g_here, _, pi = rates_and_survival(ctx, _values(grid, s))
+        g_here, _, pi = rates_and_survival(ctx, _density_values(grid, s))
         l1 = integrate(grid, pi)
         norm_bound = ctx.norm_e2 + quad_bias_norm
         norm_ok = math.isfinite(norm_bound) and l1 <= norm_bound * (1.0 + 1e-9)

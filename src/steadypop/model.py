@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _accel
 from .errors import BoundsViolationError, ParameterError
-from .grid import DensityProfile, Grid, _values, integrate, reverse_cumulative_integral
+from .grid import DensityProfile, Grid, _density_values, integrate, reverse_cumulative_integral
 
 CONSTANT = "constant"
 COUNTEREXAMPLE = "counterexample"
@@ -93,14 +93,14 @@ class CompositeRate:
     def __post_init__(self):
         # each error names the first field at fault; the negated forms also reject NaN
         for name in ("const", "x_amp", "u_sat", "u_inv"):
-            if not getattr(self, name) >= 0:
-                raise ParameterError("composite rate coefficients must be nonnegative", name)
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError("coefficients must be finite and nonnegative", name)
         for name in ("x_rate", "weight_decay"):
-            if not getattr(self, name) > 0:
+            if not 0 < getattr(self, name) < math.inf:
                 raise ParameterError("x_rate and weight_decay must be positive", name)
         if self.functional not in ("norm", "tail", "weighted"):
             raise ParameterError("unknown functional %r" % (self.functional,), "functional")
-        if not self.tail_from >= 0:
+        if not 0 <= self.tail_from < math.inf:
             raise ParameterError("tail_from must be nonnegative", "tail_from")
 
     def low(self) -> float:
@@ -412,7 +412,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     T = 0.5 * grid.x_max
     in_window = nodes <= T
 
-    values = [_values(grid, s) for s in samples]
+    values = [_density_values(grid, s) for s in samples]
     worst = 0.0
     gx_sup = 0.0
     for u in values:

@@ -144,6 +144,18 @@ class TestLoadConfig:
         assert err.value.key == key
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text,key", [
+        ("grid.x_max = 1e-320\n", "grid.x_max"),
+        ("grid.n = 2\n", "grid.n"),
+        ("grid.x_max = 1e-320\ngrid.scheme = graded_trapezoid\n", "grid.x_max"),
+    ])
+    def test_grid_error_names_its_field(self, tmp_path, text, key):
+        # a tiny x_max used to be reported as grid.n
+        path = write_config(tmp_path / "bad.cfg", "model.variant = counterexample\n" + text)
+        with pytest.raises(ConfigError, match="invalid grid parameters") as err:
+            load_config(path)
+        assert err.value.key == key
+
     def test_keys_are_the_objects_fields(self, tmp_path):
         # every SolverConfig field loads as solver.<field>
         solver_values = {"picard_tol": 1e-7, "picard_max_iter": 17, "lambda_min": 0.5,

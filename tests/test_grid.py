@@ -33,6 +33,21 @@ class TestBuildGrid:
         with pytest.raises(ParameterError):
             sp.build_grid(1.0, 5, "simpson")
 
+    @pytest.mark.parametrize("args,field", [
+        ((-1.0, 5), "x_max"),
+        ((float("inf"), 5, "graded_trapezoid"), "x_max"),
+        ((float("nan"), 5), "x_max"),
+        ((1.0, 2), "n"),
+        ((1.0, 5, "simpson"), "scheme"),
+        # positive, but its spacings round to 0: the nodes it builds fail
+        ((1e-320, 4001), "x_max"),
+        ((1e-320, 4001, "graded_trapezoid"), "x_max"),
+    ])
+    def test_error_names_its_field(self, args, field):
+        with pytest.raises(ParameterError) as info:
+            sp.build_grid(*args)
+        assert info.value.field == field
+
     @pytest.mark.parametrize("scheme", sp.grid.SCHEMES)
     def test_constant_integrates_to_x_max(self, scheme):
         g = sp.build_grid(17.3, 501, scheme)

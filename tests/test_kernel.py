@@ -188,3 +188,39 @@ class TestGridCheck:
         u = exp_profile(sp.build_grid(hier_ctx.grid.x_max, n, scheme))
         with pytest.raises(GridMismatchError):
             call(hier_ctx, u)
+
+
+class TestDensitySign:
+    """A plain array is checked as a DensityProfile would be, sign included, at every entry."""
+
+    ENTRIES = {
+        "survival_pi": sp.survival_pi,
+        "birth_G": sp.birth_G,
+        "net_reproduction_R": sp.net_reproduction_R,
+        "apply_T": sp.apply_T,
+        "residual": sp.residual,
+        "compactness_diagnostics": lambda ctx, u: sp.compactness_diagnostics(ctx, [u], [], T=5.0),
+        "validate_hypotheses": lambda ctx, u: sp.validate_hypotheses(ctx.model, ctx.grid, [u]),
+        "inner_picard": lambda ctx, u: sp.inner_picard(ctx, 1.0, sp.SolverConfig(), start=u),
+        "iterate_map_A": lambda ctx, u: sp.iterate_map_A(ctx, u, 1.0, sp.SolverConfig()),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_negative_array_rejected(self, const_ctx_factory, entry):
+        # constant rates ignore u, so only the sign check stands between a
+        # negative density and a result (birth_G used to return -10)
+        ctx = const_ctx_factory(mu0=1.0, g0=1.0, beta0=0.5, n=401)
+        u = -np.exp(-ctx.grid.nodes)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            self.ENTRIES[entry](ctx, u)
+
+    @pytest.mark.parametrize("entry", ["survival_pi", "birth_G", "net_reproduction_R",
+                                       "apply_T", "residual"])
+    def test_array_gives_the_profile_result_and_stays_writable(self, hier_ctx, entry):
+        u = np.exp(-hier_ctx.grid.nodes)
+        got = self.ENTRIES[entry](hier_ctx, u)
+        want = self.ENTRIES[entry](hier_ctx, sp.DensityProfile(hier_ctx.grid, u.copy()))
+        if isinstance(got, sp.DensityProfile):
+            got, want = got.values, want.values
+        assert np.array_equal(got, want)
+        u[0] = 2.0

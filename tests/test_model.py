@@ -82,6 +82,14 @@ class TestCompositeRateFields:
             sp.CompositeRate(**fields)
         assert info.value.field == name
 
+    @pytest.mark.parametrize("name", ["const", "x_amp", "x_rate", "u_sat", "u_inv",
+                                      "tail_from", "weight_decay"])
+    def test_infinite_rejected_and_named(self, name):
+        # x_amp = inf used to build a model whose beta_max is inf
+        with pytest.raises(ParameterError) as info:
+            sp.CompositeRate(**{"const": 1.0, name: math.inf})
+        assert info.value.field == name
+
 
 class TestEvalRates:
     def test_constant_variant(self):

@@ -48,3 +48,18 @@ def test_attributes_the_runner_reads_exist():
     assert isinstance(_accel.NUMBA_ENABLED, bool)
     assert isinstance(sp.build_grid(1.0, 3).is_uniform, bool)
     assert callable(sp.DensityProfile.__post_init__)
+
+
+def test_survival_shape_runs_the_public_cumtrapz(monkeypatch):
+    # perfbench counts accel.cumtrapz by rebinding _accel.cumtrapz
+    calls = []
+    cumtrapz = _accel.cumtrapz
+
+    def counted(*args):
+        calls.append(1)
+        return cumtrapz(*args)
+
+    monkeypatch.setattr(_accel, "cumtrapz", counted)
+    ctx = sp.make_context(sp.constant_model(1.0, 1.0, 0.5), sp.build_grid(10.0, 101))
+    sp.survival_pi(ctx, sp.zero_profile(ctx.grid))
+    assert len(calls) == 1

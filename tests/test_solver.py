@@ -1,7 +1,11 @@
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steadypop as sp
 from steadypop.errors import (
@@ -48,6 +52,13 @@ class TestSolverConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             sp.SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["picard_tol", "root_tol"])
+    def test_infinite_tolerance_rejected_and_named(self, name):
+        # picard_tol = inf used to stop every inner solve after one step
+        with pytest.raises(ParameterError) as info:
+            sp.SolverConfig(**{name: math.inf})
+        assert info.value.field == name
 
 
 class TestInnerPicard:
@@ -492,3 +503,113 @@ class TestCertificates:
         ctx = sp.make_context(bad, sp.build_grid(10.0, 101))
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
             sp.certify(ctx, sp.SolverConfig())
+
+
+def _ratios_reference(model, grid, u_values, stride: int):
+    g, mu, beta = (a[::stride] for a in sp.solver.raw_rates(model, grid, u_values))
+    return mu / g, beta / mu
+
+
+def _monotonicity_reference(ctx, cfg) -> dict:
+    """The per-pair loop that evaluated each pair member on its own (56 rate evaluations)."""
+    grid = ctx.grid
+    stride = max(1, grid.n // 40)
+    rng = np.random.default_rng(cfg.seed + 1)
+    shapes = sp.solver._sample_shapes(ctx, rng, n_random=3)
+    pairs = []
+    for w in shapes:
+        for lo, hi_f in ((0.1, 0.5), (0.5, 2.0), (2.0, 10.0)):
+            pairs.append((lo * w.values, hi_f * w.values))
+    for _ in range(10):
+        w = shapes[int(rng.integers(len(shapes)))]
+        u2 = (1.0 + 2.0 * rng.random()) * w.values
+        pairs.append((u2 * rng.random(grid.n), u2))
+
+    tol = 1e-12
+    strict = 1e-12
+    mg_nondec = mg_strict = bm_dec = bm_noninc = True
+    bm_x_nondec = bm_x_strict = True
+    model = ctx.model
+    for u1, u2 in pairs:
+        (mg1, bm1), (mg2, bm2) = (_ratios_reference(model, grid, u, stride) for u in (u1, u2))
+        mg_nondec &= bool(np.all(mg2 >= mg1 - tol))
+        mg_strict &= bool(np.all(mg2 > mg1 + strict))
+        bm_dec &= bool(np.all(bm2 < bm1 - strict))
+        bm_noninc &= bool(np.all(bm2 <= bm1 + tol))
+        for bm in (bm1, bm2):
+            d = np.diff(bm)
+            bm_x_nondec &= bool(np.all(d >= -tol))
+            bm_x_strict &= bool(np.all(d > strict))
+
+    alt_strict_bm = bm_dec and mg_nondec and bm_x_nondec
+    alt_strict_others = bm_noninc and mg_strict and bm_x_strict
+
+    r_decreasing = True
+    for w in shapes[:4]:
+        vals = sp.solver._ray_R(ctx, w, (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0))
+        r_decreasing &= all(b < a - 1e-14 for a, b in zip(vals, vals[1:]))
+
+    return {
+        "assumption_M_pass": alt_strict_bm or alt_strict_others,
+        "assumption_M_strict_beta_mu": alt_strict_bm,
+        "assumption_M_strict_others": alt_strict_others,
+        "R_decreasing_along_rays": r_decreasing,
+        "pairs_sampled": len(pairs),
+    }
+
+
+def _evidence_model(family, a, b):
+    """A model of ``family`` whose rates move with the population as ``a`` and ``b`` say."""
+    if family == "constant":
+        return sp.constant_model(mu0=1.0 + a, g0=1.0 + b, beta0=a * b)
+    if family == "counterexample":
+        return sp.counterexample_model(0.5 + a)
+    if family == "hierarchical":
+        return sp.hierarchical_model(g_low=0.05 + 0.2 * a, g_high=1.0, mu0=0.5 + b, b0=1.0 + a)
+    functional = family.split("_")[1]
+    rate = dict(functional=functional, tail_from=1.0, weight_decay=0.5 + b)
+    return sp.composite_model(
+        g=sp.CompositeRate(const=0.5, x_amp=0.5 * a, u_inv=0.2 * b, **rate),
+        mu=sp.CompositeRate(const=1.0, x_amp=max(b - 1.0, 0.0), u_sat=a, **rate),
+        beta=sp.CompositeRate(const=0.1, x_amp=b, u_sat=max(a - 1.0, 0.0) * b, u_inv=2.0 * a,
+                              **rate),
+    )
+
+
+class TestMonotonicityEvidence:
+    """One rate evaluation per distinct sampled profile, with the per-pair loop's evidence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["constant", "counterexample", "hierarchical", "composite_norm",
+                                "composite_tail", "composite_weighted"]),
+        scheme=st.sampled_from(["uniform_trapezoid", "graded_trapezoid"]),
+        n=st.sampled_from([61, 201, 801]),
+        seed=st.integers(0, 2**16),
+        a=st.floats(0.0, 2.0),
+        b=st.floats(0.0, 2.0),
+    )
+    def test_matches_per_pair_reference(self, family, scheme, n, seed, a, b):
+        model = _evidence_model(family, a, b)
+        ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
+        cfg = sp.SolverConfig(seed=seed)
+        assert sp.solver._monotonicity_evidence(ctx, cfg) == _monotonicity_reference(ctx, cfg)
+
+    def test_one_rate_evaluation_per_sampled_profile(self, hier_ctx, monkeypatch):
+        evaluated = []
+        raw_rates = sp.solver.raw_rates
+
+        def recorded(model, grid, u_values):
+            evaluated.append(u_values.tobytes())
+            return raw_rates(model, grid, u_values)
+
+        monkeypatch.setattr(sp.solver, "raw_rates", recorded)
+        cfg = sp.SolverConfig()
+        assert sp.solver._monotonicity_evidence(hier_ctx, cfg)["pairs_sampled"] == 28
+        rows = list(evaluated)
+        evaluated.clear()
+        _monotonicity_reference(hier_ctx, cfg)
+        # 6 shapes at 4 scales plus 10 random pairs: the 56 pair members hold 44 profiles
+        assert len(evaluated) == 56
+        assert len(rows) == len(set(rows)) == 44
+        assert set(rows) == set(evaluated)
