@@ -43,6 +43,9 @@ class Grid:
             raise ParameterError("a grid needs at least 3 nodes")
         if nodes[0] != 0.0:
             raise ParameterError("first node must be exactly 0")
+        # NaN passes the ordering check below and inf makes infinite weights
+        if not np.all(np.isfinite(nodes)):
+            raise ParameterError("nodes must be finite")
         d = np.diff(nodes)
         if np.any(d <= 0):
             raise ParameterError("nodes must be strictly increasing")

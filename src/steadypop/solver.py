@@ -74,6 +74,7 @@ class PicardResult:
     residual_l1: float
     R: float                       # net reproduction at lam * v
     pi: np.ndarray                 # survival shape at lam * v
+    converged: bool = True         # False: stopped by sign_only once the sign of R - 1 settled
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,14 @@ class MapATrace:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """Scalar residual on the scan grid, its sign-change brackets and failed points.
+
+    A sign-only scan (``scan_roots(..., sign_only=True)``) has exact
+    ``residuals`` only at converged points and bracket ends; elsewhere they
+    are estimates of the right sign. Its ``failed`` lists the points that
+    failed before their sign settled.
+    """
+
     lambdas: np.ndarray
     residuals: np.ndarray          # nan where the inner iteration failed
     brackets: tuple                # (lo, hi) pairs with a sign change
@@ -116,24 +125,48 @@ class Certificate:
 
 
 def inner_picard(
-    ctx: KernelContext, lam: float, cfg: SolverConfig, start: DensityProfile | None = None
+    ctx: KernelContext,
+    lam: float,
+    cfg: SolverConfig,
+    start: DensityProfile | PicardResult | None = None,
+    *,
+    sign_only: bool = False,
 ) -> PicardResult:
     """Fixed-point iteration v <- Pi(., lam v) for the shape at frozen scale lam.
 
     Starts from the shape ``start`` when given, else from the envelope
     midpoint. Raises :class:`ConvergenceError` carrying the last step's
     residual when ``picard_max_iter`` steps do not reach ``picard_tol``.
+
+    With ``sign_only`` the iteration also stops at a step k >= 2 once the
+    sign of R - 1 is settled, returning ``converged=False`` and the step's
+    ``R``: with q = res_k / res_{k-1} < 0.9, when
+    ``|R_k - 1| > 10 |R_k - R_{k-1}| / (1 - q) + root_tol``. Passing such a
+    result as ``start`` resumes its iteration where it stopped, counting its
+    steps against ``picard_max_iter``; the map is deterministic, so the
+    resumed solve returns what the cold one does, bit for bit.
     """
     if lam < 0:
         raise ParameterError("lam must be nonnegative")
     grid = ctx.grid
-    v = 0.5 * (ctx.e1.values + ctx.e2.values) if start is None else _density_values(grid, start)
-    for k in range(1, cfg.picard_max_iter + 1):
+    first, res, R = 1, math.nan, math.nan
+    if isinstance(start, PicardResult):
+        v, first, res = start.pi, start.iterations + 1, start.residual_l1
+    elif start is None:
+        v = 0.5 * (ctx.e1.values + ctx.e2.values)
+    else:
+        v = _density_values(grid, start)
+    for k in range(first, cfg.picard_max_iter + 1):
         _, beta, pi = rates_and_survival(ctx, lam * v)
-        res = _accel.weighted_sum(grid.weights, np.abs(v - pi))
+        res_prev, res = res, _accel.weighted_sum(grid.weights, np.abs(v - pi))
         if res <= cfg.picard_tol:
             R = _accel.weighted_sum(grid.weights, beta * pi)
             return PicardResult(DensityProfile(grid, v), k, res, R, pi)
+        if sign_only:
+            R_prev, R = R, _accel.weighted_sum(grid.weights, beta * pi)
+            q = res / res_prev         # NaN at the first step, which never stops
+            if q < 0.9 and abs(R - 1.0) > 10.0 * abs(R - R_prev) / (1.0 - q) + cfg.root_tol:
+                return PicardResult(DensityProfile(grid, v), k, res, R, pi, converged=False)
         v = pi
     raise ConvergenceError(
         "inner iteration did not reach %g after %d steps (last residual %g)"
@@ -174,7 +207,7 @@ def _scan_lambdas(ctx: KernelContext, cfg: SolverConfig) -> np.ndarray:
     return np.linspace(lo, hi, cfg.scan_points)
 
 
-def scan_roots(ctx: KernelContext, cfg: SolverConfig) -> ScanResult:
+def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False) -> ScanResult:
     """Evaluate the scalar residual on a scale grid and collect sign-change brackets.
 
     Every point starts cold, so each residual equals ``lambda_residual`` at
@@ -182,39 +215,57 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig) -> ScanResult:
     refinement to reuse. Completeness is not guaranteed: only sign changes at
     scan resolution are found. A residual that is ~0 at >= 90% of the points
     is reported as a degenerate family and yields no brackets.
+
+    ``sign_only`` (used by :func:`solve_all`) stops each point once the sign
+    of its residual is settled (see :func:`inner_picard`) and resumes only
+    the bracket ends, so brackets, ends and the degenerate flag are those of
+    the full scan, while ``residuals`` are exact only at converged points and
+    bracket ends and ``failed`` lists the points that failed before their
+    sign settled. Raises :class:`ConvergenceError` when that cannot stand in
+    for the full scan: a bracket end fails or changes sign when resumed, or
+    the degenerate flag depends on points that were stopped. Points near a
+    root or a fold, where ``|R - 1|`` is small, never settle early, so they
+    keep full accuracy; a search for close root pairs between scan points
+    can rely on that.
     """
     lams = _scan_lambdas(ctx, cfg)
-    residuals = np.full(lams.shape, np.nan)
-    failed = []
-    brackets = []
-    ends = []
-    prev = None                    # (lam, (residual, shape)) of the last good point
+    r = np.full(lams.shape, np.nan)      # residuals
+    failed, pairs, converged = [], [], 0
+    prev = None                    # (index, PicardResult) of the last good point
     for i, lam in enumerate(lams):
         try:
-            pr = inner_picard(ctx, float(lam), cfg)
+            pr = inner_picard(ctx, float(lam), cfg, sign_only=sign_only)
         except ConvergenceError:
             failed.append(i)
             continue
-        r = residuals[i] = pr.R - 1.0
-        if prev is not None:
-            r_prev = prev[1][0]
-            if r_prev != 0.0 and (r_prev * r < 0 or r == 0.0):
-                brackets.append((float(prev[0]), float(lam)))
-                ends.append((prev[1], (r, pr.v)))
-        prev = (lam, (r, pr.v))
-    good = ~np.isnan(residuals)
-    n_good = int(np.count_nonzero(good))
-    degenerate = bool(
-        n_good > 0
-        and np.count_nonzero(np.abs(residuals[good]) < cfg.root_tol) >= 0.9 * n_good
-    )
+        r[i] = pr.R - 1.0
+        converged += pr.converged
+        if prev is not None and r[prev[0]] != 0.0 and (r[prev[0]] * r[i] < 0 or r[i] == 0.0):
+            pairs.append((prev, (i, pr)))
+        prev = (i, pr)
+    good = r[~np.isnan(r)]
+    zeros = int(np.count_nonzero(np.abs(good) < cfg.root_tol))
+    degenerate = bool(good.size > 0 and zeros >= 0.9 * good.size)
     if degenerate:
-        brackets, ends = [], []
+        pairs = []
+    elif sign_only and zeros > 0 and zeros >= 0.9 * converged:
+        # stopped points are never ~0, but the full scan may fail some of
+        # them; without them the flag would be set, so only it can tell
+        raise ConvergenceError("degenerate-family verdict rests on unconverged scan points")
+    ends = dict(end for pair in pairs for end in pair)     # index -> PicardResult
+    for i, pr in sorted(ends.items()):
+        if not pr.converged:
+            ends[i] = inner_picard(ctx, float(lams[i]), cfg, pr)
+            exact = ends[i].R - 1.0
+            if np.sign(exact) != np.sign(r[i]):
+                raise ConvergenceError("residual sign at scale %g changed after its stop"
+                                       % lams[i])
+            r[i] = exact
     return ScanResult(
         lambdas=lams,
-        residuals=residuals,
-        brackets=tuple(brackets),
-        ends=tuple(ends),
+        residuals=r,
+        brackets=tuple((float(lams[i]), float(lams[j])) for (i, _), (j, _) in pairs),
+        ends=tuple(tuple((ends[i].R - 1.0, ends[i].v) for i, _ in pair) for pair in pairs),
         failed=tuple(failed),
         degenerate=degenerate,
     )
@@ -478,11 +529,19 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
 
 
 def solve_all(ctx: KernelContext, cfg: SolverConfig):
-    """Scan, then refine every bracket by ITP from its scan ends.
+    """Scan for signs, then refine every bracket by ITP from its scan ends.
 
-    Returns (scan, results sorted by scale).
+    The scan is sign-only (see :func:`scan_roots`): its brackets, ends and
+    degenerate flag, and so every result, are those of the full-tolerance
+    scan, which runs instead when the sign-only one cannot stand in for it.
+    Its ``residuals`` are exact only at converged points and bracket ends,
+    and its ``failed`` lists the points that failed before their sign
+    settled. Returns (scan, results sorted by scale).
     """
-    scan = scan_roots(ctx, cfg)
+    try:
+        scan = scan_roots(ctx, cfg, sign_only=True)
+    except ConvergenceError:
+        scan = scan_roots(ctx, cfg)
     results = [bisect_root(ctx, br, cfg, ends) for br, ends in zip(scan.brackets, scan.ends)]
     results.sort(key=lambda r: r.lambda_star)
     return scan, results

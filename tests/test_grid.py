@@ -80,6 +80,14 @@ class TestGrid:
         with pytest.raises(ParameterError):
             sp.Grid(np.array(nodes))
 
+    @pytest.mark.parametrize("nodes", [
+        [0.0, np.nan, 1.0],             # passed the ordering check, with all-NaN weights
+        [0.0, 1.0, np.inf],             # built with infinite weights
+    ])
+    def test_non_finite_nodes_rejected(self, nodes):
+        with pytest.raises(ParameterError, match="nodes must be finite"):
+            sp.Grid(np.array(nodes))
+
     @pytest.mark.parametrize("scheme", sp.grid.SCHEMES)
     def test_derived_geometry(self, scheme):
         g = sp.build_grid(7.0, 101, scheme)

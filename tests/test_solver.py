@@ -306,6 +306,178 @@ class TestScanAndBisect:
             assert a.lambda_star == pytest.approx(b.lambda_star, abs=1e-8)
 
 
+def _stiff_reference_ctx(n=4001):
+    # small g_low and large b0: tens of Picard steps per scale, P* = 9
+    m = sp.hierarchical_model(g_low=0.02, g_high=1.0, mu0=1.0, b0=10.0)
+    return sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), n))
+
+
+def _sign_model(family, a, b):
+    if family == "hierarchical":
+        return sp.hierarchical_model(g_low=0.02 + 0.4 * a, g_high=1.0, mu0=0.5 + b,
+                                     b0=0.5 + 5.0 * a * b)
+    return _evidence_model("composite_" + family, a, b)
+
+
+def _assert_same_scan(sign, full):
+    assert sign.brackets == full.brackets
+    assert sign.degenerate == full.degenerate
+    assert len(sign.ends) == len(full.ends)
+    for sign_ends, full_ends in zip(sign.ends, full.ends):
+        for (r_sign, v_sign), (r_full, v_full) in zip(sign_ends, full_ends):
+            assert r_sign == r_full
+            assert np.array_equal(v_sign.values, v_full.values)
+
+
+class TestSignOnlyScan:
+    """solve_all's scan settles signs only, yet gives the full scan's brackets, ends and flag."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["hierarchical", "norm", "tail", "weighted"]),
+        scheme=st.sampled_from(["uniform_trapezoid", "graded_trapezoid"]),
+        n=st.sampled_from([201, 801]),
+        scan_points=st.sampled_from([5, 16, 33]),
+        picard_max_iter=st.sampled_from([8, 200]),
+        a=st.floats(0.0, 2.0),
+        b=st.floats(0.0, 2.0),
+    )
+    def test_matches_full_tolerance_scan(self, family, scheme, n, scan_points,
+                                         picard_max_iter, a, b):
+        model = _sign_model(family, a, b)
+        ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
+        cfg = sp.SolverConfig(scan_points=scan_points, picard_max_iter=picard_max_iter)
+        full = sp.scan_roots(ctx, cfg)
+        try:
+            sign = sp.scan_roots(ctx, cfg, sign_only=True)
+        except ConvergenceError:
+            # solve_all falls back to the full scan: a stopped bracket end
+            # failed when resumed, as the full scan saw
+            assert full.failed
+            return
+        _assert_same_scan(sign, full)
+        assert set(sign.failed) <= set(full.failed)
+
+    def test_resumed_solve_is_the_cold_solve(self):
+        ctx = _stiff_reference_ctx()
+        cfg = sp.SolverConfig()
+        stopped = sp.inner_picard(ctx, 2.0, cfg, sign_only=True)
+        cold = sp.inner_picard(ctx, 2.0, cfg)
+        assert not stopped.converged and 2 <= stopped.iterations < cold.iterations
+        resumed = sp.inner_picard(ctx, 2.0, cfg, stopped)
+        assert resumed.converged and cold.converged
+        assert resumed.iterations == cold.iterations
+        assert resumed.residual_l1 == cold.residual_l1 and resumed.R == cold.R
+        assert np.array_equal(resumed.v.values, cold.v.values)
+        assert np.array_equal(resumed.pi, cold.pi)
+
+    def test_resume_counts_steps_from_the_cold_start(self):
+        ctx = _stiff_reference_ctx()
+        stopped = sp.inner_picard(ctx, 2.0, sp.SolverConfig(), sign_only=True)
+        cfg = sp.SolverConfig(picard_max_iter=stopped.iterations + 1)
+        errors = []
+        for run in (lambda: sp.inner_picard(ctx, 2.0, cfg),
+                    lambda: sp.inner_picard(ctx, 2.0, cfg, stopped)):
+            with pytest.raises(ConvergenceError) as info:
+                run()
+            errors.append((str(info.value), info.value.last_residual, info.value.iterations))
+        assert errors[0] == errors[1]
+        assert errors[0][2] == stopped.iterations + 1
+
+    def _assert_full_path(self, ctx, cfg, scan, results):
+        full = sp.scan_roots(ctx, cfg)
+        expected = sorted((sp.bisect_root(ctx, br, cfg, ends)
+                           for br, ends in zip(full.brackets, full.ends)),
+                          key=lambda r: r.lambda_star)
+        assert scan.failed == full.failed
+        assert np.array_equal(scan.residuals, full.residuals, equal_nan=True)
+        _assert_same_scan(scan, full)
+        assert len(results) == len(expected)
+        for r, e in zip(results, expected):
+            assert r.lambda_star == e.lambda_star
+            assert np.array_equal(r.u_star.values, e.u_star.values)
+            assert r.inner_iterations == e.inner_iterations
+
+    def test_failed_resume_falls_back_to_the_full_scan(self, monkeypatch):
+        ctx = _stiff_reference_ctx(2001)
+        cfg = sp.SolverConfig(scan_points=64)
+        inner = sp.solver.inner_picard
+        resumes = []
+
+        def failing_resume(ctx, lam, cfg, start=None, **kwargs):
+            if isinstance(start, sp.solver.PicardResult):
+                resumes.append(lam)
+                raise ConvergenceError("forced", last_residual=1.0, iterations=0)
+            return inner(ctx, lam, cfg, start, **kwargs)
+
+        monkeypatch.setattr(sp.solver, "inner_picard", failing_resume)
+        scan, results = sp.solve_all(ctx, cfg)
+        monkeypatch.undo()
+        assert len(resumes) == 1 and len(results) == 1
+        self._assert_full_path(ctx, cfg, scan, results)
+
+    def test_wrong_settled_sign_falls_back_to_the_full_scan(self, monkeypatch):
+        ctx = _stiff_reference_ctx(2001)
+        cfg = sp.SolverConfig(scan_points=64)
+        inner = sp.solver.inner_picard
+        flipped = []
+
+        def flipping(ctx, lam, cfg, start=None, **kwargs):
+            pr = inner(ctx, lam, cfg, start, **kwargs)
+            if pr.converged or flipped:
+                return pr
+            flipped.append(lam)            # the first stop reports R - 1 of the wrong sign
+            return replace(pr, R=2.0 - pr.R)
+
+        monkeypatch.setattr(sp.solver, "inner_picard", flipping)
+        scan, results = sp.solve_all(ctx, cfg)
+        monkeypatch.undo()
+        assert len(flipped) == 1 and len(results) == 1
+        self._assert_full_path(ctx, cfg, scan, results)
+
+    def test_degenerate_flag_resting_on_stopped_points_falls_back(self, const_ctx_factory,
+                                                                   monkeypatch):
+        # R = 1 at every scale; 4 of 32 points fail at full tolerance but stop
+        # when settling signs, which would hide the degenerate family
+        ctx = const_ctx_factory(1.0, 1.0, 1.0)
+        cfg = sp.SolverConfig(scan_points=32, root_tol=1e-6)
+        lams = sp.solver._scan_lambdas(ctx, cfg)
+        odd = set(lams[1::8].tolist())
+        inner = sp.solver.inner_picard
+
+        def odd_points(ctx, lam, cfg, start=None, sign_only=False):
+            pr = inner(ctx, lam, cfg, start, sign_only=sign_only)
+            if lam not in odd:
+                return pr
+            if sign_only:
+                return replace(pr, R=2.0, converged=False)
+            raise ConvergenceError("forced", last_residual=1.0, iterations=cfg.picard_max_iter)
+
+        monkeypatch.setattr(sp.solver, "inner_picard", odd_points)
+        scan, results = sp.solve_all(ctx, cfg)
+        assert scan.degenerate and results == []
+        assert len(scan.failed) == 4
+
+    def test_solve_all_scan_steps_stay_sign_only(self, monkeypatch):
+        # 149 scan steps and 326 in all; the full-tolerance scan takes 670
+        # steps here, ITP 134 more
+        ctx = _stiff_reference_ctx()
+        steps = []                     # per inner solve; a resumed one from its stop
+        inner = sp.solver.inner_picard
+
+        def counted(ctx, lam, cfg, start=None, **kwargs):
+            pr = inner(ctx, lam, cfg, start, **kwargs)
+            done = start.iterations if isinstance(start, sp.solver.PicardResult) else 0
+            steps.append(pr.iterations - done)
+            return pr
+
+        monkeypatch.setattr(sp.solver, "inner_picard", counted)
+        scan, results = sp.solve_all(ctx, sp.SolverConfig(scan_points=64))
+        assert len(results) == 1 and results[0].P_star == pytest.approx(9.0, rel=0.02)
+        assert sum(steps[:len(scan.lambdas)]) <= 180
+        assert sum(steps) <= 380
+
+
 class TestMapA:
     def test_settles_near_stable_equilibrium(self, ce_ctx, ce_solutions):
         _, results = ce_solutions
