@@ -5,11 +5,14 @@ Rates and survival are computed from plain arrays on the context's grid; each
 public function checks the density it takes (a profile, or an array of the
 grid's length) once, on entry: against that grid, and for its sign.
 
-All operations are pure functions of an immutable :class:`KernelContext`, so
-they are safe to call concurrently. The survival shape is always computed as
-the exponential of one running integral of mu/g (never as products of
-per-interval survivals), shared between the net reproduction value and the
-fixed-point map within a call.
+A :class:`KernelContext` holds, computed once by :func:`make_context`, what
+does not depend on u: the rates that ignore u (bounds-checked there), the
+x-only shapes of the others, and the survival shape when neither g nor mu
+reads u. It is immutable, every array on it read-only, and all operations are
+pure functions of it, so they are safe to call concurrently. The survival
+shape is always computed as the exponential of one running integral of mu/g
+(never as products of per-interval survivals), shared between the net
+reproduction value and the fixed-point map within a call.
 """
 
 from __future__ import annotations
@@ -22,12 +25,20 @@ import numpy as np
 from . import _accel
 from .errors import ParameterError
 from .grid import DensityProfile, Grid, _density_values, _values, integrate, translate
-from .model import ModelSpec, envelope_norms, envelope_profiles, envelope_tail_mass, rates
+from .model import (
+    FrozenRates,
+    ModelSpec,
+    _at_nodes,
+    envelope_norms,
+    envelope_profiles,
+    envelope_tail_mass,
+    freeze_rates,
+)
 
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Model + grid together with the envelope profiles and their analytic norms."""
+    """Model + grid with the envelopes, their analytic norms and the u-independent rate parts."""
 
     model: ModelSpec
     grid: Grid
@@ -35,22 +46,38 @@ class KernelContext:
     e2: DensityProfile
     norm_e1: float
     norm_e2: float
+    rates: FrozenRates
+    pi: np.ndarray | None          # survival shape when neither g nor mu reads u, else None
+
+
+def _survival(grid: Grid, g, mu) -> np.ndarray:
+    # mu/g is a float when both are constant in x; the running integral needs an array
+    return _accel.survival_from_rates(grid.steps, g, _at_nodes(grid, mu / g))
 
 
 def make_context(model: ModelSpec, grid: Grid) -> KernelContext:
     e1, e2 = envelope_profiles(model.bounds, grid)
     norm_e1, norm_e2 = envelope_norms(model.bounds)
+    frozen = freeze_rates(model, grid)
+    (g, mu, _), (g_error, mu_error, _) = frozen.fixed, frozen.errors
+    pi = None
+    # a fixed rate outside its bounds raises at every evaluation, before pi is used
+    if g is not None and mu is not None and g_error is None and mu_error is None:
+        pi = _survival(grid, g, mu)
+        pi.setflags(write=False)
     return KernelContext(model=model, grid=grid, e1=e1, e2=e2,
-                         norm_e1=norm_e1, norm_e2=norm_e2)
+                         norm_e1=norm_e1, norm_e2=norm_e2, rates=frozen, pi=pi)
 
 
 def rates_and_survival(ctx: KernelContext, u_values: np.ndarray):
     """(g, beta, pi) on the grid nodes from one rate evaluation under density ``u_values``.
 
-    pi is the survival shape (1/g) exp(-int_0^x mu/g) as a plain array.
+    pi is the survival shape (1/g) exp(-int_0^x mu/g) as a plain array, the
+    context's own when it does not depend on u. g and beta are arrays at the
+    nodes, or floats where they are constant in x.
     """
-    g, mu, beta = rates(ctx.model, ctx.grid, u_values)
-    return g, beta, _accel.survival_from_rates(ctx.grid.steps, g, mu / g)
+    g, mu, beta = ctx.rates.checked(u_values)
+    return g, beta, _survival(ctx.grid, g, mu) if ctx.pi is None else ctx.pi
 
 
 def survival_pi(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
@@ -61,7 +88,7 @@ def survival_pi(ctx: KernelContext, u: DensityProfile) -> DensityProfile:
 def birth_G(ctx: KernelContext, u: DensityProfile) -> float:
     """Total birth output of profile u: integral of beta(x, u) u(x)."""
     u = _density_values(ctx.grid, u)
-    beta = rates(ctx.model, ctx.grid, u)[2]
+    beta = ctx.rates.checked(u)[2]
     return _accel.weighted_sum(ctx.grid.weights, beta * u)
 
 
@@ -158,6 +185,7 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     ok = True
     for idx, s in enumerate(samples):
         g_here, _, pi = rates_and_survival(ctx, _density_values(grid, s))
+        g_here = _at_nodes(grid, g_here)
         l1 = integrate(grid, pi)
         norm_bound = ctx.norm_e2 + quad_bias_norm
         norm_ok = math.isfinite(norm_bound) and l1 <= norm_bound * (1.0 + 1e-9)

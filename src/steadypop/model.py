@@ -109,24 +109,32 @@ class CompositeRate:
     def high(self) -> float:
         return self.const + self.x_amp + max(self.u_sat, self.u_inv)
 
-    def scalar_input(self, grid: Grid, u_values: np.ndarray) -> float:
+    def decay(self, grid: Grid) -> np.ndarray:
+        """The weights exp(-weight_decay * x) of the ``weighted`` functional at the nodes."""
+        return np.exp(-self.weight_decay * grid.nodes)
+
+    def scalar_input(self, grid: Grid, u_values: np.ndarray, decay=None) -> float:
+        """s under density ``u_values``; ``decay``, if given, is :meth:`decay` on ``grid``."""
         if self.functional == "norm":
             return integrate(grid, u_values)
         if self.functional == "tail":
             tail = reverse_cumulative_integral(grid, u_values)
             return float(np.interp(self.tail_from, grid.nodes, tail))
-        return _accel.weighted_sum(
-            grid.weights, np.exp(-self.weight_decay * grid.nodes) * u_values
-        )
+        if decay is None:
+            decay = self.decay(grid)
+        return _accel.weighted_sum(grid.weights, decay * u_values)
+
+    def x_shape(self, x):
+        """The part that reads only x: const + x_amp * (1 - exp(-x_rate * x))."""
+        return self.const + self.x_amp * (1.0 - np.exp(-self.x_rate * x))
+
+    def at(self, shape, s: float):
+        """The rate from its x-shape ``shape`` and the value ``s`` of its functional."""
+        sig = s / (1.0 + s)
+        return shape + self.u_sat * sig + self.u_inv / (1.0 + s)
 
     def value(self, x, s: float):
-        sig = s / (1.0 + s)
-        return (
-            self.const
-            + self.x_amp * (1.0 - np.exp(-self.x_rate * x))
-            + self.u_sat * sig
-            + self.u_inv / (1.0 + s)
-        )
+        return self.at(self.x_shape(x), s)
 
 
 @dataclass(frozen=True)
@@ -184,10 +192,13 @@ def counterexample_f(a: float) -> float:
 # -- rate evaluation ---------------------------------------------------------
 #
 # Rates are evaluated at a grid's nodes under a plain density array on that
-# grid. One function per variant maps (params, grid, u_values) to the unchecked
-# (g, mu, beta) and computes each functional of u once; a second maps
-# (params, P) to a bound on that beta over all x for every u of integral P.
-# _RATES is the only place a variant is dispatched to rate code.
+# grid, in two parts. freeze_rates computes, once per model and grid, what does
+# not read u, and judges its bounds there: every rate that ignores u, and the
+# x-only shapes and functional weights of the others. Each evaluation then
+# computes and checks only the rates that read u, each functional of u once;
+# a rate constant in x is a float there. Per variant, _RATES holds these two
+# functions and a bound on beta over all x for every u of a given integral; it
+# is the only place a variant is dispatched to rate code.
 
 
 def _fill(grid: Grid, value) -> np.ndarray:
@@ -195,33 +206,67 @@ def _fill(grid: Grid, value) -> np.ndarray:
     return np.full(grid.n, value, dtype=float)
 
 
-def _constant_rates(p, grid: Grid, u: np.ndarray):
-    return _fill(grid, p["g0"]), _fill(grid, p["mu0"]), _fill(grid, p["beta0"])
+def _at_nodes(grid: Grid, value) -> np.ndarray:
+    """A rate as an array at the nodes: a float is filled, an array returned as it is."""
+    return value if isinstance(value, np.ndarray) else _fill(grid, value)
 
 
-def _counterexample_rates(p, grid: Grid, u: np.ndarray):
-    fval = counterexample_f(integrate(grid, u))
-    beta = 2.0 * p["g"] * (1.0 - np.exp(-grid.nodes)) * fval
-    return _fill(grid, p["g"]), _fill(grid, p["g"]), beta
+def _constant_frozen(p, grid: Grid):
+    return (_fill(grid, p["g0"]), _fill(grid, p["mu0"]), _fill(grid, p["beta0"])), None
 
 
-def _hierarchical_rates(p, grid: Grid, u: np.ndarray):
-    tail = reverse_cumulative_integral(grid, u)
+def _constant_rates(p, frozen, u: np.ndarray):
+    return frozen.fixed
+
+
+def _counterexample_frozen(p, grid: Grid):
+    g = _fill(grid, p["g"])
+    return (g, g, None), 2.0 * p["g"] * (1.0 - np.exp(-grid.nodes))
+
+
+def _counterexample_rates(p, frozen, u: np.ndarray):
+    g = frozen.fixed[0]
+    return g, g, frozen.shapes * counterexample_f(integrate(frozen.grid, u))
+
+
+def _hierarchical_frozen(p, grid: Grid):
+    return (None, _fill(grid, p["mu0"]), None), None
+
+
+def _hierarchical_rates(p, frozen, u: np.ndarray):
+    tail = reverse_cumulative_integral(frozen.grid, u)
     g = p["g_low"] + (p["g_high"] - p["g_low"]) * np.exp(-tail)
-    beta = p["b0"] / (1.0 + integrate(grid, u))
-    return g, _fill(grid, p["mu0"]), _fill(grid, beta)
+    return g, frozen.fixed[1], p["b0"] / (1.0 + integrate(frozen.grid, u))
 
 
-def _composite_rates(p, grid: Grid, u: np.ndarray):
+def _composite_frozen(p, grid: Grid):
+    # per rate: its array if it ignores u, else its x-shape (a float when
+    # x_amp = 0) and the weights of a weighted functional
+    fixed, shapes = [], []
+    for rate in (p["g"], p["mu"], p["beta"]):
+        shape = rate.x_shape(0.0) if rate.x_amp == 0 else rate.x_shape(grid.nodes)
+        if rate.u_sat == 0 and rate.u_inv == 0:
+            # the u-terms add zeros, of the same signs for every s >= 0
+            fixed.append(_at_nodes(grid, rate.at(shape, 0.0)))
+            shapes.append(None)
+        else:
+            fixed.append(None)
+            shapes.append((shape, rate.decay(grid) if rate.functional == "weighted" else None))
+    return tuple(fixed), tuple(shapes)
+
+
+def _composite_rates(p, frozen, u: np.ndarray):
     inputs = {}  # rates reading the same functional of u share its value
-
-    def value(rate: CompositeRate):
-        key = (rate.functional, rate.tail_from, rate.weight_decay)
-        if key not in inputs:
-            inputs[key] = rate.scalar_input(grid, u)
-        return rate.value(grid.nodes, inputs[key])
-
-    return value(p["g"]), value(p["mu"]), value(p["beta"])
+    out = []
+    for rate, value, parts in zip((p["g"], p["mu"], p["beta"]), frozen.fixed, frozen.shapes):
+        if value is None:
+            shape, decay = parts
+            key = (rate.functional, rate.tail_from, rate.weight_decay)
+            if key not in inputs:
+                inputs[key] = rate.scalar_input(frozen.grid, u, decay)
+            value = rate.at(shape, inputs[key])
+        out.append(value)
+    return tuple(out)
 
 
 def _composite_beta_sup(p, P):
@@ -233,28 +278,20 @@ def _composite_beta_sup(p, P):
 
 
 class _Variant(NamedTuple):
-    rates: Callable          # (params, grid, u_values) -> unchecked (g, mu, beta) at the nodes
+    frozen: Callable         # (params, grid) -> (fixed, shapes) of a FrozenRates
+    rates: Callable          # (params, FrozenRates, u_values) -> unchecked (g, mu, beta)
     beta_sup: Callable       # (params, P) -> bound on beta over all x, any u of integral P
 
 
 _RATES = {
-    CONSTANT: _Variant(_constant_rates, lambda p, P: p["beta0"]),
+    CONSTANT: _Variant(_constant_frozen, _constant_rates, lambda p, P: p["beta0"]),
     # 1 - e^{-x} <= 1
-    COUNTEREXAMPLE: _Variant(_counterexample_rates,
+    COUNTEREXAMPLE: _Variant(_counterexample_frozen, _counterexample_rates,
                              lambda p, P: 2.0 * p["g"] * counterexample_f(P)),
-    HIERARCHICAL: _Variant(_hierarchical_rates, lambda p, P: p["b0"] / (1.0 + P)),
-    COMPOSITE: _Variant(_composite_rates, _composite_beta_sup),
+    HIERARCHICAL: _Variant(_hierarchical_frozen, _hierarchical_rates,
+                           lambda p, P: p["b0"] / (1.0 + P)),
+    COMPOSITE: _Variant(_composite_frozen, _composite_rates, _composite_beta_sup),
 }
-
-
-def raw_rates(model: ModelSpec, grid: Grid, u_values: np.ndarray):
-    """(g, mu, beta) at the grid's nodes under density ``u_values``, without the bounds check."""
-    return _RATES[model.variant].rates(model.params, grid, u_values)
-
-
-def beta_sup(model: ModelSpec, P: float) -> float:
-    """Bound on beta(x, u) over all x, for every profile u whose integral is P."""
-    return _RATES[model.variant].beta_sup(model.params, P)
 
 
 def _tolerance(bound):
@@ -262,24 +299,98 @@ def _tolerance(bound):
     return 1e-12 * max(1.0, abs(bound))
 
 
-def _checked(value, low, high, name):
-    # one min and one max pass; the negated form also flags NaN
-    if not (low - _tolerance(low) <= np.min(value) and np.max(value) <= high + _tolerance(high)):
-        raise BoundsViolationError(
-            "%s evaluated outside declared bounds [%g, %g]" % (name, low, high)
-        )
-    return value
+def _limits(bounds: RateBounds):
+    return ((bounds.g_low, bounds.g_high, "g"), (bounds.mu_low, bounds.mu_high, "mu"),
+            (0.0, bounds.beta_max, "beta"))
+
+
+def _violation(value, low, high, name):
+    """Why ``value`` (an array, or a float) fails the bounds check, or None if it passes."""
+    if isinstance(value, float):
+        lo = hi = value
+    else:                           # what np.min and np.max run, without their dispatch
+        lo, hi = np.minimum.reduce(value), np.maximum.reduce(value)
+    # the negated form also flags NaN
+    if not (low - _tolerance(low) <= lo and hi <= high + _tolerance(high)):
+        return "%s evaluated outside declared bounds [%g, %g]" % (name, low, high)
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class FrozenRates:
+    """A model's rates on one grid, with what does not read u computed and judged once.
+
+    ``fixed`` holds (g, mu, beta): an array at the nodes for each rate that
+    ignores u, None for each that reads it. ``errors`` holds each fixed rate's
+    bounds-check failure (None when it passes); every checked evaluation
+    raises it. ``shapes`` holds the x-only factors and functional weights of
+    the rates that read u, laid out by the variant. Every array is read-only.
+    """
+
+    model: ModelSpec
+    grid: Grid
+    fixed: tuple
+    errors: tuple
+    shapes: object
+
+    def raw(self, u_values: np.ndarray):
+        """Unchecked (g, mu, beta) under density ``u_values``; a rate constant in x is a float."""
+        return _RATES[self.model.variant].rates(self.model.params, self, u_values)
+
+    def checked(self, u_values: np.ndarray):
+        """:meth:`raw`, raising :class:`BoundsViolationError` if any rate leaves its bounds.
+
+        Only the rates that read u are checked here; a fixed rate's verdict is the
+        one :func:`freeze_rates` reached.
+        """
+        values = _RATES[self.model.variant].rates(self.model.params, self, u_values)
+        for value, fixed, error, limits in zip(values, self.fixed, self.errors,
+                                               _limits(self.model.bounds)):
+            if fixed is None:
+                error = _violation(value, *limits)
+            if error is not None:
+                raise BoundsViolationError(error)
+        return values
+
+
+def _read_only(parts) -> None:
+    """Make every array in ``parts``, nested in tuples, read-only."""
+    if isinstance(parts, np.ndarray):
+        parts.setflags(write=False)
+    elif isinstance(parts, tuple):
+        for part in parts:
+            _read_only(part)
+
+
+def freeze_rates(model: ModelSpec, grid: Grid) -> FrozenRates:
+    """Compute ``model``'s u-independent rates and x-shapes on ``grid``, and judge their bounds.
+
+    Never raises for a fixed rate outside its bounds: its evaluations do.
+    """
+    fixed, shapes = _RATES[model.variant].frozen(model.params, grid)
+    _read_only((fixed, shapes))
+    errors = tuple(None if value is None else _violation(value, *limits)
+                   for value, limits in zip(fixed, _limits(model.bounds)))
+    return FrozenRates(model, grid, fixed, errors, shapes)
+
+
+def _node_arrays(grid: Grid, values) -> tuple:
+    return tuple(_at_nodes(grid, value) for value in values)
+
+
+def raw_rates(model: ModelSpec, grid: Grid, u_values: np.ndarray):
+    """(g, mu, beta) at the grid's nodes under density ``u_values``, without the bounds check."""
+    return _node_arrays(grid, freeze_rates(model, grid).raw(u_values))
+
+
+def beta_sup(model: ModelSpec, P: float) -> float:
+    """Bound on beta(x, u) over all x, for every profile u whose integral is P."""
+    return _RATES[model.variant].beta_sup(model.params, P)
 
 
 def rates(model: ModelSpec, grid: Grid, u_values: np.ndarray):
     """(g, mu, beta) at the grid's nodes under density ``u_values``; raises if any leaves its bounds."""
-    g, mu, beta = raw_rates(model, grid, u_values)
-    b = model.bounds
-    return (
-        _checked(g, b.g_low, b.g_high, "g"),
-        _checked(mu, b.mu_low, b.mu_high, "mu"),
-        _checked(beta, 0.0, b.beta_max, "beta"),
-    )
+    return _node_arrays(grid, freeze_rates(model, grid).checked(u_values))
 
 
 def eval_g(model: ModelSpec, u: DensityProfile) -> np.ndarray:
@@ -412,11 +523,16 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     T = 0.5 * grid.x_max
     in_window = nodes <= T
 
+    frozen = freeze_rates(model, grid)
+
+    def raw(u):
+        return _node_arrays(grid, frozen.raw(u))
+
     values = [_density_values(grid, s) for s in samples]
     worst = 0.0
     gx_sup = 0.0
     for u in values:
-        g, mu, beta = raw_rates(model, grid, u)
+        g, mu, beta = raw(u)
         worst = max(
             worst,
             float(np.max(b.g_low - g, initial=0.0)),
@@ -449,7 +565,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
 
     _, e2 = envelope_values(b, nodes)
     lams = (1.0, 10.0, 1e2, 1e3, 1e4)
-    beta_sweep = [float(np.max(raw_rates(model, grid, lam * e2)[2])) for lam in lams]
+    beta_sweep = [float(np.max(raw(lam * e2)[2])) for lam in lams]
     nonincreasing = all(
         beta_sweep[i + 1] <= beta_sweep[i] + 1e-12 for i in range(len(beta_sweep) - 1)
     )
@@ -459,7 +575,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     base = values[0]
     delta = 1e-6 / max(integrate(grid, e2), 1e-300)
     resp = 0.0
-    for a0, a1 in zip(raw_rates(model, grid, base), raw_rates(model, grid, base + delta * e2)):
+    for a0, a1 in zip(raw(base), raw(base + delta * e2)):
         scale = max(float(np.max(np.abs(a0))), 1e-300)
         resp = max(resp, float(np.max(np.abs(a1 - a0))) / scale)
 

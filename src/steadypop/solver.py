@@ -28,7 +28,6 @@ from .model import (
     beta_sup,
     envelope_tail_mass,
     random_onion_samples,
-    raw_rates,
     survival_mass_bound,
 )
 
@@ -146,8 +145,8 @@ def inner_picard(
     steps against ``picard_max_iter``; the map is deterministic, so the
     resumed solve returns what the cold one does, bit for bit.
     """
-    if lam < 0:
-        raise ParameterError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ParameterError("lam must be finite and nonnegative", "lam")
     grid = ctx.grid
     first, res, R = 1, math.nan, math.nan
     if isinstance(start, PicardResult):
@@ -300,6 +299,8 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends=None) -> Eq
     evaluated.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0 <= lo < hi < math.inf:       # also rejects NaN
+        raise ParameterError("bracket ends must be finite with 0 <= lo < hi", "bracket")
     if ends is None:
         ends = []
         for lam in (lo, hi):
@@ -349,8 +350,8 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
     Returns an :class:`EquilibriumResult` when the pair settles at a positive
     scale; otherwise the full trace, flagged non-convergent.
     """
-    if lambda0 < 0:
-        raise ParameterError("lambda0 must be nonnegative")
+    if not 0 <= lambda0 < math.inf:
+        raise ParameterError("lambda0 must be finite and nonnegative", "lambda0")
     grid = ctx.grid
     v = _density_values(grid, v0)
     lam = float(lambda0)
@@ -448,9 +449,14 @@ def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
         pairs.append((len(rows), len(rows) + 1))
         rows += [u2 * rng.random(grid.n), u2]
 
+    kept = grid.nodes[::stride].size
+
+    def strided(rate):             # a rate constant in x comes as a float
+        return rate[::stride] if isinstance(rate, np.ndarray) else np.full(kept, rate)
+
     mg, bm = [], []
     for u in rows:
-        g, mu, beta = (a[::stride] for a in raw_rates(ctx.model, grid, u))
+        g, mu, beta = (strided(a) for a in ctx.rates.raw(u))
         mg.append(mu / g)
         bm.append(beta / mu)
     mg, bm = np.array(mg), np.array(bm)

@@ -1,0 +1,285 @@
+"""Rates split into what a context freezes and what each evaluation reads from u.
+
+The reference below is the per-variant rate code that evaluated every rate,
+x-shapes included, at each call, with the survival shape rebuilt each time.
+The split must reproduce it bit for bit, and do the u-independent work once.
+"""
+
+import itertools
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import steadypop as sp
+from steadypop import _accel
+from steadypop.config import load_config
+from steadypop.errors import BoundsViolationError
+from steadypop.grid import integrate, reverse_cumulative_integral
+from steadypop.kernel import rates_and_survival
+from steadypop.model import counterexample_f
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# -- reference: the rate code before the split, kept verbatim -----------------
+
+
+def _fill(grid, value):
+    return np.full(grid.n, value, dtype=float)
+
+
+def _scalar_input(rate, grid, u_values):
+    if rate.functional == "norm":
+        return integrate(grid, u_values)
+    if rate.functional == "tail":
+        tail = reverse_cumulative_integral(grid, u_values)
+        return float(np.interp(rate.tail_from, grid.nodes, tail))
+    return _accel.weighted_sum(
+        grid.weights, np.exp(-rate.weight_decay * grid.nodes) * u_values
+    )
+
+
+def _value(rate, x, s):
+    sig = s / (1.0 + s)
+    return (
+        rate.const
+        + rate.x_amp * (1.0 - np.exp(-rate.x_rate * x))
+        + rate.u_sat * sig
+        + rate.u_inv / (1.0 + s)
+    )
+
+
+def _constant_rates(p, grid, u):
+    return _fill(grid, p["g0"]), _fill(grid, p["mu0"]), _fill(grid, p["beta0"])
+
+
+def _counterexample_rates(p, grid, u):
+    fval = counterexample_f(integrate(grid, u))
+    beta = 2.0 * p["g"] * (1.0 - np.exp(-grid.nodes)) * fval
+    return _fill(grid, p["g"]), _fill(grid, p["g"]), beta
+
+
+def _hierarchical_rates(p, grid, u):
+    tail = reverse_cumulative_integral(grid, u)
+    g = p["g_low"] + (p["g_high"] - p["g_low"]) * np.exp(-tail)
+    beta = p["b0"] / (1.0 + integrate(grid, u))
+    return g, _fill(grid, p["mu0"]), _fill(grid, beta)
+
+
+def _composite_rates(p, grid, u):
+    inputs = {}  # rates reading the same functional of u share its value
+
+    def value(rate):
+        key = (rate.functional, rate.tail_from, rate.weight_decay)
+        if key not in inputs:
+            inputs[key] = _scalar_input(rate, grid, u)
+        return _value(rate, grid.nodes, inputs[key])
+
+    return value(p["g"]), value(p["mu"]), value(p["beta"])
+
+
+REFERENCE = {"constant": _constant_rates, "counterexample": _counterexample_rates,
+             "hierarchical": _hierarchical_rates, "composite": _composite_rates}
+
+
+def _cumtrapz(steps, f):
+    out = np.empty_like(f)
+    out[0] = 0.0
+    np.cumsum(0.5 * (f[1:] + f[:-1]) * steps, out=out[1:])
+    return out
+
+
+def survival_from_rates(steps, g, ratio):
+    # survival shape (1/g) * exp(-running trapezoid integral of mu/g)
+    return np.exp(-_cumtrapz(steps, ratio)) / g
+
+
+def _checked(value, low, high, name):
+    tol = lambda bound: 1e-12 * max(1.0, abs(bound))   # noqa: E731
+    if not (low - tol(low) <= np.min(value) and np.max(value) <= high + tol(high)):
+        raise BoundsViolationError(
+            "%s evaluated outside declared bounds [%g, %g]" % (name, low, high)
+        )
+    return value
+
+
+def _reference_rates(model, grid, u):
+    g, mu, beta = REFERENCE[model.variant](model.params, grid, u)
+    b = model.bounds
+    return (_checked(g, b.g_low, b.g_high, "g"), _checked(mu, b.mu_low, b.mu_high, "mu"),
+            _checked(beta, 0.0, b.beta_max, "beta"))
+
+
+# -- the sweep ----------------------------------------------------------------
+
+
+def _bits(value, n):
+    """A rate as the int64 bit patterns of its values at n nodes (-0.0 differs from 0.0)."""
+    return np.broadcast_to(np.asarray(value, dtype=float), (n,)).view(np.int64)
+
+
+def _same(got, expected, n):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(_bits(a, n), _bits(b, n))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except BoundsViolationError as exc:
+        return None, str(exc)
+
+
+zeros = st.sampled_from([0.0, -0.0])
+amounts = st.one_of(zeros, st.floats(0.05, 3.0))
+
+
+@st.composite
+def composite_rates(draw, positive):
+    const = draw(st.floats(0.1, 2.0)) if positive else draw(st.one_of(zeros, st.floats(0.0, 2.0)))
+    return sp.CompositeRate(
+        const=const, x_amp=draw(amounts), x_rate=draw(st.floats(0.1, 3.0)),
+        u_sat=draw(amounts), u_inv=draw(amounts),
+        functional=draw(st.sampled_from(["norm", "tail", "weighted"])),
+        tail_from=draw(st.floats(0.0, 5.0)), weight_decay=draw(st.floats(0.1, 3.0)),
+    )
+
+
+@st.composite
+def models(draw):
+    # composite has the most cases: zero or nonzero x_amp, u_sat and u_inv, three functionals
+    variant = draw(st.sampled_from(["constant", "counterexample", "hierarchical"]
+                                   + ["composite"] * 3))
+    if variant == "constant":
+        return sp.constant_model(mu0=draw(st.floats(0.2, 3.0)), g0=draw(st.floats(0.2, 3.0)),
+                                 beta0=draw(st.one_of(zeros, st.floats(0.0, 3.0))))
+    if variant == "counterexample":
+        return sp.counterexample_model(draw(st.floats(0.2, 3.0)))
+    if variant == "hierarchical":
+        g_low = draw(st.floats(0.05, 1.0))
+        return sp.hierarchical_model(g_low=g_low, g_high=g_low + draw(st.floats(0.0, 2.0)),
+                                     mu0=draw(st.floats(0.2, 3.0)), b0=draw(st.floats(0.1, 5.0)))
+    return sp.composite_model(g=draw(composite_rates(True)), mu=draw(composite_rates(True)),
+                              beta=draw(composite_rates(False)))
+
+
+class TestBitIdenticalToReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=models(),
+        scheme=st.sampled_from(["uniform_trapezoid", "graded_trapezoid"]),
+        n=st.sampled_from([3, 61, 400]),
+        scale=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+        decay=st.floats(0.01, 50.0),
+    )
+    def test_rates_raw_rates_and_survival(self, model, scheme, n, scale, decay):
+        # the horizon of 100 makes exp(-decay x) underflow to 0 for decay >~ 7.5
+        grid = sp.build_grid(100.0, n, scheme)
+        u = scale * np.exp(-decay * grid.nodes)
+        _same(sp.model.raw_rates(model, grid, u),
+              REFERENCE[model.variant](model.params, grid, u), n)
+
+        got, error = _outcome(sp.model.rates, model, grid, u)
+        expected, expected_error = _outcome(_reference_rates, model, grid, u)
+        assert error == expected_error
+        ctx = sp.make_context(model, grid)
+        if error is None:
+            _same(got, expected, n)
+            g, mu, beta = expected
+            pi = survival_from_rates(grid.steps, g, mu / g)
+            _same(rates_and_survival(ctx, u), (g, beta, pi), n)
+        else:
+            with pytest.raises(BoundsViolationError, match="^" + error.split(" [")[0]):
+                rates_and_survival(ctx, u)
+
+    @pytest.mark.parametrize("signs", list(itertools.product([0.0, -0.0], repeat=4)))
+    def test_zero_signs_follow_the_reference(self, signs):
+        # a beta that ignores u is frozen at s = 0 (and x_amp = 0 at x = 0): the
+        # zeros its terms add must keep the signs they have at every node and s
+        const, x_amp, u_sat, u_inv = signs
+        beta = sp.CompositeRate(const=const, x_amp=x_amp, u_sat=u_sat, u_inv=u_inv)
+        model = sp.composite_model(g=sp.CompositeRate(const=1.0), mu=sp.CompositeRate(const=1.0),
+                                   beta=beta)
+        grid = sp.build_grid(10.0, 11)
+        u = np.ones(grid.n)
+        _same(sp.model.raw_rates(model, grid, u), _composite_rates(model.params, grid, u), grid.n)
+
+
+# -- the work done once --------------------------------------------------------
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _shipped_context(name):
+    run = load_config(str(CONFIGS / ("%s.cfg" % name)))
+    return sp.make_context(run.model, run.grid), run.solver
+
+
+class TestWorkDoneOnce:
+    def test_fixed_survival_shape_is_built_once_per_context(self, monkeypatch):
+        # counterexample: g = mu = const, so its survival shape never reads u
+        shapes = _count(monkeypatch, _accel, "survival_from_rates")
+        ctx, cfg = _shipped_context("counterexample")
+        assert len(shapes) == 1
+        _, results = sp.solve_all(ctx, cfg)
+        assert len(results) == 2
+        assert len(shapes) == 1
+
+    def test_survival_shape_reading_u_is_built_per_evaluation(self, monkeypatch):
+        shapes = _count(monkeypatch, _accel, "survival_from_rates")
+        evaluations = _count(monkeypatch, sp.model.FrozenRates, "checked")
+        ctx, cfg = _shipped_context("hierarchical")
+        assert ctx.pi is None and shapes == []
+        _, results = sp.solve_all(ctx, cfg)
+        assert len(results) == 1
+        assert len(shapes) == len(evaluations) > 100
+
+    def test_context_arrays_are_read_only(self, ce_ctx):
+        frozen = ce_ctx.rates
+        for value in [*frozen.fixed[:2], frozen.shapes, ce_ctx.pi]:
+            assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            ce_ctx.pi[0] = 0.0
+
+    @pytest.mark.parametrize("variant,fixed", [
+        ("constant", (True, True, True)),
+        ("counterexample", (True, True, False)),
+        ("hierarchical", (False, True, False)),
+    ])
+    def test_what_each_variant_freezes(self, variant, fixed):
+        model = {
+            "constant": lambda: sp.constant_model(1.0, 1.0, 0.5),
+            "counterexample": lambda: sp.counterexample_model(1.0),
+            "hierarchical": lambda: sp.hierarchical_model(0.5, 1.0, 1.0, 2.0),
+        }[variant]()
+        ctx = sp.make_context(model, sp.build_grid(10.0, 101))
+        assert tuple(value is not None for value in ctx.rates.fixed) == fixed
+        assert (ctx.pi is not None) == (fixed[0] and fixed[1])
+
+    def test_composite_freezes_the_rates_without_u_terms(self):
+        model = sp.composite_model(
+            g=sp.CompositeRate(const=0.5, x_amp=0.5),
+            mu=sp.CompositeRate(const=1.0, u_sat=0.5, functional="weighted"),
+            beta=sp.CompositeRate(const=0.1, u_inv=2.0),
+        )
+        grid = sp.build_grid(10.0, 101)
+        ctx = sp.make_context(model, grid)
+        assert [value is not None for value in ctx.rates.fixed] == [True, False, False]
+        g, beta, _ = rates_and_survival(ctx, np.exp(-grid.nodes))
+        # x_amp = 0: beta is constant in x and comes as a float
+        assert isinstance(g, np.ndarray) and isinstance(beta, float)
+        assert math.isclose(beta, 0.1 + 2.0 / (1.0 + integrate(grid, np.exp(-grid.nodes))))

@@ -174,6 +174,25 @@ class TestEvalRates:
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
             sp.model.rates(bad, g, np.zeros(g.n))
 
+    def test_frozen_bounds_violation_raises_on_evaluation(self):
+        # mu0 = 2 lies outside the declared mu bounds [1, 1]; mu ignores u, so the
+        # context judges it once, and every checked evaluation raises
+        bad = ModelSpec(
+            "hierarchical",
+            RateBounds(g_low=0.5, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=2.0),
+            {"g_low": 0.5, "g_high": 1.0, "mu0": 2.0, "b0": 2.0},
+        )
+        g = sp.build_grid(10.0, 101)
+        ctx = sp.make_context(bad, g)
+        for _ in range(2):
+            with pytest.raises(BoundsViolationError, match="^mu evaluated"):
+                sp.net_reproduction_R(ctx, sp.zero_profile(g))
+        with pytest.raises(BoundsViolationError, match="^mu evaluated"):
+            sp.birth_G(ctx, sp.zero_profile(g))
+        with pytest.raises(BoundsViolationError, match="^mu evaluated"):
+            sp.model.eval_mu(bad, sp.zero_profile(g))
+        assert np.all(sp.model.raw_rates(bad, g, np.zeros(g.n))[1] == 2.0)
+
     def test_nan_profile_raises(self):
         # NaN compares false with both bounds, so only a negated check catches it
         m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)

@@ -88,6 +88,18 @@ class TestInnerPicard:
         with pytest.raises(ParameterError):
             sp.inner_picard(ce_ctx, -1.0, CE_CFG)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    @pytest.mark.parametrize("route", ["inner_picard", "iterate_map_A"])
+    def test_scale_that_is_not_finite_rejected(self, hier_ctx, route, lam):
+        # a scale that is not finite is the caller's error, not the model's bounds'
+        field = "lam" if route == "inner_picard" else "lambda0"
+        with pytest.raises(ParameterError) as info:
+            if route == "inner_picard":
+                sp.inner_picard(hier_ctx, lam, sp.SolverConfig())
+            else:
+                sp.iterate_map_A(hier_ctx, hier_ctx.e2, lam, sp.SolverConfig())
+        assert info.value.field == field
+
     def test_nonconvergence_raises_with_diagnostics(self, hier_ctx):
         cfg = sp.SolverConfig(picard_tol=1e-10, picard_max_iter=1)
         with pytest.raises(ConvergenceError) as e:
@@ -296,6 +308,19 @@ class TestScanAndBisect:
     def test_bisect_rejects_bad_bracket(self, ce_ctx):
         with pytest.raises(ParameterError):
             sp.bisect_root(ce_ctx, (0.3, 0.5), CE_CFG)  # same residual sign
+
+    @pytest.mark.parametrize("bracket", [(math.nan, 0.5), (0.1, math.inf), (0.5, 0.1)],
+                             ids=["nan_end", "inf_end", "reversed"])
+    @pytest.mark.parametrize("with_ends", [False, True])
+    def test_bisect_rejects_a_bracket_that_is_not_finite_and_ordered(
+        self, ce_ctx, with_ends, bracket
+    ):
+        # ITP's step bound takes the log of the width: only a finite, ordered bracket has one
+        v = sp.inner_picard(ce_ctx, 0.5, CE_CFG).v
+        ends = ((-1e-3, v), (1e-3, v)) if with_ends else None
+        with pytest.raises(ParameterError) as info:
+            sp.bisect_root(ce_ctx, bracket, CE_CFG, ends)
+        assert info.value.field == "bracket"
 
     def test_solution_independent_of_scan_resolution(self, ce_ctx, ce_solutions):
         _, coarse = ce_solutions
@@ -676,9 +701,21 @@ class TestCertificates:
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
             sp.certify(ctx, sp.SolverConfig())
 
+    def test_certify_keeps_the_frozen_bounds_check(self):
+        # mu0 = 2 lies outside the declared mu bounds [1, 1]: the context builds,
+        # and the first rate evaluation raises
+        bad = ModelSpec(
+            "hierarchical",
+            RateBounds(g_low=0.5, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=2.0),
+            {"g_low": 0.5, "g_high": 1.0, "mu0": 2.0, "b0": 2.0},
+        )
+        ctx = sp.make_context(bad, sp.build_grid(10.0, 101))
+        with pytest.raises(BoundsViolationError, match="^mu evaluated"):
+            sp.certify(ctx, sp.SolverConfig())
+
 
 def _ratios_reference(model, grid, u_values, stride: int):
-    g, mu, beta = (a[::stride] for a in sp.solver.raw_rates(model, grid, u_values))
+    g, mu, beta = (a[::stride] for a in sp.model.raw_rates(model, grid, u_values))
     return mu / g, beta / mu
 
 
@@ -768,14 +805,15 @@ class TestMonotonicityEvidence:
         assert sp.solver._monotonicity_evidence(ctx, cfg) == _monotonicity_reference(ctx, cfg)
 
     def test_one_rate_evaluation_per_sampled_profile(self, hier_ctx, monkeypatch):
+        # every unchecked rate evaluation, the reference's raw_rates included, runs FrozenRates.raw
         evaluated = []
-        raw_rates = sp.solver.raw_rates
+        raw = sp.model.FrozenRates.raw
 
-        def recorded(model, grid, u_values):
+        def recorded(frozen, u_values):
             evaluated.append(u_values.tobytes())
-            return raw_rates(model, grid, u_values)
+            return raw(frozen, u_values)
 
-        monkeypatch.setattr(sp.solver, "raw_rates", recorded)
+        monkeypatch.setattr(sp.model.FrozenRates, "raw", recorded)
         cfg = sp.SolverConfig()
         assert sp.solver._monotonicity_evidence(hier_ctx, cfg)["pairs_sampled"] == 28
         rows = list(evaluated)
