@@ -84,7 +84,7 @@ class DensityProfile:
             raise GridMismatchError(
                 "profile has %d values for a grid of %d nodes" % (values.size, self.grid.n)
             )
-        if np.any(values < 0):
+        if not np.all(values >= 0):     # the negated form also rejects NaN
             raise ParameterError("density values must be nonnegative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

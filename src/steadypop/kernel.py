@@ -8,11 +8,11 @@ grid's length) once, on entry: against that grid, and for its sign.
 A :class:`KernelContext` holds, computed once by :func:`make_context`, what
 does not depend on u: the rates that ignore u (bounds-checked there), the
 x-only shapes of the others, and the survival shape when neither g nor mu
-reads u. It is immutable, every array on it read-only, and all operations are
-pure functions of it, so they are safe to call concurrently. The survival
-shape is always computed as the exponential of one running integral of mu/g
-(never as products of per-interval survivals), shared between the net
-reproduction value and the fixed-point map within a call.
+reads u. It is immutable, every array it exposes is read-only, and all
+operations are pure functions of it, so they are safe to call concurrently.
+The survival shape is always computed as the exponential of one running
+integral of mu/g (never as products of per-interval survivals), shared between
+the net reproduction value and the fixed-point map within a call.
 """
 
 from __future__ import annotations

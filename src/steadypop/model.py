@@ -72,8 +72,8 @@ class RateBounds:
 class CompositeRate:
     """Separable rate descriptor.
 
-    value(x, u) = const + x_amp * (1 - exp(-x_rate * x))
-                  + u_sat * s/(1+s) + u_inv / (1+s)
+    rate(x, u) = const + x_amp * (1 - exp(-x_rate * x))
+                 + u_sat * s/(1+s) + u_inv / (1+s)
 
     where s is the chosen scalar functional of u:
       * ``norm``     -- the L1 norm of u,
@@ -113,15 +113,13 @@ class CompositeRate:
         """The weights exp(-weight_decay * x) of the ``weighted`` functional at the nodes."""
         return np.exp(-self.weight_decay * grid.nodes)
 
-    def scalar_input(self, grid: Grid, u_values: np.ndarray, decay=None) -> float:
-        """s under density ``u_values``; ``decay``, if given, is :meth:`decay` on ``grid``."""
+    def scalar_input(self, grid: Grid, u_values: np.ndarray, decay) -> float:
+        """s under density ``u_values``; ``decay``, read if ``weighted``, is :meth:`decay`."""
         if self.functional == "norm":
             return integrate(grid, u_values)
         if self.functional == "tail":
             tail = reverse_cumulative_integral(grid, u_values)
             return float(np.interp(self.tail_from, grid.nodes, tail))
-        if decay is None:
-            decay = self.decay(grid)
         return _accel.weighted_sum(grid.weights, decay * u_values)
 
     def x_shape(self, x):
@@ -132,9 +130,6 @@ class CompositeRate:
         """The rate from its x-shape ``shape`` and the value ``s`` of its functional."""
         sig = s / (1.0 + s)
         return shape + self.u_sat * sig + self.u_inv / (1.0 + s)
-
-    def value(self, x, s: float):
-        return self.at(self.x_shape(x), s)
 
 
 @dataclass(frozen=True)
@@ -192,13 +187,14 @@ def counterexample_f(a: float) -> float:
 # -- rate evaluation ---------------------------------------------------------
 #
 # Rates are evaluated at a grid's nodes under a plain density array on that
-# grid, in two parts. freeze_rates computes, once per model and grid, what does
-# not read u, and judges its bounds there: every rate that ignores u, and the
-# x-only shapes and functional weights of the others. Each evaluation then
-# computes and checks only the rates that read u, each functional of u once;
-# a rate constant in x is a float there. Per variant, _RATES holds these two
-# functions and a bound on beta over all x for every u of a given integral; it
-# is the only place a variant is dispatched to rate code.
+# grid. Per variant, _RATES holds one binder and a bound on beta over all x for
+# every u of a given integral; it is the only place a variant is dispatched to
+# rate code. A binder computes, once per model and grid, what does not read u:
+# every rate that ignores u (as an array in ``fixed``, None for the others) and
+# the x-only shapes and functional weights of the rest. It returns ``fixed`` and
+# a closure over these parts that computes only the rates that read u, each
+# functional of u once, and passes a fixed rate through as it is; a rate
+# constant in x is a float there.
 
 
 def _fill(grid: Grid, value) -> np.ndarray:
@@ -211,86 +207,79 @@ def _at_nodes(grid: Grid, value) -> np.ndarray:
     return value if isinstance(value, np.ndarray) else _fill(grid, value)
 
 
-def _constant_frozen(p, grid: Grid):
-    return (_fill(grid, p["g0"]), _fill(grid, p["mu0"]), _fill(grid, p["beta0"])), None
+def _constant(p, grid: Grid):
+    fixed = (_fill(grid, p["g0"]), _fill(grid, p["mu0"]), _fill(grid, p["beta0"]))
+    return fixed, lambda u: fixed
 
 
-def _constant_rates(p, frozen, u: np.ndarray):
-    return frozen.fixed
-
-
-def _counterexample_frozen(p, grid: Grid):
+def _counterexample(p, grid: Grid):
     g = _fill(grid, p["g"])
-    return (g, g, None), 2.0 * p["g"] * (1.0 - np.exp(-grid.nodes))
+    shape = 2.0 * p["g"] * (1.0 - np.exp(-grid.nodes))
+
+    def rates(u):
+        return g, g, shape * counterexample_f(integrate(grid, u))
+
+    return (g, g, None), rates
 
 
-def _counterexample_rates(p, frozen, u: np.ndarray):
-    g = frozen.fixed[0]
-    return g, g, frozen.shapes * counterexample_f(integrate(frozen.grid, u))
+def _hierarchical(p, grid: Grid):
+    mu = _fill(grid, p["mu0"])
+    g_low, g_span, b0 = p["g_low"], p["g_high"] - p["g_low"], p["b0"]
+
+    def rates(u):
+        g = g_low + g_span * np.exp(-reverse_cumulative_integral(grid, u))
+        return g, mu, b0 / (1.0 + integrate(grid, u))
+
+    return (None, mu, None), rates
 
 
-def _hierarchical_frozen(p, grid: Grid):
-    return (None, _fill(grid, p["mu0"]), None), None
-
-
-def _hierarchical_rates(p, frozen, u: np.ndarray):
-    tail = reverse_cumulative_integral(frozen.grid, u)
-    g = p["g_low"] + (p["g_high"] - p["g_low"]) * np.exp(-tail)
-    return g, frozen.fixed[1], p["b0"] / (1.0 + integrate(frozen.grid, u))
-
-
-def _composite_frozen(p, grid: Grid):
-    # per rate: its array if it ignores u, else its x-shape (a float when
-    # x_amp = 0) and the weights of a weighted functional
-    fixed, shapes = [], []
-    for rate in (p["g"], p["mu"], p["beta"]):
+def _composite(p, grid: Grid):
+    # per rate that reads u: its index, functional, x-shape (a float when
+    # x_amp = 0) and, for a weighted functional, the weights
+    fixed, reading = [], []
+    for i, rate in enumerate((p["g"], p["mu"], p["beta"])):
         shape = rate.x_shape(0.0) if rate.x_amp == 0 else rate.x_shape(grid.nodes)
         if rate.u_sat == 0 and rate.u_inv == 0:
             # the u-terms add zeros, of the same signs for every s >= 0
             fixed.append(_at_nodes(grid, rate.at(shape, 0.0)))
-            shapes.append(None)
         else:
             fixed.append(None)
-            shapes.append((shape, rate.decay(grid) if rate.functional == "weighted" else None))
-    return tuple(fixed), tuple(shapes)
-
-
-def _composite_rates(p, frozen, u: np.ndarray):
-    inputs = {}  # rates reading the same functional of u share its value
-    out = []
-    for rate, value, parts in zip((p["g"], p["mu"], p["beta"]), frozen.fixed, frozen.shapes):
-        if value is None:
-            shape, decay = parts
             key = (rate.functional, rate.tail_from, rate.weight_decay)
+            reading.append((i, rate, key, shape,
+                            rate.decay(grid) if rate.functional == "weighted" else None))
+    fixed = tuple(fixed)
+
+    def rates(u):
+        out = list(fixed)
+        inputs = {}  # rates reading the same functional of u share its value
+        for i, rate, key, shape, decay in reading:
             if key not in inputs:
-                inputs[key] = rate.scalar_input(frozen.grid, u, decay)
-            value = rate.at(shape, inputs[key])
-        out.append(value)
-    return tuple(out)
+                inputs[key] = rate.scalar_input(grid, u, decay)
+            out[i] = rate.at(shape, inputs[key])
+        return tuple(out)
+
+    return fixed, rates
 
 
 def _composite_beta_sup(p, P):
     beta = p["beta"]
     if beta.functional == "norm":
         # the x-shape rises to x_amp as x -> inf; the u-terms read P itself
-        return float(beta.value(math.inf, P))
+        return float(beta.at(beta.x_shape(math.inf), P))
     return beta.high()
 
 
 class _Variant(NamedTuple):
-    frozen: Callable         # (params, grid) -> (fixed, shapes) of a FrozenRates
-    rates: Callable          # (params, FrozenRates, u_values) -> unchecked (g, mu, beta)
+    bind: Callable           # (params, grid) -> (fixed, rates): see the note above
     beta_sup: Callable       # (params, P) -> bound on beta over all x, any u of integral P
 
 
 _RATES = {
-    CONSTANT: _Variant(_constant_frozen, _constant_rates, lambda p, P: p["beta0"]),
+    CONSTANT: _Variant(_constant, lambda p, P: p["beta0"]),
     # 1 - e^{-x} <= 1
-    COUNTEREXAMPLE: _Variant(_counterexample_frozen, _counterexample_rates,
-                             lambda p, P: 2.0 * p["g"] * counterexample_f(P)),
-    HIERARCHICAL: _Variant(_hierarchical_frozen, _hierarchical_rates,
-                           lambda p, P: p["b0"] / (1.0 + P)),
-    COMPOSITE: _Variant(_composite_frozen, _composite_rates, _composite_beta_sup),
+    COUNTEREXAMPLE: _Variant(_counterexample, lambda p, P: 2.0 * p["g"] * counterexample_f(P)),
+    HIERARCHICAL: _Variant(_hierarchical, lambda p, P: p["b0"] / (1.0 + P)),
+    COMPOSITE: _Variant(_composite, _composite_beta_sup),
 }
 
 
@@ -320,22 +309,21 @@ def _violation(value, low, high, name):
 class FrozenRates:
     """A model's rates on one grid, with what does not read u computed and judged once.
 
-    ``fixed`` holds (g, mu, beta): an array at the nodes for each rate that
-    ignores u, None for each that reads it. ``errors`` holds each fixed rate's
-    bounds-check failure (None when it passes); every checked evaluation
-    raises it. ``shapes`` holds the x-only factors and functional weights of
-    the rates that read u, laid out by the variant. Every array is read-only.
+    ``fixed`` holds (g, mu, beta): a read-only array at the nodes for each rate
+    that ignores u, None for each that reads it. ``errors`` holds each fixed
+    rate's bounds-check failure (None when it passes); every checked evaluation
+    raises it. ``limits`` holds each rate's (low, high, name) for the check, and
+    ``rates`` is the variant's closure from a density to the unchecked rates.
     """
 
-    model: ModelSpec
-    grid: Grid
     fixed: tuple
     errors: tuple
-    shapes: object
+    limits: tuple
+    rates: Callable
 
     def raw(self, u_values: np.ndarray):
         """Unchecked (g, mu, beta) under density ``u_values``; a rate constant in x is a float."""
-        return _RATES[self.model.variant].rates(self.model.params, self, u_values)
+        return self.rates(u_values)
 
     def checked(self, u_values: np.ndarray):
         """:meth:`raw`, raising :class:`BoundsViolationError` if any rate leaves its bounds.
@@ -343,9 +331,8 @@ class FrozenRates:
         Only the rates that read u are checked here; a fixed rate's verdict is the
         one :func:`freeze_rates` reached.
         """
-        values = _RATES[self.model.variant].rates(self.model.params, self, u_values)
-        for value, fixed, error, limits in zip(values, self.fixed, self.errors,
-                                               _limits(self.model.bounds)):
+        values = self.rates(u_values)
+        for value, fixed, error, limits in zip(values, self.fixed, self.errors, self.limits):
             if fixed is None:
                 error = _violation(value, *limits)
             if error is not None:
@@ -353,25 +340,19 @@ class FrozenRates:
         return values
 
 
-def _read_only(parts) -> None:
-    """Make every array in ``parts``, nested in tuples, read-only."""
-    if isinstance(parts, np.ndarray):
-        parts.setflags(write=False)
-    elif isinstance(parts, tuple):
-        for part in parts:
-            _read_only(part)
-
-
 def freeze_rates(model: ModelSpec, grid: Grid) -> FrozenRates:
     """Compute ``model``'s u-independent rates and x-shapes on ``grid``, and judge their bounds.
 
     Never raises for a fixed rate outside its bounds: its evaluations do.
     """
-    fixed, shapes = _RATES[model.variant].frozen(model.params, grid)
-    _read_only((fixed, shapes))
-    errors = tuple(None if value is None else _violation(value, *limits)
-                   for value, limits in zip(fixed, _limits(model.bounds)))
-    return FrozenRates(model, grid, fixed, errors, shapes)
+    fixed, rates = _RATES[model.variant].bind(model.params, grid)
+    for value in fixed:
+        if value is not None:
+            value.setflags(write=False)
+    limits = _limits(model.bounds)
+    errors = tuple(None if value is None else _violation(value, *lim)
+                   for value, lim in zip(fixed, limits))
+    return FrozenRates(fixed, errors, limits, rates)
 
 
 def _node_arrays(grid: Grid, values) -> tuple:

@@ -224,6 +224,15 @@ def _count(monkeypatch, owner, name):
     return calls
 
 
+def _assert_fixed_passed_through(ctx, u):
+    # each evaluation hands out the context's own fixed arrays, never a recomputed copy
+    for evaluate in (ctx.rates.raw, ctx.rates.checked):
+        values = evaluate(u)
+        for value, fixed in zip(values, ctx.rates.fixed):
+            if fixed is not None:
+                assert value is fixed
+
+
 def _shipped_context(name):
     run = load_config(str(CONFIGS / ("%s.cfg" % name)))
     return sp.make_context(run.model, run.grid), run.solver
@@ -250,7 +259,7 @@ class TestWorkDoneOnce:
 
     def test_context_arrays_are_read_only(self, ce_ctx):
         frozen = ce_ctx.rates
-        for value in [*frozen.fixed[:2], frozen.shapes, ce_ctx.pi]:
+        for value in [*frozen.fixed[:2], ce_ctx.pi]:
             assert not value.flags.writeable
         with pytest.raises(ValueError):
             ce_ctx.pi[0] = 0.0
@@ -266,9 +275,11 @@ class TestWorkDoneOnce:
             "counterexample": lambda: sp.counterexample_model(1.0),
             "hierarchical": lambda: sp.hierarchical_model(0.5, 1.0, 1.0, 2.0),
         }[variant]()
-        ctx = sp.make_context(model, sp.build_grid(10.0, 101))
+        grid = sp.build_grid(10.0, 101)
+        ctx = sp.make_context(model, grid)
         assert tuple(value is not None for value in ctx.rates.fixed) == fixed
         assert (ctx.pi is not None) == (fixed[0] and fixed[1])
+        _assert_fixed_passed_through(ctx, np.exp(-grid.nodes))
 
     def test_composite_freezes_the_rates_without_u_terms(self):
         model = sp.composite_model(
@@ -279,6 +290,7 @@ class TestWorkDoneOnce:
         grid = sp.build_grid(10.0, 101)
         ctx = sp.make_context(model, grid)
         assert [value is not None for value in ctx.rates.fixed] == [True, False, False]
+        _assert_fixed_passed_through(ctx, np.exp(-grid.nodes))
         g, beta, _ = rates_and_survival(ctx, np.exp(-grid.nodes))
         # x_amp = 0: beta is constant in x and comes as a float
         assert isinstance(g, np.ndarray) and isinstance(beta, float)

@@ -208,11 +208,12 @@ class TestDensitySign:
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_negative_array_rejected(self, const_ctx_factory, entry):
         # constant rates ignore u, so only the sign check stands between a
-        # negative density and a result (birth_G used to return -10)
+        # negative or NaN density and a result (birth_G used to return -10 for
+        # the first and NaN for the second, and net_reproduction_R a number)
         ctx = const_ctx_factory(mu0=1.0, g0=1.0, beta0=0.5, n=401)
-        u = -np.exp(-ctx.grid.nodes)
-        with pytest.raises(ParameterError, match="nonnegative"):
-            self.ENTRIES[entry](ctx, u)
+        for u in (-np.exp(-ctx.grid.nodes), np.full(ctx.grid.n, np.nan)):
+            with pytest.raises(ParameterError, match="nonnegative"):
+                self.ENTRIES[entry](ctx, u)
 
     @pytest.mark.parametrize("entry", ["survival_pi", "birth_G", "net_reproduction_R",
                                        "apply_T", "residual"])
