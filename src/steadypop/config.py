@@ -14,11 +14,6 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, ParameterError
 from .grid import UNIFORM, Grid, build_grid
 from .model import (
-    COMPOSITE,
-    CONSTANT,
-    COUNTEREXAMPLE,
-    HIERARCHICAL,
-    VARIANTS,
     CompositeRate,
     ModelSpec,
     composite_model,
@@ -29,12 +24,14 @@ from .model import (
 )
 from .solver import SolverConfig
 
-# scalar variant -> builder; the builder's parameters are the variant's
-# model.* keys, and a parameter without a default is a required key
+# variant -> builder; a scalar builder's parameters are the variant's model.*
+# keys, and a parameter without a default is a required key; the composite
+# builder's are its rates, each read from model.<rate>.* keys
 _BUILDERS = {
-    CONSTANT: constant_model,
-    COUNTEREXAMPLE: counterexample_model,
-    HIERARCHICAL: hierarchical_model,
+    "constant": constant_model,
+    "counterexample": counterexample_model,
+    "hierarchical": hierarchical_model,
+    "composite": composite_model,
 }
 
 # optional numeric fields of a composite rate; "const" is required
@@ -108,15 +105,15 @@ def _build_model(pairs: dict) -> ModelSpec:
     if "model.variant" not in pairs:
         raise ConfigError("missing required key 'model.variant'", key="model.variant")
     variant = pairs.pop("model.variant")
-    if variant not in VARIANTS:
+    if variant not in _BUILDERS:
         raise ConfigError(
-            "key 'model.variant' must be one of %s, got %r" % (list(VARIANTS), variant),
+            "key 'model.variant' must be one of %s, got %r" % (list(_BUILDERS), variant),
             key="model.variant",
         )
+    builder = _BUILDERS[variant]
     try:
-        if variant == COMPOSITE:
-            return composite_model(*(_build_composite_rate(pairs, r) for r in ("g", "mu", "beta")))
-        builder = _BUILDERS[variant]
+        if builder is composite_model:
+            return builder(*(_build_composite_rate(pairs, r) for r in ("g", "mu", "beta")))
         return builder(**{
             p.name: _take(pairs, "model." + p.name, None if p.default is p.empty else p.default)
             for p in inspect.signature(builder).parameters.values()

@@ -4,7 +4,7 @@ Every model exposes the three rates as functions of size x and of the whole
 population profile u, together with hard lower/upper bounds. Rates never leave
 their declared bounds; evaluation raises if a misconfigured model does.
 
-Builtin variants:
+Built-in families, each made by its builder (``constant_model``, ...):
 
 * ``constant`` -- all three rates constant.
 * ``counterexample`` -- mortality equals growth (a single constant), fertility
@@ -20,20 +20,14 @@ Builtin variants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import _accel
 from .errors import BoundsViolationError, ParameterError
 from .grid import DensityProfile, Grid, _density_values, integrate, reverse_cumulative_integral
-
-CONSTANT = "constant"
-COUNTEREXAMPLE = "counterexample"
-HIERARCHICAL = "hierarchical"
-COMPOSITE = "composite"
-VARIANTS = (CONSTANT, COUNTEREXAMPLE, HIERARCHICAL, COMPOSITE)
 
 # sup of the counterexample fertility modulation f (attained at a = 1/2)
 _F_SUP = 2.0
@@ -134,27 +128,37 @@ class CompositeRate:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model: its rate bounds, its parameters and its family's functions of them.
+
+    ``variant`` only names the family. ``bind(params, grid) -> (fixed, rates)``
+    evaluates the rates (see the note on rate evaluation below), ``beta_sup(params,
+    P)`` bounds beta over all x for every u of integral P, and the optional
+    ``gx_bound(params, bounds, T)`` bounds |g_x| on [0, T] over the admissible
+    set. Give them as module-level functions, so that equal models compare equal.
+    """
+
     variant: str
     bounds: RateBounds
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ParameterError("unknown model variant %r" % (self.variant,))
+    params: dict
+    bind: Callable
+    beta_sup: Callable
+    gx_bound: Callable | None = None
 
 
 def constant_model(mu0: float, g0: float, beta0: float) -> ModelSpec:
     if min(mu0, g0) <= 0 or beta0 < 0:
         raise ParameterError("constant model needs mu0 > 0, g0 > 0, beta0 >= 0")
     bounds = RateBounds(g0, g0, mu0, mu0, max(beta0, 1e-300))
-    return ModelSpec(CONSTANT, bounds, {"mu0": mu0, "g0": g0, "beta0": beta0})
+    return ModelSpec("constant", bounds, {"mu0": mu0, "g0": g0, "beta0": beta0},
+                     _constant, _constant_beta_sup)
 
 
 def counterexample_model(g: float = 1.0) -> ModelSpec:
     if g <= 0:
         raise ParameterError("counterexample model needs g > 0")
     bounds = RateBounds(g, g, g, g, 2.0 * g * _F_SUP)
-    return ModelSpec(COUNTEREXAMPLE, bounds, {"g": g})
+    return ModelSpec("counterexample", bounds, {"g": g}, _counterexample,
+                     _counterexample_beta_sup)
 
 
 def hierarchical_model(g_low: float, g_high: float, mu0: float, b0: float) -> ModelSpec:
@@ -162,7 +166,8 @@ def hierarchical_model(g_low: float, g_high: float, mu0: float, b0: float) -> Mo
         raise ParameterError("hierarchical model needs 0 < g_low <= g_high, mu0 > 0, b0 > 0")
     bounds = RateBounds(g_low, g_high, mu0, mu0, b0)
     return ModelSpec(
-        HIERARCHICAL, bounds, {"g_low": g_low, "g_high": g_high, "mu0": mu0, "b0": b0}
+        "hierarchical", bounds, {"g_low": g_low, "g_high": g_high, "mu0": mu0, "b0": b0},
+        _hierarchical, _hierarchical_beta_sup, _hierarchical_gx_bound,
     )
 
 
@@ -170,7 +175,8 @@ def composite_model(g: CompositeRate, mu: CompositeRate, beta: CompositeRate) ->
     if g.low() <= 0 or mu.low() <= 0:
         raise ParameterError("composite g and mu must have positive lower bounds")
     bounds = RateBounds(g.low(), g.high(), mu.low(), mu.high(), max(beta.high(), 1e-300))
-    return ModelSpec(COMPOSITE, bounds, {"g": g, "mu": mu, "beta": beta})
+    return ModelSpec("composite", bounds, {"g": g, "mu": mu, "beta": beta}, _composite,
+                     _composite_beta_sup)
 
 
 def counterexample_f(a: float) -> float:
@@ -187,14 +193,12 @@ def counterexample_f(a: float) -> float:
 # -- rate evaluation ---------------------------------------------------------
 #
 # Rates are evaluated at a grid's nodes under a plain density array on that
-# grid. Per variant, _RATES holds one binder and a bound on beta over all x for
-# every u of a given integral; it is the only place a variant is dispatched to
-# rate code. A binder computes, once per model and grid, what does not read u:
-# every rate that ignores u (as an array in ``fixed``, None for the others) and
-# the x-only shapes and functional weights of the rest. It returns ``fixed`` and
-# a closure over these parts that computes only the rates that read u, each
-# functional of u once, and passes a fixed rate through as it is; a rate
-# constant in x is a float there.
+# grid, by the model's own binder (``ModelSpec.bind``). A binder computes, once
+# per model and grid, what does not read u: every rate that ignores u (as an
+# array in ``fixed``, None for the others) and the x-only shapes and functional
+# weights of the rest. It returns ``fixed`` and a closure over these parts that
+# computes only the rates that read u, each functional of u once, and passes a
+# fixed rate through as it is; a rate constant in x is a float there.
 
 
 def _fill(grid: Grid, value) -> np.ndarray:
@@ -212,6 +216,10 @@ def _constant(p, grid: Grid):
     return fixed, lambda u: fixed
 
 
+def _constant_beta_sup(p, P):
+    return p["beta0"]
+
+
 def _counterexample(p, grid: Grid):
     g = _fill(grid, p["g"])
     shape = 2.0 * p["g"] * (1.0 - np.exp(-grid.nodes))
@@ -220,6 +228,10 @@ def _counterexample(p, grid: Grid):
         return g, g, shape * counterexample_f(integrate(grid, u))
 
     return (g, g, None), rates
+
+
+def _counterexample_beta_sup(p, P):
+    return 2.0 * p["g"] * counterexample_f(P)     # 1 - e^{-x} <= 1
 
 
 def _hierarchical(p, grid: Grid):
@@ -231,6 +243,23 @@ def _hierarchical(p, grid: Grid):
         return g, mu, b0 / (1.0 + integrate(grid, u))
 
     return (None, mu, None), rates
+
+
+def _hierarchical_beta_sup(p, P):
+    return p["b0"] / (1.0 + P)
+
+
+def _hierarchical_gx_bound(p, bounds: RateBounds, T: float) -> float:
+    """Bound on |g_x| over [0, T] for every admissible u; inf when it cannot be formed."""
+    # sup over scales of lam*v*exp(-lam*tail) is bounded via sup lam*e^(-a*lam)=1/(a*e)
+    _, e2_at_0 = envelope_values(bounds, 0.0)
+    tail_e1 = ((bounds.g_low / (bounds.g_high * bounds.mu_high))
+               * math.exp(-bounds.mu_high * T / bounds.g_low))
+    # the exponential underflows to 0 once mu_high T / g_low passes ~745,
+    # and a tiny tail can overflow the quotient: neither bound is formed
+    if not tail_e1 > 0:
+        return math.inf
+    return (p["g_high"] - p["g_low"]) * float(e2_at_0) / (math.e * tail_e1)
 
 
 def _composite(p, grid: Grid):
@@ -269,20 +298,6 @@ def _composite_beta_sup(p, P):
     return beta.high()
 
 
-class _Variant(NamedTuple):
-    bind: Callable           # (params, grid) -> (fixed, rates): see the note above
-    beta_sup: Callable       # (params, P) -> bound on beta over all x, any u of integral P
-
-
-_RATES = {
-    CONSTANT: _Variant(_constant, lambda p, P: p["beta0"]),
-    # 1 - e^{-x} <= 1
-    COUNTEREXAMPLE: _Variant(_counterexample, lambda p, P: 2.0 * p["g"] * counterexample_f(P)),
-    HIERARCHICAL: _Variant(_hierarchical, lambda p, P: p["b0"] / (1.0 + P)),
-    COMPOSITE: _Variant(_composite, _composite_beta_sup),
-}
-
-
 def _tolerance(bound):
     """How far past ``bound`` the bounds check lets a rate go."""
     return 1e-12 * max(1.0, abs(bound))
@@ -313,7 +328,7 @@ class FrozenRates:
     that ignores u, None for each that reads it. ``errors`` holds each fixed
     rate's bounds-check failure (None when it passes); every checked evaluation
     raises it. ``limits`` holds each rate's (low, high, name) for the check, and
-    ``rates`` is the variant's closure from a density to the unchecked rates.
+    ``rates`` is the binder's closure from a density to the unchecked rates.
     """
 
     fixed: tuple
@@ -345,7 +360,7 @@ def freeze_rates(model: ModelSpec, grid: Grid) -> FrozenRates:
 
     Never raises for a fixed rate outside its bounds: its evaluations do.
     """
-    fixed, rates = _RATES[model.variant].bind(model.params, grid)
+    fixed, rates = model.bind(model.params, grid)
     for value in fixed:
         if value is not None:
             value.setflags(write=False)
@@ -355,38 +370,24 @@ def freeze_rates(model: ModelSpec, grid: Grid) -> FrozenRates:
     return FrozenRates(fixed, errors, limits, rates)
 
 
-def _node_arrays(grid: Grid, values) -> tuple:
-    return tuple(_at_nodes(grid, value) for value in values)
-
-
-def raw_rates(model: ModelSpec, grid: Grid, u_values: np.ndarray):
-    """(g, mu, beta) at the grid's nodes under density ``u_values``, without the bounds check."""
-    return _node_arrays(grid, freeze_rates(model, grid).raw(u_values))
-
-
 def beta_sup(model: ModelSpec, P: float) -> float:
     """Bound on beta(x, u) over all x, for every profile u whose integral is P."""
-    return _RATES[model.variant].beta_sup(model.params, P)
-
-
-def rates(model: ModelSpec, grid: Grid, u_values: np.ndarray):
-    """(g, mu, beta) at the grid's nodes under density ``u_values``; raises if any leaves its bounds."""
-    return _node_arrays(grid, freeze_rates(model, grid).checked(u_values))
+    return model.beta_sup(model.params, P)
 
 
 def eval_g(model: ModelSpec, u: DensityProfile) -> np.ndarray:
     """Growth rate at the nodes of ``u``'s grid under population profile u."""
-    return rates(model, u.grid, u.values)[0]
+    return _at_nodes(u.grid, freeze_rates(model, u.grid).checked(u.values)[0])
 
 
 def eval_mu(model: ModelSpec, u: DensityProfile) -> np.ndarray:
     """Mortality rate at the nodes of ``u``'s grid under population profile u."""
-    return rates(model, u.grid, u.values)[1]
+    return _at_nodes(u.grid, freeze_rates(model, u.grid).checked(u.values)[1])
 
 
 def eval_beta(model: ModelSpec, u: DensityProfile) -> np.ndarray:
     """Fertility rate at the nodes of ``u``'s grid under population profile u."""
-    return rates(model, u.grid, u.values)[2]
+    return _at_nodes(u.grid, freeze_rates(model, u.grid).checked(u.values)[2])
 
 
 # -- exponential envelopes and the admissible "onion" region ----------------
@@ -507,7 +508,7 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     frozen = freeze_rates(model, grid)
 
     def raw(u):
-        return _node_arrays(grid, frozen.raw(u))
+        return tuple(_at_nodes(grid, value) for value in frozen.raw(u))
 
     values = [_density_values(grid, s) for s in samples]
     worst = 0.0
@@ -528,20 +529,9 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     tol = 1e-12 * max(1.0, b.g_high, b.mu_high, b.beta_max)
     bounds_ok = worst <= tol
 
-    gx_bound = None
-    gx_ok = None
-    if model.variant == HIERARCHICAL:
-        # sup over scales of lam*v*exp(-lam*tail) is bounded via sup lam*e^(-a*lam)=1/(a*e)
-        _, e2_at_0 = envelope_values(b, 0.0)
-        tail_e1 = (b.g_low / (b.g_high * b.mu_high)) * math.exp(-b.mu_high * T / b.g_low)
-        # the exponential underflows to 0 once mu_high T / g_low passes ~745,
-        # and a tiny tail can overflow the quotient: neither bound is formed
-        gx_bound = (
-            (model.params["g_high"] - model.params["g_low"])
-            * float(e2_at_0)
-            / (math.e * tail_e1)
-            if tail_e1 > 0 else math.inf
-        )
+    gx_bound = gx_ok = None
+    if model.gx_bound is not None:
+        gx_bound = model.gx_bound(model.params, b, T)
         gx_ok = math.isfinite(gx_bound) and gx_sup <= gx_bound * (1.0 + 1e-6)
 
     _, e2 = envelope_values(b, nodes)

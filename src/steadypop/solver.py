@@ -24,7 +24,6 @@ from .errors import ConvergenceError, ParameterError
 from .grid import DensityProfile, _density_values, integrate, zero_profile
 from .kernel import KernelContext, net_reproduction_R, rates_and_survival, residual
 from .model import (
-    COUNTEREXAMPLE,
     beta_sup,
     envelope_tail_mass,
     random_onion_samples,
@@ -514,7 +513,8 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
         notes.append("inconsistency: R0 > 1 requires beta_max * |e2|_1 > 1")
     if max(ray[:4]) - min(ray[:4]) < tol_deg and abs(R0 - 1.0) < tol_deg:
         notes.append("degenerate family: R is ~1 along scaled-envelope rays")
-    if ctx.model.variant == COUNTEREXAMPLE and R0 < 1.0:
+    if R0 < 1.0 and max(ray) > R0 + tol_deg:
+        # R rises above its value at the extinct state somewhere along the ray
         notes.append("R0 < 1 does not preclude equilibria; run a root scan")
 
     if R0 > 1.0 and (rho0 is not None or lbeta_pass):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ def const_ctx_factory():
         return sp.make_context(model, grid)
 
     return make
+
+
+def misdeclared_constant(rate):
+    """A constant model whose ``rate`` (g, mu or beta) is 2, outside its declared bounds [1, 1]."""
+    params = {"mu0": 1.0, "g0": 1.0, "beta0": 1.0, rate + "0": 2.0}
+    bounds = sp.RateBounds(g_low=1.0, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=1.0)
+    return replace(sp.constant_model(**params), bounds=bounds)
+
+
+def misdeclared_hierarchical():
+    """A hierarchical model whose mu0 = 2 lies outside its declared mu bounds [1, 1]."""
+    bounds = sp.RateBounds(g_low=0.5, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=2.0)
+    return replace(sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=2.0, b0=2.0), bounds=bounds)
 
 
 def exp_profile(grid, scale=1.0, decay=1.0):

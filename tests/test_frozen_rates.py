@@ -176,14 +176,14 @@ class TestBitIdenticalToReference:
         scale=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
         decay=st.floats(0.01, 50.0),
     )
-    def test_rates_raw_rates_and_survival(self, model, scheme, n, scale, decay):
+    def test_raw_checked_and_survival(self, model, scheme, n, scale, decay):
         # the horizon of 100 makes exp(-decay x) underflow to 0 for decay >~ 7.5
         grid = sp.build_grid(100.0, n, scheme)
         u = scale * np.exp(-decay * grid.nodes)
-        _same(sp.model.raw_rates(model, grid, u),
-              REFERENCE[model.variant](model.params, grid, u), n)
+        frozen = sp.model.freeze_rates(model, grid)
+        _same(frozen.raw(u), REFERENCE[model.variant](model.params, grid, u), n)
 
-        got, error = _outcome(sp.model.rates, model, grid, u)
+        got, error = _outcome(frozen.checked, u)
         expected, expected_error = _outcome(_reference_rates, model, grid, u)
         assert error == expected_error
         ctx = sp.make_context(model, grid)
@@ -206,7 +206,8 @@ class TestBitIdenticalToReference:
                                    beta=beta)
         grid = sp.build_grid(10.0, 11)
         u = np.ones(grid.n)
-        _same(sp.model.raw_rates(model, grid, u), _composite_rates(model.params, grid, u), grid.n)
+        _same(sp.model.freeze_rates(model, grid).raw(u), _composite_rates(model.params, grid, u),
+              grid.n)
 
 
 # -- the work done once --------------------------------------------------------

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 import steadypop as sp
 from steadypop.errors import BoundsViolationError, GridMismatchError, ParameterError
-from steadypop.model import ModelSpec, RateBounds
-
-from conftest import exp_profile
+from conftest import exp_profile, misdeclared_constant, misdeclared_hierarchical
 
 
 class TestCounterexampleF:
@@ -60,13 +58,12 @@ class TestBuilders:
     @pytest.mark.parametrize("build,fragment", [
         (lambda: sp.CompositeRate(const=-1.0), "nonnegative"),
         (lambda: sp.CompositeRate(const=1.0, tail_from=-1.0), "tail_from"),
-        (lambda: ModelSpec("bogus", RateBounds(1.0, 1.0, 1.0, 1.0, 1.0)), "unknown model variant"),
         (lambda: sp.constant_model(0.0, 1.0, 1.0), "constant model"),
         (lambda: sp.counterexample_model(0.0), "counterexample model"),
         (lambda: sp.hierarchical_model(1.0, 0.5, 1.0, 1.0), "hierarchical model"),
         (lambda: sp.composite_model(sp.CompositeRate(const=0.0), sp.CompositeRate(const=1.0),
                                     sp.CompositeRate(const=1.0)), "positive lower bounds"),
-    ], ids=["composite_const", "composite_tail_from", "variant", "constant", "counterexample",
+    ], ids=["composite_const", "composite_tail_from", "constant", "counterexample",
             "hierarchical", "composite_g"])
     def test_invalid_parameters_rejected(self, build, fragment):
         with pytest.raises(ParameterError, match=fragment):
@@ -161,27 +158,18 @@ class TestEvalRates:
     @pytest.mark.parametrize("rate", ["g", "mu", "beta"])
     def test_bounds_violation_raises(self, rate):
         # deliberately misdeclared bounds: one rate exceeds them, evaluation must refuse
-        params = {"g0": 1.0, "mu0": 1.0, "beta0": 1.0, rate + "0": 2.0}
-        bad = ModelSpec(
-            "constant",
-            RateBounds(g_low=1.0, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=1.0),
-            params,
-        )
+        bad = misdeclared_constant(rate)
         g = sp.build_grid(10.0, 101)
         evaluate = getattr(sp.model, "eval_" + rate)
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
             evaluate(bad, sp.zero_profile(g))
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
-            sp.model.rates(bad, g, np.zeros(g.n))
+            sp.model.freeze_rates(bad, g).checked(np.zeros(g.n))
 
     def test_frozen_bounds_violation_raises_on_evaluation(self):
         # mu0 = 2 lies outside the declared mu bounds [1, 1]; mu ignores u, so the
         # context judges it once, and every checked evaluation raises
-        bad = ModelSpec(
-            "hierarchical",
-            RateBounds(g_low=0.5, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=2.0),
-            {"g_low": 0.5, "g_high": 1.0, "mu0": 2.0, "b0": 2.0},
-        )
+        bad = misdeclared_hierarchical()
         g = sp.build_grid(10.0, 101)
         ctx = sp.make_context(bad, g)
         for _ in range(2):
@@ -191,7 +179,7 @@ class TestEvalRates:
             sp.birth_G(ctx, sp.zero_profile(g))
         with pytest.raises(BoundsViolationError, match="^mu evaluated"):
             sp.model.eval_mu(bad, sp.zero_profile(g))
-        assert np.all(sp.model.raw_rates(bad, g, np.zeros(g.n))[1] == 2.0)
+        assert np.all(sp.model.freeze_rates(bad, g).raw(np.zeros(g.n))[1] == 2.0)
 
     def test_nan_profile_raises(self):
         # NaN compares false with both bounds, so only a negated check catches it
@@ -200,7 +188,7 @@ class TestEvalRates:
         values = np.exp(-g.nodes)
         values[200] = np.nan
         with pytest.raises(BoundsViolationError):
-            sp.model.rates(m, g, values)
+            sp.model.freeze_rates(m, g).checked(values)
 
     def test_random_sweep_stays_in_bounds(self):
         rng = np.random.default_rng(42)

@@ -1,0 +1,107 @@
+"""A model is its bounds, its parameters and its family's functions: no built-in list.
+
+The family here lives only in this file. Its growth reads the competition
+``alpha * int_0^x u + int_x^inf u``, from smaller individuals too; at
+``alpha = 0`` it is the hierarchical family, and every result must match
+``hierarchical_model``'s bit for bit.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import steadypop as sp
+from steadypop.errors import BoundsViolationError
+from steadypop.grid import cumulative_integral, integrate, reverse_cumulative_integral
+from steadypop.kernel import rates_and_survival
+from steadypop.model import ModelSpec, RateBounds
+
+PARAMS = {"g_low": 0.5, "g_high": 1.0, "mu0": 1.0, "b0": 2.0}
+CFG = sp.SolverConfig(scan_points=32)
+
+
+def _competition_bind(p, grid):
+    mu = np.full(grid.n, p["mu0"], dtype=float)
+    g_low, g_span, b0, alpha = p["g_low"], p["g_high"] - p["g_low"], p["b0"], p["alpha"]
+
+    def rates(u):
+        pressure = alpha * cumulative_integral(grid, u) + reverse_cumulative_integral(grid, u)
+        g = g_low + g_span * np.exp(-pressure)
+        return g, mu, b0 / (1.0 + integrate(grid, u))
+
+    return (None, mu, None), rates
+
+
+def _competition_beta_sup(p, P):
+    return p["b0"] / (1.0 + P)
+
+
+def competition_model(alpha, g_low, g_high, mu0, b0):
+    bounds = RateBounds(g_low, g_high, mu0, mu0, b0)
+    params = {"alpha": alpha, "g_low": g_low, "g_high": g_high, "mu0": mu0, "b0": b0}
+    return ModelSpec("competition", bounds, params, _competition_bind, _competition_beta_sup)
+
+
+def _context(model, n=1001):
+    return sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n,
+                                                "graded_trapezoid"))
+
+
+def _same(a, b):
+    """Equal bit for bit: floats, arrays, and the dataclasses, tuples and dicts holding them."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _same(x, y)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _same(a[key], b[key])
+    elif isinstance(a, (np.ndarray, float)):
+        # bytes also tell -0.0 from 0.0 and match NaN with NaN
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    else:
+        assert a == b
+
+
+class TestFamilyOutsideTheBuilders:
+    def test_alpha_zero_is_hierarchical_bit_for_bit(self):
+        custom = _context(competition_model(0.0, **PARAMS))
+        builtin = _context(sp.hierarchical_model(**PARAMS))
+        nodes = builtin.grid.nodes
+        for scale in (0.0, 0.1, 1.0, 30.0):
+            u = scale * np.exp(-nodes)
+            _same(rates_and_survival(custom, u), rates_and_survival(builtin, u))
+        _same(sp.solve_all(custom, CFG), sp.solve_all(builtin, CFG))
+        _same(sp.certify(custom, CFG), sp.certify(builtin, CFG))
+
+    def test_competition_from_smaller_individuals_solves(self):
+        ctx = _context(competition_model(0.3, **PARAMS))
+        _, results = sp.solve_all(ctx, CFG)
+        assert len(results) == 1
+        for r in results:
+            assert sp.residual(ctx, r.u_star) < 1e-5
+            # R = b0 / ((1 + P) mu0) whatever g is, so P* = b0/mu0 - 1 = 1, up to
+            # the quadrature error of 1001 nodes
+            assert r.P_star == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("model", [competition_model(0.3, **PARAMS),
+                                       sp.hierarchical_model(**PARAMS)],
+                             ids=["custom", "builtin"])
+    def test_rates_leaving_the_declared_bounds_raise(self, model):
+        # g reaches g_high = 1 at the empty population, above the declared 0.9
+        bad = dataclasses.replace(model, bounds=RateBounds(0.5, 0.9, 1.0, 1.0, 2.0))
+        ctx = _context(bad, n=101)
+        zero = np.zeros(ctx.grid.n)
+        message = r"^g evaluated outside declared bounds \[0.5, 0.9\]$"
+        with pytest.raises(BoundsViolationError, match=message):
+            sp.model.freeze_rates(bad, ctx.grid).checked(zero)
+        with pytest.raises(BoundsViolationError, match=message):
+            sp.net_reproduction_R(ctx, zero)
+        with pytest.raises(BoundsViolationError, match=message):
+            sp.certify(ctx, CFG)

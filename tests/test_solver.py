@@ -14,9 +14,8 @@ from steadypop.errors import (
     GridMismatchError,
     ParameterError,
 )
-from steadypop.model import ModelSpec, RateBounds
 
-from conftest import exp_profile
+from conftest import exp_profile, misdeclared_constant, misdeclared_hierarchical
 
 CE_CFG = sp.SolverConfig(lambda_min=0.01, lambda_max=10.0, scan_points=200)
 
@@ -599,6 +598,9 @@ def _rho0_reference(ctx, cfg):
     return float(norms[ok[0]]) if ok.size else None
 
 
+RISING_NOTE = "R0 < 1 does not preclude equilibria; run a root scan"
+
+
 class TestCertificates:
     def test_hierarchical_existence(self, hier_ctx):
         cert = sp.certify(hier_ctx, sp.SolverConfig())
@@ -620,7 +622,27 @@ class TestCertificates:
         cert = sp.certify(ce_ctx, sp.SolverConfig())
         assert cert.kind == "inconclusive"
         assert cert.R0 == pytest.approx(0.5, abs=1e-5)
-        assert any("root scan" in n for n in cert.evidence["notes"])
+        assert RISING_NOTE in cert.evidence["notes"]
+
+    def test_no_note_when_R_never_rises_above_R0(self, const_ctx_factory):
+        # configs/constant_subcritical.cfg: R = 1/2 at every population
+        ctx = const_ctx_factory(1.0, 1.0, 0.5, n=2001, scheme="uniform_trapezoid")
+        cert = sp.certify(ctx, sp.SolverConfig(scan_points=32))
+        assert cert.R0 < 1.0
+        assert RISING_NOTE not in cert.evidence["notes"]
+
+    def test_note_on_a_composite_whose_fertility_rises_with_P(self):
+        # beta = 0.2 + 2 P/(1+P): R0 = 0.2, yet R = 1 at P = 2/3
+        ctx = _graded_ctx(sp.composite_model(
+            g=sp.CompositeRate(const=1.0),
+            mu=sp.CompositeRate(const=1.0),
+            beta=sp.CompositeRate(const=0.2, u_sat=2.0),
+        ))
+        cert = sp.certify(ctx, sp.SolverConfig())
+        assert cert.R0 == pytest.approx(0.2, abs=1e-5)
+        assert RISING_NOTE in cert.evidence["notes"]
+        _, results = sp.solve_all(ctx, sp.SolverConfig(scan_points=32))
+        assert [r.P_star for r in results] == [pytest.approx(2.0 / 3.0, abs=1e-5)]
 
     def test_degenerate_family_noted(self, const_ctx_factory):
         ctx = const_ctx_factory(1.0, 1.0, 1.0)
@@ -691,31 +713,21 @@ class TestCertificates:
     @pytest.mark.parametrize("rate", ["g", "mu", "beta"])
     def test_certify_keeps_the_bounds_check(self, rate):
         # deliberately misdeclared bounds, as in test_model's bounds-violation test
-        params = {"g0": 1.0, "mu0": 1.0, "beta0": 1.0, rate + "0": 2.0}
-        bad = ModelSpec(
-            "constant",
-            RateBounds(g_low=1.0, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=1.0),
-            params,
-        )
-        ctx = sp.make_context(bad, sp.build_grid(10.0, 101))
+        ctx = sp.make_context(misdeclared_constant(rate), sp.build_grid(10.0, 101))
         with pytest.raises(BoundsViolationError, match="^%s evaluated" % rate):
             sp.certify(ctx, sp.SolverConfig())
 
     def test_certify_keeps_the_frozen_bounds_check(self):
         # mu0 = 2 lies outside the declared mu bounds [1, 1]: the context builds,
         # and the first rate evaluation raises
-        bad = ModelSpec(
-            "hierarchical",
-            RateBounds(g_low=0.5, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=2.0),
-            {"g_low": 0.5, "g_high": 1.0, "mu0": 2.0, "b0": 2.0},
-        )
-        ctx = sp.make_context(bad, sp.build_grid(10.0, 101))
+        ctx = sp.make_context(misdeclared_hierarchical(), sp.build_grid(10.0, 101))
         with pytest.raises(BoundsViolationError, match="^mu evaluated"):
             sp.certify(ctx, sp.SolverConfig())
 
 
 def _ratios_reference(model, grid, u_values, stride: int):
-    g, mu, beta = (a[::stride] for a in sp.model.raw_rates(model, grid, u_values))
+    raw = sp.model.freeze_rates(model, grid).raw(u_values)
+    g, mu, beta = (np.broadcast_to(a, (grid.n,))[::stride] for a in raw)
     return mu / g, beta / mu
 
 
@@ -805,7 +817,7 @@ class TestMonotonicityEvidence:
         assert sp.solver._monotonicity_evidence(ctx, cfg) == _monotonicity_reference(ctx, cfg)
 
     def test_one_rate_evaluation_per_sampled_profile(self, hier_ctx, monkeypatch):
-        # every unchecked rate evaluation, the reference's raw_rates included, runs FrozenRates.raw
+        # every unchecked rate evaluation, the reference's included, runs FrozenRates.raw
         evaluated = []
         raw = sp.model.FrozenRates.raw
 
