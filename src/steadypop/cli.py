@@ -63,11 +63,9 @@ def cmd_solve(run: RunConfig) -> int:
         for r in results])
 
     for i, r in enumerate(results, start=1):
-        columns = (ctx.grid.nodes, r.u_star.values, r.v_star.values, r.pi.values,
-                   ctx.e1.values, ctx.e2.values)
-        _write(os.path.join(out, "profile_%03d.csv" % i), ["x,u_star,v_star,pi,e1,e2"] + [
-            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g" % row
-            for row in zip(*columns)])
+        rows = zip(ctx.grid.nodes, r.u_star.values, r.pi.values)
+        _write(os.path.join(out, "profile_%03d.csv" % i),
+               ["x,u_star,pi"] + ["%.12g,%.12g,%.12g" % row for row in rows])
 
     if scan.degenerate:
         print("degenerate family: residual ~ 0 across the scan; no discrete roots reported")

@@ -432,32 +432,32 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
 def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
     """Sampled check of the monotonicity assumption in both strict/non-strict forms.
 
-    One rate evaluation per distinct profile (a row): each shape at four scales,
-    neighbours paired, then ten random pairs. Pairs index (lower, higher) rows.
+    One rate evaluation per distinct profile (a row), made as it is drawn: each shape
+    at four scales, neighbours paired, then ten random pairs. Pairs index (lower, higher) rows.
     """
     grid = ctx.grid
     stride = max(1, grid.n // 40)
+    kept = grid.nodes[::stride].size
+    mg, bm = [], []
+
+    def add_row(u):                # a rate constant in x comes as a float
+        g, mu, beta = (a[::stride] if isinstance(a, np.ndarray) else np.full(kept, a)
+                       for a in ctx.rates.raw(u))
+        mg.append(mu / g)
+        bm.append(beta / mu)
+
     rng = np.random.default_rng(cfg.seed + 1)
     shapes = _sample_shapes(ctx, rng, n_random=3)
     scales = (0.1, 0.5, 2.0, 10.0)
-    rows = [s * w.values for w in shapes for s in scales]
-    pairs = [(i, i + 1) for i in range(len(rows)) if (i + 1) % len(scales)]
+    for w, s in itertools.product(shapes, scales):
+        add_row(s * w.values)
+    pairs = [(i, i + 1) for i in range(len(mg)) if (i + 1) % len(scales)]
     for _ in range(10):
         w = shapes[int(rng.integers(len(shapes)))]
         u2 = (1.0 + 2.0 * rng.random()) * w.values
-        pairs.append((len(rows), len(rows) + 1))
-        rows += [u2 * rng.random(grid.n), u2]
-
-    kept = grid.nodes[::stride].size
-
-    def strided(rate):             # a rate constant in x comes as a float
-        return rate[::stride] if isinstance(rate, np.ndarray) else np.full(kept, rate)
-
-    mg, bm = [], []
-    for u in rows:
-        g, mu, beta = (strided(a) for a in ctx.rates.raw(u))
-        mg.append(mu / g)
-        bm.append(beta / mu)
+        pairs.append((len(mg), len(mg) + 1))
+        add_row(u2 * rng.random(grid.n))
+        add_row(u2)
     mg, bm = np.array(mg), np.array(bm)
     lo, hi = np.array(pairs).T
     tol = strict = 1e-12

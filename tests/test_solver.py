@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steadypop as sp
+from steadypop.config import load_config
 from steadypop.errors import (
     BoundsViolationError,
     ConvergenceError,
@@ -18,6 +20,12 @@ from steadypop.errors import (
 from conftest import exp_profile, misdeclared_constant, misdeclared_hierarchical
 
 CE_CFG = sp.SolverConfig(lambda_min=0.01, lambda_max=10.0, scan_points=200)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped_ctx(name):
+    run = load_config(str(CONFIGS / (name + ".cfg")))
+    return sp.make_context(run.model, run.grid), run.solver
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +212,16 @@ class TestScanAndBisect:
             expect = r.lambda_star * np.exp(-ce_ctx.grid.nodes)
             assert np.allclose(r.u_star.values, expect, atol=1e-6)
             assert r.P_star == pytest.approx(r.lambda_star, abs=2e-6)
+
+    @pytest.mark.parametrize("name,n_roots", [("counterexample", 2), ("hierarchical", 1)])
+    def test_survival_between_envelopes(self, name, n_roots):
+        # the profile files carry no e1, e2: each result's pi is checked here
+        ctx, cfg = _shipped_ctx(name)
+        _, results = sp.solve_all(ctx, cfg)
+        assert len(results) == n_roots
+        for r in results:
+            assert np.all(ctx.e1.values <= r.pi.values * (1 + 1e-12))
+            assert np.all(r.pi.values <= ctx.e2.values * (1 + 1e-12))
 
     def test_subcritical_constant_model_has_no_roots(self, const_ctx_factory):
         ctx = const_ctx_factory(1.0, 1.0, 0.5)  # R = 1/2 < 1 everywhere
