@@ -215,6 +215,10 @@ def main(argv=None) -> int:
             print("input error: %s" % exc, file=sys.stderr)
             return EXIT_CONFIG
     except SteadypopError as exc:
+        if isinstance(exc, ParameterError) and exc.field == "scan_points":
+            # the scan grid is built only when a command scans
+            print("config error: invalid solver parameters: %s" % exc, file=sys.stderr)
+            return EXIT_CONFIG
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -11,6 +11,7 @@ equal node count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,11 @@ SCHEMES = (UNIFORM, GRADED)
 
 # last/first spacing for the graded layout
 _GRADED_SPACING_RATIO = 100.0
+
+# the most float64 values one array can hold: past sys.maxsize bytes numpy
+# raises ValueError or worse, where a smaller array that does not fit in
+# memory raises MemoryError
+MAX_ARRAY_SIZE = sys.maxsize // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -96,19 +102,24 @@ def build_grid(x_max: float, n: int, scheme: str = UNIFORM) -> Grid:
         raise ParameterError("x_max must be finite and positive, got %r" % (x_max,), "x_max")
     if n < 3:
         raise ParameterError("n must be at least 3, got %r" % (n,), "n")
-    if scheme == UNIFORM:
-        nodes = np.linspace(0.0, x_max, n)
-    elif scheme == GRADED:
-        q = _GRADED_SPACING_RATIO ** (1.0 / (n - 2))
-        h0 = x_max * (q - 1.0) / (q ** (n - 1) - 1.0)
-        spacings = h0 * q ** np.arange(n - 1)
-        nodes = np.concatenate(([0.0], np.cumsum(spacings)))
-        nodes[-1] = x_max
-    else:
+    if n > MAX_ARRAY_SIZE:
+        raise ParameterError("n must be at most %d, got %r" % (MAX_ARRAY_SIZE, n), "n")
+    if scheme not in SCHEMES:
         raise ParameterError("unknown scheme %r (expected one of %s)" % (scheme, SCHEMES),
                              "scheme")
     try:
+        if scheme == UNIFORM:
+            nodes = np.linspace(0.0, x_max, n)
+        else:
+            # allocated first: past n ~ 4e16, which never fits, q rounds to 1 and h0 is 0/0
+            powers = np.arange(n - 1)
+            q = _GRADED_SPACING_RATIO ** (1.0 / (n - 2))
+            h0 = x_max * (q - 1.0) / (q ** (n - 1) - 1.0)
+            nodes = np.concatenate(([0.0], np.cumsum(h0 * q ** powers)))
+            nodes[-1] = x_max
         return Grid(nodes)
+    except MemoryError as exc:
+        raise ParameterError("n = %d: the grid does not fit in memory" % n, "n") from exc
     except ParameterError as exc:      # nodes too close together for floating point
         raise ParameterError(str(exc), "x_max") from exc
 

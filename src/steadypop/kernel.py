@@ -7,9 +7,11 @@ grid's length) once, on entry: against that grid, and for its sign.
 
 A :class:`KernelContext` holds, computed once by :func:`make_context`, what
 does not depend on u: the rates that ignore u (bounds-checked there), the
-x-only shapes of the others, and the survival shape when neither g nor mu
-reads u. It is immutable, every array it exposes is read-only, and all
-operations are pure functions of it, so they are safe to call concurrently.
+x-only shapes of the others, the cold start of the inner solve (the envelope
+midpoint), and, when neither g nor mu reads u, the survival shape and its L1
+distance from that start. It is immutable, every array it exposes is
+read-only, and all operations are pure functions of it, so they are safe to
+call concurrently.
 The survival shape is always computed as the exponential of one running
 integral of mu/g (never as products of per-interval survivals), shared between
 the net reproduction value and the fixed-point map within a call.
@@ -48,6 +50,8 @@ class KernelContext:
     norm_e2: float
     rates: FrozenRates
     pi: np.ndarray | None          # survival shape when neither g nor mu reads u, else None
+    start: DensityProfile          # cold start of the inner solve: 0.5 * (e1 + e2)
+    start_gap: float | None        # quadrature of |start - pi| when pi is fixed, else None
 
 
 def _survival(grid: Grid, g, mu) -> np.ndarray:
@@ -60,13 +64,16 @@ def make_context(model: ModelSpec, grid: Grid) -> KernelContext:
     norm_e1, norm_e2 = envelope_norms(model.bounds)
     frozen = freeze_rates(model, grid)
     (g, mu, _), (g_error, mu_error, _) = frozen.fixed, frozen.errors
-    pi = None
+    start = DensityProfile(grid, 0.5 * (e1.values + e2.values))
+    pi = start_gap = None
     # a fixed rate outside its bounds raises at every evaluation, before pi is used
     if g is not None and mu is not None and g_error is None and mu_error is None:
         pi = _survival(grid, g, mu)
         pi.setflags(write=False)
+        start_gap = _accel.weighted_sum(grid.weights, np.abs(start.values - pi))
     return KernelContext(model=model, grid=grid, e1=e1, e2=e2,
-                         norm_e1=norm_e1, norm_e2=norm_e2, rates=frozen, pi=pi)
+                         norm_e1=norm_e1, norm_e2=norm_e2, rates=frozen, pi=pi,
+                         start=start, start_gap=start_gap)
 
 
 def rates_and_survival(ctx: KernelContext, u_values: np.ndarray):

@@ -13,6 +13,7 @@ explicitly flagged trace, never a guess.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import _accel
 from .errors import ConvergenceError, ParameterError
-from .grid import DensityProfile, _density_values, integrate, zero_profile
+from .grid import MAX_ARRAY_SIZE, DensityProfile, _density_values, integrate, zero_profile
 from .kernel import KernelContext, net_reproduction_R, rates_and_survival, residual
 from .model import (
     beta_sup,
@@ -48,6 +49,8 @@ class SolverConfig:
                 raise ParameterError("tolerances must be finite and positive", name)
         if self.scan_points < 2:
             raise ParameterError("scan_points must be at least 2", "scan_points")
+        if self.scan_points > MAX_ARRAY_SIZE:
+            raise ParameterError("scan_points must be at most %d" % MAX_ARRAY_SIZE, "scan_points")
         if self.picard_max_iter < 1:
             raise ParameterError("iteration caps must be at least 1", "picard_max_iter")
         if self.seed < 0:
@@ -132,9 +135,10 @@ def inner_picard(
 ) -> PicardResult:
     """Fixed-point iteration v <- Pi(., lam v) for the shape at frozen scale lam.
 
-    Starts from the shape ``start`` when given, else from the envelope
-    midpoint. Raises :class:`ConvergenceError` carrying the last step's
-    residual when ``picard_max_iter`` steps do not reach ``picard_tol``.
+    Starts from the shape ``start`` when given, else from the context's
+    envelope midpoint ``ctx.start``. Raises :class:`ConvergenceError`
+    carrying the last step's residual when ``picard_max_iter`` steps do not
+    reach ``picard_tol``.
 
     With ``sign_only`` the iteration also stops at a step k >= 2 once the
     sign of R - 1 is settled, returning ``converged=False`` and the step's
@@ -151,12 +155,20 @@ def inner_picard(
     if isinstance(start, PicardResult):
         v, first, res = start.pi, start.iterations + 1, start.residual_l1
     elif start is None:
-        v = 0.5 * (ctx.e1.values + ctx.e2.values)
+        v = ctx.start.values
     else:
         v = _density_values(grid, start)
     for k in range(first, cfg.picard_max_iter + 1):
         _, beta, pi = rates_and_survival(ctx, lam * v)
-        res_prev, res = res, _accel.weighted_sum(grid.weights, np.abs(v - pi))
+        res_prev = res
+        # a gap between two of the context's own arrays is known: the same sum,
+        # or exactly 0.0 for |pi - pi|
+        if pi is ctx.pi and v is ctx.start.values:
+            res = ctx.start_gap
+        elif pi is ctx.pi and v is pi:
+            res = 0.0
+        else:
+            res = _accel.weighted_sum(grid.weights, np.abs(v - pi))
         if res <= cfg.picard_tol:
             R = _accel.weighted_sum(grid.weights, beta * pi)
             return PicardResult(DensityProfile(grid, v), k, res, R, pi)
@@ -200,9 +212,13 @@ def _scan_lambdas(ctx: KernelContext, cfg: SolverConfig) -> np.ndarray:
         # the invariant-box bound can drop below 1 when no equilibrium exists;
         # keep a positive scan range so the empty result is still observed
         hi = max(compute_M(ctx, _rho0_proxy(ctx)), 1.0, 10.0 * lo)
-    if lo > 0:
-        return np.geomspace(lo, hi, cfg.scan_points)
-    return np.linspace(lo, hi, cfg.scan_points)
+    try:
+        if lo > 0:
+            return np.geomspace(lo, hi, cfg.scan_points)
+        return np.linspace(lo, hi, cfg.scan_points)
+    except MemoryError as exc:
+        raise ParameterError("scan_points = %d: the scan grid does not fit in memory"
+                             % cfg.scan_points, "scan_points") from exc
 
 
 def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False) -> ScanResult:
@@ -380,8 +396,7 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
 
 def _sample_shapes(ctx: KernelContext, rng, n_random: int = 5):
     """Both envelopes, their midpoint and ``n_random`` seeded shapes between them."""
-    mid = DensityProfile(ctx.grid, 0.5 * (ctx.e1.values + ctx.e2.values))
-    return [ctx.e1, ctx.e2, mid] + random_onion_samples(
+    return [ctx.e1, ctx.e2, ctx.start] + random_onion_samples(
         ctx.model.bounds, ctx.grid, (1.0,), n_random, rng)
 
 
@@ -396,18 +411,25 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     Sampled over scaled envelope shapes; heuristic evidence, not a proof.
     Sizes are visited from the largest down, and the walk stops at the first
     size with a sample of R > 1, since no smaller size can then qualify.
+    Each shape's sizes are computed lazily, only as far as the walk goes.
     A size P with ``beta_sup(P) * I <= 1`` (``I`` from
     :func:`survival_mass_bound`, with a rounding margin) is passed without
     evaluating its samples: every profile of that size whose rates pass the
     bounds check has R <= 1. Every sample that is evaluated is checked.
     """
+    lams = np.geomspace(1e-3, 1e4, 100)[::-1]
+
+    def walk(w):
+        # lam * w rounds monotonically and the quadrature adds nonnegative
+        # terms in a fixed order, so the sizes come out non-increasing
+        for lam in lams:
+            yield integrate(ctx.grid, lam * w.values), lam, w
+
+    # the order and groups of a stable sort of all 800 samples by size,
+    # largest first, ties in shape order; sizes past the walk's stop are never made
     rng = np.random.default_rng(cfg.seed)
-    samples = [
-        (integrate(ctx.grid, lam * w.values), lam, w)
-        for w in _sample_shapes(ctx, rng)
-        for lam in np.geomspace(1e-3, 1e4, 100)
-    ]
-    samples.sort(key=lambda s: s[0], reverse=True)
+    samples = heapq.merge(*map(walk, _sample_shapes(ctx, rng)),
+                          key=lambda s: s[0], reverse=True)
     # The computed R differs from the exact sum that beta_sup(P) * I bounds by
     # relative rounding only. The ratio mu/g, c and each trapezoid segment
     # carry a few ulps and a running sum of n positive terms at most n, so the

@@ -516,5 +516,34 @@ class TestExitCodes:
         assert main(["solve", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    # sizes no machine can allocate; each parses as a whole number
+    @pytest.mark.parametrize("line,key", [
+        ("grid.n = 1e300", "grid.n"),
+        ("grid.n = 9223372036854775808", "grid.n"),
+        ("grid.n = 1e16", "grid.n"),
+        ("grid.n = 1e16\ngrid.scheme = graded_trapezoid", "grid.n"),
+        ("solver.scan_points = 1e300", "solver.scan_points"),
+        ("solver.scan_points = 9223372036854775808", "solver.scan_points"),
+    ])
+    def test_huge_size_is_a_named_config_error(self, tmp_path, capsys, line, key):
+        cfg = write_config(tmp_path / "huge.cfg", "model.variant = counterexample\n%s\n" % line)
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.key == key
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid %s parameters: "
+                                                  % key.split(".")[0])
+
+    @pytest.mark.parametrize("command", ["scan", "solve"])
+    def test_scan_grid_that_does_not_fit_is_a_named_config_error(self, tmp_path, capsys,
+                                                                 command):
+        # parses, since the scan grid is built only when a command scans
+        cfg = write_config(tmp_path / "huge.cfg", "model.variant = counterexample\n"
+                                                  "grid.n = 101\nsolver.scan_points = 1e16\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid solver parameters: scan_points = 10000000000000000: "
+            "the scan grid does not fit in memory\n")
+
     def test_missing_config_exit_2(self):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2

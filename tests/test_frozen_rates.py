@@ -21,6 +21,7 @@ from steadypop.errors import BoundsViolationError
 from steadypop.grid import integrate, reverse_cumulative_integral
 from steadypop.kernel import rates_and_survival
 from steadypop.model import counterexample_f
+from steadypop.solver import PicardResult
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -234,6 +235,48 @@ def _assert_fixed_passed_through(ctx, u):
                 assert value is fixed
 
 
+# families whose survival shape reads no u, so ctx.pi is fixed
+FIXED_SURVIVAL = {
+    "counterexample": lambda: sp.counterexample_model(1.0),
+    "constant": lambda: sp.constant_model(mu0=1.3, g0=0.9, beta0=1.0),
+    # g grows with x, so the envelopes differ from pi and a cold solve takes two steps
+    "composite": lambda: sp.composite_model(
+        g=sp.CompositeRate(const=1.0, x_amp=0.5), mu=sp.CompositeRate(const=1.0),
+        beta=sp.CompositeRate(const=0.5, u_inv=2.0)),
+}
+
+
+def _context(model, scheme):
+    return sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), 2001, scheme))
+
+
+def _picard_bits(pr):
+    n = pr.pi.size
+    return (_bits(pr.v.values, n).tobytes(), pr.iterations, _bits(pr.residual_l1, 1).tobytes(),
+            _bits(pr.R, 1).tobytes(), _bits(pr.pi, n).tobytes(), pr.converged)
+
+
+def _picard_reference(ctx, lam, cfg, sign_only):
+    """A cold inner_picard that sums |v - pi| at every step."""
+    grid = ctx.grid
+    v = 0.5 * (ctx.e1.values + ctx.e2.values)
+    res = R = math.nan
+    for k in range(1, cfg.picard_max_iter + 1):
+        _, beta, pi = rates_and_survival(ctx, lam * v)
+        res_prev, res = res, _accel.weighted_sum(grid.weights, np.abs(v - pi))
+        if res <= cfg.picard_tol:
+            R = _accel.weighted_sum(grid.weights, beta * pi)
+            return PicardResult(sp.DensityProfile(grid, v), k, res, R, pi)
+        if sign_only:
+            R_prev, R = R, _accel.weighted_sum(grid.weights, beta * pi)
+            q = res / res_prev
+            if q < 0.9 and abs(R - 1.0) > 10.0 * abs(R - R_prev) / (1.0 - q) + cfg.root_tol:
+                return PicardResult(sp.DensityProfile(grid, v), k, res, R, pi,
+                                    converged=False)
+        v = pi
+    raise AssertionError("reference solve did not converge")
+
+
 def _shipped_context(name):
     run = load_config(str(CONFIGS / ("%s.cfg" % name)))
     return sp.make_context(run.model, run.grid), run.solver
@@ -260,10 +303,51 @@ class TestWorkDoneOnce:
 
     def test_context_arrays_are_read_only(self, ce_ctx):
         frozen = ce_ctx.rates
-        for value in [*frozen.fixed[:2], ce_ctx.pi]:
+        for value in [*frozen.fixed[:2], ce_ctx.pi, ce_ctx.start.values]:
             assert not value.flags.writeable
         with pytest.raises(ValueError):
             ce_ctx.pi[0] = 0.0
+        with pytest.raises(ValueError):
+            ce_ctx.start.values[0] = 0.0
+
+    @pytest.mark.parametrize("family", sorted(FIXED_SURVIVAL) + ["hierarchical"])
+    def test_cold_start_is_the_one_envelope_midpoint(self, family):
+        builders = {**FIXED_SURVIVAL,
+                    "hierarchical": lambda: sp.hierarchical_model(0.5, 1.0, 1.0, 2.0)}
+        ctx = _context(builders[family](), "graded_trapezoid")
+        mid = 0.5 * (ctx.e1.values + ctx.e2.values)
+        assert np.array_equal(_bits(ctx.start.values, ctx.grid.n), _bits(mid, ctx.grid.n))
+        assert sp.solver._sample_shapes(ctx, np.random.default_rng(0))[2] is ctx.start
+        if ctx.pi is None:
+            assert ctx.start_gap is None
+        else:
+            gap = _accel.weighted_sum(ctx.grid.weights, np.abs(mid - ctx.pi))
+            assert _bits(ctx.start_gap, 1) == _bits(gap, 1)
+
+    @pytest.mark.parametrize("sign_only", [False, True])
+    @pytest.mark.parametrize("scheme", ["uniform_trapezoid", "graded_trapezoid"])
+    @pytest.mark.parametrize("family", sorted(FIXED_SURVIVAL))
+    def test_fixed_survival_cold_solve_sums_no_residual(self, monkeypatch, family, scheme,
+                                                        sign_only):
+        ctx = _context(FIXED_SURVIVAL[family](), scheme)
+        assert ctx.pi is not None
+        cfg = sp.SolverConfig()
+        sums = _count(monkeypatch, _accel, "weighted_sum")
+        for lam in (0.5, 3.0):
+            sums.clear()
+            want = _picard_reference(ctx, lam, cfg, sign_only)
+            reference_sums = len(sums)
+            sums.clear()
+            got = sp.inner_picard(ctx, lam, cfg, sign_only=sign_only)
+            assert _picard_bits(got) == _picard_bits(want)
+            # the reference sums |v - pi| once per step, the solve never
+            assert len(sums) == reference_sums - got.iterations
+            if family == "counterexample":
+                # the size its fertility reads and R
+                assert len(sums) == 2
+            if family == "composite":
+                # step 2 starts at pi itself
+                assert got.iterations == 2 and got.v.values is ctx.pi
 
     @pytest.mark.parametrize("variant,fixed", [
         ("constant", (True, True, True)),

@@ -42,6 +42,13 @@ class TestBuildGrid:
         # positive, but its spacings round to 0: the nodes it builds fail
         ((1e-320, 4001), "x_max"),
         ((1e-320, 4001, "graded_trapezoid"), "x_max"),
+        # never allocatable: too many nodes for numpy, or for any memory
+        ((1.0, int(1e300)), "n"),
+        ((1.0, 2**63, "graded_trapezoid"), "n"),
+        ((1.0, 10**16), "n"),
+        ((1.0, 10**16, "graded_trapezoid"), "n"),
+        # its spacing ratio rounds to 1, and 0/0 would come before the allocation
+        ((1.0, 10**17, "graded_trapezoid"), "n"),
     ])
     def test_error_names_its_field(self, args, field):
         with pytest.raises(ParameterError) as info:

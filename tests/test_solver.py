@@ -43,6 +43,7 @@ class TestSolverConfig:
             {"picard_tol": 0.0},
             {"root_tol": -1.0},
             {"scan_points": 1},
+            {"scan_points": 2**63},
             {"lambda_min": -1.0},
             {"lambda_min": 2.0, "lambda_max": 1.0},
             {"picard_tol": float("nan")},
@@ -707,6 +708,23 @@ class TestCertificates:
         expect = _rho0_reference(ctx, cfg)
         assert (expect is None) == (case in ("constant_supercritical", "constant_degenerate"))
         assert sp.find_rho0(ctx, cfg) == expect
+
+    @pytest.mark.parametrize("case", ["hier_ctx", "ce_ctx"])
+    def test_find_rho0_computes_sizes_only_as_far_as_its_walk(self, request, monkeypatch,
+                                                              case):
+        ctx = request.getfixturevalue(case)
+        cfg = sp.SolverConfig()
+        expect = _rho0_reference(ctx, cfg)
+        sizes = []
+
+        def counted(grid, f):
+            sizes.append(1)
+            return sp.integrate(grid, f)
+
+        monkeypatch.setattr(sp.solver, "integrate", counted)
+        assert sp.find_rho0(ctx, cfg) == expect
+        # 8 shapes at 100 scales each
+        assert len(sizes) < 800
 
     def test_find_rho0_stops_at_first_size_above_one(self, hier_ctx, monkeypatch):
         calls = _count_R_evals(monkeypatch)
