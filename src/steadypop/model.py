@@ -492,40 +492,55 @@ class HypothesisReport:
             yield ("note", "info", note)
 
 
+def _sup(values) -> float:
+    """``max(0.0, *values)``, but NaN when any value is NaN, which Python's max can drop."""
+    return math.nan if any(math.isnan(v) for v in values) else max([0.0, *values])
+
+
 def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisReport:
     """Check rate bounds, a finite-difference derivative sup, and fertility decay.
 
     All verdicts come from the supplied onion samples plus a fixed scale sweep;
-    they are sampled evidence over an uncountable admissible set.
+    they are sampled evidence over an uncountable admissible set. A NaN rate
+    makes its maximum NaN, so its row fails.
+
+    A rate that ignores u (``freeze_rates(...).fixed``) is the same under every
+    sample: its bound violations, and the g_x slope when g is one of them, are
+    computed once per call, not once per sample.
     """
     if not samples:
         raise ParameterError("need at least one onion sample")
     b = model.bounds
     nodes = grid.nodes
     T = 0.5 * grid.x_max
-    in_window = nodes <= T
+    in_window = (nodes <= T)[:-1]
 
     frozen = freeze_rates(model, grid)
 
     def raw(u):
         return tuple(_at_nodes(grid, value) for value in frozen.raw(u))
 
+    def violations(i, value):
+        low, high, _ = frozen.limits[i]
+        return (float(np.max(low - value, initial=0.0)),
+                float(np.max(value - high, initial=0.0)))
+
+    def slope(g):
+        return float(np.max(np.abs(np.diff(g) / grid.steps)[in_window], initial=0.0))
+
+    fixed = frozen.fixed
+    terms = [t for i, value in enumerate(fixed) if value is not None
+             for t in violations(i, value)]
+    slopes = [] if fixed[0] is None else [slope(fixed[0])]
     values = [_density_values(grid, s) for s in samples]
-    worst = 0.0
-    gx_sup = 0.0
     for u in values:
-        g, mu, beta = raw(u)
-        worst = max(
-            worst,
-            float(np.max(b.g_low - g, initial=0.0)),
-            float(np.max(g - b.g_high, initial=0.0)),
-            float(np.max(b.mu_low - mu, initial=0.0)),
-            float(np.max(mu - b.mu_high, initial=0.0)),
-            float(np.max(-beta, initial=0.0)),
-            float(np.max(beta - b.beta_max, initial=0.0)),
-        )
-        gx = np.abs(np.diff(g) / grid.steps)
-        gx_sup = max(gx_sup, float(np.max(gx[in_window[:-1]], initial=0.0)))
+        rates = raw(u)
+        terms += [t for i, value in enumerate(rates) if fixed[i] is None
+                  for t in violations(i, value)]
+        if fixed[0] is None:
+            slopes.append(slope(rates[0]))
+    worst = _sup(terms)
+    gx_sup = _sup(slopes)
     tol = 1e-12 * max(1.0, b.g_high, b.mu_high, b.beta_max)
     bounds_ok = worst <= tol
 
@@ -545,10 +560,11 @@ def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisRepo
     # continuity evidence: relative rate response to a 1e-6 L1 perturbation
     base = values[0]
     delta = 1e-6 / max(integrate(grid, e2), 1e-300)
-    resp = 0.0
+    responses = []
     for a0, a1 in zip(raw(base), raw(base + delta * e2)):
         scale = max(float(np.max(np.abs(a0))), 1e-300)
-        resp = max(resp, float(np.max(np.abs(a1 - a0))) / scale)
+        responses.append(float(np.max(np.abs(a1 - a0))) / scale)
+    resp = _sup(responses)
 
     notes = ("verdicts are sampled evidence over the admissible set, not proofs",)
     return HypothesisReport(

@@ -171,7 +171,9 @@ def inner_picard(
             res = _accel.weighted_sum(grid.weights, np.abs(v - pi))
         if res <= cfg.picard_tol:
             R = _accel.weighted_sum(grid.weights, beta * pi)
-            return PicardResult(DensityProfile(grid, v), k, res, R, pi)
+            # the cold start was checked once, when the context was made
+            shape = ctx.start if v is ctx.start.values else DensityProfile(grid, v)
+            return PicardResult(shape, k, res, R, pi)
         if sign_only:
             R_prev, R = R, _accel.weighted_sum(grid.weights, beta * pi)
             q = res / res_prev         # NaN at the first step, which never stops

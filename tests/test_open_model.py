@@ -105,3 +105,28 @@ class TestFamilyOutsideTheBuilders:
             sp.net_reproduction_R(ctx, zero)
         with pytest.raises(BoundsViolationError, match=message):
             sp.certify(ctx, CFG)
+
+    def test_nan_rate_fails_the_bounds_row(self):
+        # Python's max(0.0, nan) is 0.0: a NaN fertility used to read bounds_A,pass
+        def bind(p, grid):
+            fixed, rates = _competition_bind(p, grid)
+
+            def nan_beta(u):
+                g, mu, beta = rates(u)
+                beta = np.full(grid.n, beta)
+                beta[grid.n // 2] = np.nan
+                return g, mu, beta
+
+            return fixed, nan_beta
+
+        model = dataclasses.replace(competition_model(0.3, **PARAMS), bind=bind)
+        ctx = _context(model, n=101)
+        samples = sp.random_onion_samples(model.bounds, ctx.grid, [0.1, 1.0], 2,
+                                          np.random.default_rng(0))
+        with pytest.raises(BoundsViolationError, match="^beta evaluated outside"):
+            sp.net_reproduction_R(ctx, samples[0])
+        report = sp.validate_hypotheses(model, ctx.grid, samples)
+        assert not report.bounds_ok
+        assert np.isnan(report.worst_bound_violation)
+        assert np.isnan(report.continuity_response)
+        assert next(report.rows())[:2] == ("bounds_A", "fail")
