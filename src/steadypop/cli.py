@@ -118,7 +118,7 @@ def cmd_diagnose(run: RunConfig) -> int:
     rng = np.random.default_rng(run.solver.seed)
     lambdas = [10.0**k for k in range(-3, 4)]
     samples = random_onion_samples(run.model.bounds, run.grid, lambdas, 2, rng)
-    report = validate_hypotheses(run.model, run.grid, samples)
+    report = validate_hypotheses(ctx, samples)
     rows = list(report.rows())
     if run.grid.is_uniform:
         # a short horizon keeps only the shifts that fit inside it

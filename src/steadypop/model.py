@@ -250,7 +250,12 @@ def _hierarchical_beta_sup(p, P):
 
 
 def _hierarchical_gx_bound(p, bounds: RateBounds, T: float) -> float:
-    """Bound on |g_x| over [0, T] for every admissible u; inf when it cannot be formed."""
+    """Bound on |g_x| over [0, T] for every admissible u; inf when it cannot be formed.
+
+    It divides by the lower envelope's mass beyond T, about exp(-mu_high T / g_low),
+    so at default horizons it is about 1e10 (1.47152e10 on ``configs/hierarchical.cfg``,
+    T = x_max / 2) and a ``derivative_D`` pass says nothing there.
+    """
     # sup over scales of lam*v*exp(-lam*tail) is bounded via sup lam*e^(-a*lam)=1/(a*e)
     _, e2_at_0 = envelope_values(bounds, 0.0)
     tail_e1 = ((bounds.g_low / (bounds.g_high * bounds.mu_high))
@@ -308,14 +313,18 @@ def _limits(bounds: RateBounds):
             (0.0, bounds.beta_max, "beta"))
 
 
-def _violation(value, low, high, name):
-    """Why ``value`` (an array, or a float) fails the bounds check, or None if it passes."""
+def _check(value, low, high):
+    """(min, max, passes) of a rate, an array or a float, under the bounds check; NaN fails."""
     if isinstance(value, float):
         lo = hi = value
     else:                           # what np.min and np.max run, without their dispatch
         lo, hi = np.minimum.reduce(value), np.maximum.reduce(value)
-    # the negated form also flags NaN
-    if not (low - _tolerance(low) <= lo and hi <= high + _tolerance(high)):
+    return lo, hi, low - _tolerance(low) <= lo and hi <= high + _tolerance(high)
+
+
+def _violation(value, low, high, name):
+    """Why ``value`` (an array, or a float) fails the bounds check, or None if it passes."""
+    if not _check(value, low, high)[2]:
         return "%s evaluated outside declared bounds [%g, %g]" % (name, low, high)
     return None
 
@@ -497,59 +506,55 @@ def _sup(values) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max([0.0, *values])
 
 
-def validate_hypotheses(model: ModelSpec, grid: Grid, samples) -> HypothesisReport:
+def validate_hypotheses(ctx, samples) -> HypothesisReport:
     """Check rate bounds, a finite-difference derivative sup, and fertility decay.
 
-    All verdicts come from the supplied onion samples plus a fixed scale sweep;
-    they are sampled evidence over an uncountable admissible set. A NaN rate
-    makes its maximum NaN, so its row fails.
-
-    A rate that ignores u (``freeze_rates(...).fixed``) is the same under every
-    sample: its bound violations, and the g_x slope when g is one of them, are
-    computed once per call, not once per sample.
+    Reads the model, grid, frozen rates and upper envelope of the context
+    ``ctx`` and builds none of them again. The verdicts are sampled evidence
+    over an uncountable admissible set, from ``samples`` and a fixed scale sweep.
+    ``bounds_A`` passes exactly when every evaluation passes the bounds check
+    (a fixed rate's verdict is ``ctx.rates.errors``); its worst violation, the
+    largest excess past a declared bound, is NaN when a rate is NaN. A rate
+    that ignores u, and g's slope when it is one, is taken once per call.
     """
     if not samples:
         raise ParameterError("need at least one onion sample")
-    b = model.bounds
-    nodes = grid.nodes
+    model, grid, frozen = ctx.model, ctx.grid, ctx.rates
     T = 0.5 * grid.x_max
-    in_window = (nodes <= T)[:-1]
-
-    frozen = freeze_rates(model, grid)
+    in_window = (grid.nodes <= T)[:-1]
 
     def raw(u):
         return tuple(_at_nodes(grid, value) for value in frozen.raw(u))
 
-    def violations(i, value):
+    def check(i, value):           # with rate i's declared bounds
         low, high, _ = frozen.limits[i]
-        return (float(np.max(low - value, initial=0.0)),
-                float(np.max(value - high, initial=0.0)))
+        return (*_check(value, low, high), low, high)
 
     def slope(g):
         return float(np.max(np.abs(np.diff(g) / grid.steps)[in_window], initial=0.0))
 
     fixed = frozen.fixed
-    terms = [t for i, value in enumerate(fixed) if value is not None
-             for t in violations(i, value)]
+    checks = [check(i, value) for i, value in enumerate(fixed) if value is not None]
+    judged = len(checks)           # freeze_rates already judged these
     slopes = [] if fixed[0] is None else [slope(fixed[0])]
     values = [_density_values(grid, s) for s in samples]
     for u in values:
         rates = raw(u)
-        terms += [t for i, value in enumerate(rates) if fixed[i] is None
-                  for t in violations(i, value)]
+        checks += [check(i, value) for i, value in enumerate(rates) if fixed[i] is None]
         if fixed[0] is None:
             slopes.append(slope(rates[0]))
-    worst = _sup(terms)
+    bounds_ok = (all(error is None for error in frozen.errors)
+                 and all(passes for _, _, passes, _, _ in checks[judged:]))
+    # rounding is monotone, so low - min(v) is max(low - v) bit for bit
+    worst = _sup([float(t) for lo, hi, _, low, high in checks for t in (low - lo, hi - high)])
     gx_sup = _sup(slopes)
-    tol = 1e-12 * max(1.0, b.g_high, b.mu_high, b.beta_max)
-    bounds_ok = worst <= tol
 
     gx_bound = gx_ok = None
     if model.gx_bound is not None:
-        gx_bound = model.gx_bound(model.params, b, T)
+        gx_bound = model.gx_bound(model.params, model.bounds, T)
         gx_ok = math.isfinite(gx_bound) and gx_sup <= gx_bound * (1.0 + 1e-6)
 
-    _, e2 = envelope_values(b, nodes)
+    e2 = ctx.e2.values
     lams = (1.0, 10.0, 1e2, 1e3, 1e4)
     beta_sweep = [float(np.max(raw(lam * e2)[2])) for lam in lams]
     nonincreasing = all(

@@ -25,6 +25,7 @@ from .errors import ConvergenceError, ParameterError
 from .grid import MAX_ARRAY_SIZE, DensityProfile, _density_values, integrate, zero_profile
 from .kernel import KernelContext, net_reproduction_R, rates_and_survival, residual
 from .model import (
+    _at_nodes,
     beta_sup,
     envelope_tail_mass,
     random_onion_samples,
@@ -161,12 +162,9 @@ def inner_picard(
     for k in range(first, cfg.picard_max_iter + 1):
         _, beta, pi = rates_and_survival(ctx, lam * v)
         res_prev = res
-        # a gap between two of the context's own arrays is known: the same sum,
-        # or exactly 0.0 for |pi - pi|
+        # the gap between the context's own start and pi is summed once, in make_context
         if pi is ctx.pi and v is ctx.start.values:
             res = ctx.start_gap
-        elif pi is ctx.pi and v is pi:
-            res = 0.0
         else:
             res = _accel.weighted_sum(grid.weights, np.abs(v - pi))
         if res <= cfg.picard_tol:
@@ -237,9 +235,9 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     the bracket ends, so brackets, ends and the degenerate flag are those of
     the full scan, while ``residuals`` are exact only at converged points and
     bracket ends and ``failed`` lists the points that failed before their
-    sign settled. Raises :class:`ConvergenceError` when that cannot stand in
-    for the full scan: a bracket end fails or changes sign when resumed, or
-    the degenerate flag depends on points that were stopped. Points near a
+    sign settled. When that cannot stand in for the full scan (a bracket end
+    fails or changes sign when resumed, or the degenerate flag depends on
+    points that were stopped) it returns the full scan. Points near a
     root or a fold, where ``|R - 1|`` is small, never settle early, so they
     keep full accuracy; a search for close root pairs between scan points
     can rely on that.
@@ -267,16 +265,17 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     elif sign_only and zeros > 0 and zeros >= 0.9 * converged:
         # stopped points are never ~0, but the full scan may fail some of
         # them; without them the flag would be set, so only it can tell
-        raise ConvergenceError("degenerate-family verdict rests on unconverged scan points")
+        return scan_roots(ctx, cfg)
     ends = dict(end for pair in pairs for end in pair)     # index -> PicardResult
     for i, pr in sorted(ends.items()):
         if not pr.converged:
-            ends[i] = inner_picard(ctx, float(lams[i]), cfg, pr)
-            exact = ends[i].R - 1.0
-            if np.sign(exact) != np.sign(r[i]):
-                raise ConvergenceError("residual sign at scale %g changed after its stop"
-                                       % lams[i])
-            r[i] = exact
+            try:
+                ends[i] = inner_picard(ctx, float(lams[i]), cfg, pr)
+            except ConvergenceError:
+                return scan_roots(ctx, cfg)
+            if np.sign(ends[i].R - 1.0) != np.sign(r[i]):      # its sign was settled wrongly
+                return scan_roots(ctx, cfg)
+            r[i] = ends[i].R - 1.0
     return ScanResult(
         lambdas=lams,
         residuals=r,
@@ -461,12 +460,10 @@ def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
     """
     grid = ctx.grid
     stride = max(1, grid.n // 40)
-    kept = grid.nodes[::stride].size
     mg, bm = [], []
 
-    def add_row(u):                # a rate constant in x comes as a float
-        g, mu, beta = (a[::stride] if isinstance(a, np.ndarray) else np.full(kept, a)
-                       for a in ctx.rates.raw(u))
+    def add_row(u):
+        g, mu, beta = (_at_nodes(grid, a)[::stride] for a in ctx.rates.raw(u))
         mg.append(mu / g)
         bm.append(beta / mu)
 
@@ -563,15 +560,11 @@ def solve_all(ctx: KernelContext, cfg: SolverConfig):
 
     The scan is sign-only (see :func:`scan_roots`): its brackets, ends and
     degenerate flag, and so every result, are those of the full-tolerance
-    scan, which runs instead when the sign-only one cannot stand in for it.
-    Its ``residuals`` are exact only at converged points and bracket ends,
-    and its ``failed`` lists the points that failed before their sign
+    scan. Its ``residuals`` are exact only at converged points and bracket
+    ends, and its ``failed`` lists the points that failed before their sign
     settled. Returns (scan, results sorted by scale).
     """
-    try:
-        scan = scan_roots(ctx, cfg, sign_only=True)
-    except ConvergenceError:
-        scan = scan_roots(ctx, cfg)
+    scan = scan_roots(ctx, cfg, sign_only=True)
     results = [bisect_root(ctx, br, cfg, ends) for br, ends in zip(scan.brackets, scan.ends)]
     results.sort(key=lambda r: r.lambda_star)
     return scan, results

@@ -7,12 +7,16 @@ sample, as the checks did before they reused the u-independent parts.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steadypop as sp
 import steadypop.kernel as kernel
+from steadypop import cli
 from steadypop.errors import BoundsViolationError
 from steadypop.grid import _density_values, integrate, translate
 from steadypop.kernel import TranslationRow, rates_and_survival
@@ -70,24 +74,27 @@ def reference_compactness(ctx, samples, h_list, T):
                                     tuple(trans_rows), ok)
 
 
-def reference_hypotheses(model, grid, samples):
+def reference_hypotheses(ctx, samples):
+    model, grid = ctx.model, ctx.grid
     b, nodes = model.bounds, grid.nodes
     T = 0.5 * grid.x_max
     frozen = freeze_rates(model, grid)
+    limits = ((b.g_low, b.g_high), (b.mu_low, b.mu_high), (0.0, b.beta_max))
 
     def raw(u):
         return tuple(_at_nodes(grid, value) for value in frozen.raw(u))
 
     values = [_density_values(grid, s) for s in samples]
-    terms, slopes = [], []
+    terms, slopes, bounds_ok = [], [], True
     for u in values:
         g, mu, beta = raw(u)
-        terms += [float(np.max(b.g_low - g, initial=0.0)),
-                  float(np.max(g - b.g_high, initial=0.0)),
-                  float(np.max(b.mu_low - mu, initial=0.0)),
-                  float(np.max(mu - b.mu_high, initial=0.0)),
-                  float(np.max(-beta, initial=0.0)),
-                  float(np.max(beta - b.beta_max, initial=0.0))]
+        for value, (low, high) in zip((g, mu, beta), limits):
+            terms += [float(np.max(low - value, initial=0.0)),
+                      float(np.max(value - high, initial=0.0))]
+            # the check every evaluation makes, NaN failing it
+            bounds_ok = bounds_ok and bool(
+                np.all(value >= low - 1e-12 * max(1.0, abs(low)))
+                and np.all(value <= high + 1e-12 * max(1.0, abs(high))))
         gx = np.abs(np.diff(g) / grid.steps)
         slopes.append(float(np.max(gx[(nodes <= T)[:-1]], initial=0.0)))
     worst, gx_sup = _nan_max(terms), _nan_max(slopes)
@@ -103,7 +110,7 @@ def reference_hypotheses(model, grid, samples):
     responses = [float(np.max(np.abs(a1 - a0))) / max(float(np.max(np.abs(a0))), 1e-300)
                  for a0, a1 in zip(raw(values[0]), raw(values[0] + delta * e2))]
     return HypothesisReport(
-        bounds_ok=worst <= 1e-12 * max(1.0, b.g_high, b.mu_high, b.beta_max),
+        bounds_ok=bounds_ok,
         worst_bound_violation=worst, gx_window=T, gx_sup=gx_sup,
         gx_analytic_bound=gx_bound, gx_bound_ok=gx_ok, lbeta_lambdas=lams,
         lbeta_values=tuple(sweep),
@@ -155,8 +162,7 @@ class TestSameAsPerSample:
     def test_hypotheses(self, name):
         ctx = _context(name)
         samples = _samples(ctx)
-        _same(sp.validate_hypotheses(ctx.model, ctx.grid, samples),
-              reference_hypotheses(ctx.model, ctx.grid, samples))
+        _same(sp.validate_hypotheses(ctx, samples), reference_hypotheses(ctx, samples))
 
 
 @pytest.mark.parametrize("name, fixed", [("counterexample", True), ("constant", True),
@@ -196,3 +202,96 @@ def test_cold_start_returned_unchanged(ce_ctx):
     result = sp.inner_picard(ce_ctx, 0.7, sp.SolverConfig())
     assert result.iterations == 1
     assert result.v is ce_ctx.start
+
+
+# -- bounds_A takes the verdict of the check every evaluation makes -----------
+
+BASE_RATES = (1.0, 1.0, 0.5)               # g, mu, beta
+
+
+def _offset_bind(p, grid):
+    """g = mu = 1 and beta = 0.5, except rate ``p["rate"]``, which is ``p["value"]``.
+
+    With ``p["reads_u"]`` that rate reads u: it is ``base + (value - base) P/(1+P)``
+    at population size P, a float, and nears ``value`` as P grows.
+    """
+    i, value = p["rate"], p["value"]
+    fixed = [np.full(grid.n, base) for base in BASE_RATES]
+    if not p["reads_u"]:
+        fixed[i] = np.full(grid.n, value)
+        fixed = tuple(fixed)
+        return fixed, lambda u: fixed
+    fixed[i] = None
+    fixed = tuple(fixed)
+
+    def rates(u):
+        P = integrate(grid, u)
+        out = list(fixed)
+        out[i] = BASE_RATES[i] + (value - BASE_RATES[i]) * (P / (1.0 + P))
+        return tuple(out)
+
+    return fixed, rates
+
+
+def _offset_beta_sup(p, P):
+    return max(BASE_RATES[2], p["value"]) if p["rate"] == 2 else BASE_RATES[2]
+
+
+def _offset_context(rate, value, reads_u, beta_max):
+    bounds = sp.RateBounds(g_low=1.0, g_high=1.0, mu_low=1.0, mu_high=1.0, beta_max=beta_max)
+    model = sp.ModelSpec("offset", bounds, {"rate": rate, "value": value, "reads_u": reads_u},
+                         _offset_bind, _offset_beta_sup)
+    return sp.make_context(model, sp.build_grid(sp.default_x_max(bounds), 201))
+
+
+def _every_evaluation_passes(ctx, samples):
+    try:
+        for s in samples:
+            ctx.rates.checked(_density_values(ctx.grid, s))
+    except BoundsViolationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("reads_u", [False, True], ids=["fixed", "reads_u"])
+def test_excess_within_a_larger_bound_tolerance_fails(reads_u):
+    # 5e-7 past g_high = 1 is far past g's own tolerance, 1e-12, yet within
+    # 1e-12 * beta_max = 1e-6, so a tolerance shared by all rates would pass it
+    ctx = _offset_context(0, 1.0 + 5e-7, reads_u, beta_max=1e6)
+    samples = _samples(ctx)
+    message = r"^g evaluated outside declared bounds \[1, 1\]$"
+    with pytest.raises(BoundsViolationError, match=message):
+        sp.net_reproduction_R(ctx, samples[-1])
+    report = sp.validate_hypotheses(ctx, samples)
+    assert next(report.rows())[:2] == ("bounds_A", "fail")
+    assert report.worst_bound_violation == pytest.approx(5e-7, rel=1e-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rate=st.sampled_from([0, 1, 2]), high=st.booleans(), reads_u=st.booleans(),
+       beta_max=st.sampled_from([1.0, 1e6]), k=st.floats(-3.0, 3.0))
+def test_bounds_row_passes_exactly_when_every_evaluation_does(rate, high, reads_u, beta_max, k):
+    # rate is put k tolerances past one of its declared bounds
+    low_bound, high_bound = ((1.0, 1.0), (1.0, 1.0), (0.0, beta_max))[rate]
+    bound = high_bound if high else low_bound
+    ctx = _offset_context(rate, bound + k * 1e-12 * max(1.0, bound), reads_u, beta_max)
+    samples = _samples(ctx)
+    report = sp.validate_hypotheses(ctx, samples)
+    assert report.bounds_ok == _every_evaluation_passes(ctx, samples)
+    # no excess at all passes, and a failing row has one
+    assert report.bounds_ok or report.worst_bound_violation > 0
+
+
+def test_diagnose_binds_the_model_once(monkeypatch, tmp_path):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for cfg in sorted(configs.glob("*.cfg")):
+        binds = []
+        for name in ("_constant", "_counterexample", "_hierarchical", "_composite"):
+            def counted(p, grid, bind=getattr(sp.model, name)):
+                binds.append(grid.n)
+                return bind(p, grid)
+
+            monkeypatch.setattr(sp.model, name, counted)
+        assert cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+        assert len(binds) == 1, cfg.name
+        monkeypatch.undo()

@@ -340,14 +340,15 @@ class TestWorkDoneOnce:
             sums.clear()
             got = sp.inner_picard(ctx, lam, cfg, sign_only=sign_only)
             assert _picard_bits(got) == _picard_bits(want)
-            # the reference sums |v - pi| once per step, the solve never
-            assert len(sums) == reference_sums - got.iterations
+            # the reference sums |v - pi| once per step, the solve not at its cold start
+            assert len(sums) == reference_sums - 1
             if family == "counterexample":
                 # the size its fertility reads and R
-                assert len(sums) == 2
+                assert got.iterations == 1 and len(sums) == 2
             if family == "composite":
-                # step 2 starts at pi itself
+                # step 2 starts at pi itself and sums |pi - pi|, exactly 0.0
                 assert got.iterations == 2 and got.v.values is ctx.pi
+                assert _bits(got.residual_l1, 1) == _bits(0.0, 1)
 
     @pytest.mark.parametrize("variant,fixed", [
         ("constant", (True, True, True)),

@@ -200,7 +200,7 @@ class TestDensitySign:
         "apply_T": sp.apply_T,
         "residual": sp.residual,
         "compactness_diagnostics": lambda ctx, u: sp.compactness_diagnostics(ctx, [u], [], T=5.0),
-        "validate_hypotheses": lambda ctx, u: sp.validate_hypotheses(ctx.model, ctx.grid, [u]),
+        "validate_hypotheses": lambda ctx, u: sp.validate_hypotheses(ctx, [u]),
         "inner_picard": lambda ctx, u: sp.inner_picard(ctx, 1.0, sp.SolverConfig(), start=u),
         "iterate_map_A": lambda ctx, u: sp.iterate_map_A(ctx, u, 1.0, sp.SolverConfig()),
     }

@@ -319,7 +319,7 @@ class TestValidateHypotheses:
     def test_constant_model(self):
         m = sp.constant_model(1.0, 1.0, 0.5)
         g = sp.build_grid(20.0, 801)
-        rep = sp.validate_hypotheses(m, g, self._samples(m, g))
+        rep = sp.validate_hypotheses(sp.make_context(m, g), self._samples(m, g))
         assert rep.bounds_ok
         assert rep.gx_sup == 0.0
         assert not rep.lbeta_pass  # constant fertility never decays
@@ -327,14 +327,14 @@ class TestValidateHypotheses:
     def test_counterexample_model(self):
         m = sp.counterexample_model(1.0)
         g = sp.build_grid(40.0, 2001)
-        rep = sp.validate_hypotheses(m, g, self._samples(m, g))
+        rep = sp.validate_hypotheses(sp.make_context(m, g), self._samples(m, g))
         assert rep.bounds_ok
         assert rep.lbeta_pass
 
     def test_hierarchical_derivative_bound(self):
         m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)
         g = sp.build_grid(sp.default_x_max(m.bounds), 2001)
-        rep = sp.validate_hypotheses(m, g, self._samples(m, g))
+        rep = sp.validate_hypotheses(sp.make_context(m, g), self._samples(m, g))
         assert rep.bounds_ok
         assert rep.lbeta_pass
         assert rep.gx_analytic_bound is not None
@@ -345,11 +345,11 @@ class TestValidateHypotheses:
         m = sp.constant_model(1.0, 1.0, 0.5)
         g = sp.build_grid(20.0, 801)
         with pytest.raises(ParameterError):
-            sp.validate_hypotheses(m, g, [])
+            sp.validate_hypotheses(sp.make_context(m, g), [])
 
     def test_samples_from_another_grid_rejected(self):
         m = sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=1.0, b0=2.0)
         g = sp.build_grid(20.0, 801)
         other = sp.build_grid(20.0, 801, "graded_trapezoid")
         with pytest.raises(GridMismatchError):
-            sp.validate_hypotheses(m, g, self._samples(m, other))
+            sp.validate_hypotheses(sp.make_context(m, g), self._samples(m, other))

@@ -125,7 +125,7 @@ class TestFamilyOutsideTheBuilders:
                                           np.random.default_rng(0))
         with pytest.raises(BoundsViolationError, match="^beta evaluated outside"):
             sp.net_reproduction_R(ctx, samples[0])
-        report = sp.validate_hypotheses(model, ctx.grid, samples)
+        report = sp.validate_hypotheses(ctx, samples)
         assert not report.bounds_ok
         assert np.isnan(report.worst_bound_violation)
         assert np.isnan(report.continuity_response)
