@@ -44,6 +44,7 @@ from .model import (
     validate_hypotheses,
 )
 from .solver import (
+    BracketFailure,
     Certificate,
     EquilibriumResult,
     MapATrace,

@@ -32,7 +32,7 @@ from .kernel import (
     residual,
 )
 from .model import random_onion_samples, validate_hypotheses
-from .solver import certify, scan_roots, solve_all
+from .solver import EquilibriumResult, certify, scan_roots, solve_all
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -55,7 +55,9 @@ def _ensure_out(run: RunConfig) -> str:
 
 def cmd_solve(run: RunConfig) -> int:
     ctx = make_context(run.model, run.grid)
-    scan, results = solve_all(ctx, run.solver)
+    scan, entries = solve_all(ctx, run.solver)
+    results = [r for r in entries if isinstance(r, EquilibriumResult)]
+    failures = [f for f in entries if not isinstance(f, EquilibriumResult)]
     out = _ensure_out(run)
 
     _write(os.path.join(out, "equilibria.csv"), ["lambda_star,P_star,R_at_u,residual_l1"] + [
@@ -72,6 +74,10 @@ def cmd_solve(run: RunConfig) -> int:
     for r in results:
         print("equilibrium lambda_star=%.12g P_star=%.12g residual=%.12g"
               % (r.lambda_star, r.P_star, r.residual_l1))
+    for f in failures:
+        print("error: bracket [%.12g, %.12g]: %s" % (*f.bracket, f.message), file=sys.stderr)
+    if failures:
+        return EXIT_RUNTIME
     if not results:
         print("no positive equilibrium found in the scanned range")
         return EXIT_NO_EQUILIBRIUM

@@ -26,6 +26,7 @@ from .grid import MAX_ARRAY_SIZE, DensityProfile, _density_values, integrate, ze
 from .kernel import KernelContext, net_reproduction_R, rates_and_survival, residual
 from .model import (
     _at_nodes,
+    _tolerance,
     beta_sup,
     envelope_tail_mass,
     random_onion_samples,
@@ -106,7 +107,10 @@ class ScanResult:
     A sign-only scan (``scan_roots(..., sign_only=True)``) has exact
     ``residuals`` only at converged points and bracket ends; elsewhere they
     are estimates of the right sign. Its ``failed`` lists the points that
-    failed before their sign settled.
+    failed before their sign settled. A scan that :func:`solve_all` skips,
+    because the rate bounds prove ``R < 1`` at every scale, has every
+    residual equal to that proved bound minus 1, and no brackets, ends or
+    failed points.
     """
 
     lambdas: np.ndarray
@@ -115,6 +119,14 @@ class ScanResult:
     ends: tuple                    # per bracket ((r_lo, v_lo), (r_hi, v_hi)) from the scan
     failed: tuple                  # scan indices whose inner iteration failed
     degenerate: bool               # residual ~ 0 across the scan
+
+
+@dataclass(frozen=True)
+class BracketFailure:
+    """A scan bracket whose refinement raised :class:`ConvergenceError`, and its message."""
+
+    bracket: tuple
+    message: str
 
 
 @dataclass(frozen=True)
@@ -406,6 +418,22 @@ def _ray_R(ctx: KernelContext, w: DensityProfile, lams) -> list:
     return [net_reproduction_R(ctx, DensityProfile(ctx.grid, lam * w.values)) for lam in lams]
 
 
+def _computed_mass_bound(ctx: KernelContext) -> float:
+    """:func:`survival_mass_bound` widened for rounding: every R computed on the
+    context from rates that pass the bounds check is at most ``beta_sup(P)`` times this."""
+    # The computed R differs from the exact sum that beta_sup(P) * I bounds by
+    # relative rounding only. The ratio mu/g, c and each trapezoid segment
+    # carry a few ulps and a running sum of n positive terms at most n, so the
+    # integral C of mu/g is off by a factor within (n + 8) ulps; exp(-C) is 0
+    # past C ~ 745, so before that it moves by a factor within
+    # exp(745 (n + 8) ulps). exp, the division by g, beta (its P included) and
+    # the two dot products of nonnegative terms add under n + 10 ulps. The
+    # n-term covers all of it; the 1e-6 keeps R below 1 by more than
+    # subnormal exp values can add.
+    margin = 1e-6 + 1e3 * ctx.grid.n * np.finfo(float).eps
+    return survival_mass_bound(ctx.model.bounds, ctx.grid) * (1.0 + margin)
+
+
 def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     """Smallest sampled population size at and beyond which every sample has R <= 1.
 
@@ -414,7 +442,7 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     size with a sample of R > 1, since no smaller size can then qualify.
     Each shape's sizes are computed lazily, only as far as the walk goes.
     A size P with ``beta_sup(P) * I <= 1`` (``I`` from
-    :func:`survival_mass_bound`, with a rounding margin) is passed without
+    :func:`_computed_mass_bound`) is passed without
     evaluating its samples: every profile of that size whose rates pass the
     bounds check has R <= 1. Every sample that is evaluated is checked.
     """
@@ -431,17 +459,7 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     rng = np.random.default_rng(cfg.seed)
     samples = heapq.merge(*map(walk, _sample_shapes(ctx, rng)),
                           key=lambda s: s[0], reverse=True)
-    # The computed R differs from the exact sum that beta_sup(P) * I bounds by
-    # relative rounding only. The ratio mu/g, c and each trapezoid segment
-    # carry a few ulps and a running sum of n positive terms at most n, so the
-    # integral C of mu/g is off by a factor within (n + 8) ulps; exp(-C) is 0
-    # past C ~ 745, so before that it moves by a factor within
-    # exp(745 (n + 8) ulps). exp, the division by g, beta (its P included) and
-    # the two dot products of nonnegative terms add under n + 10 ulps. The
-    # n-term covers all of it; the 1e-6 keeps R below 1 by more than
-    # subnormal exp values can add.
-    margin = 1e-6 + 1e3 * ctx.grid.n * np.finfo(float).eps
-    bound = survival_mass_bound(ctx.model.bounds, ctx.grid) * (1.0 + margin)
+    bound = _computed_mass_bound(ctx)
     rho0 = None
     for size, group in itertools.groupby(samples, key=lambda s: s[0]):
         # the negated form evaluates when the product is NaN (0 * inf)
@@ -562,9 +580,35 @@ def solve_all(ctx: KernelContext, cfg: SolverConfig):
     degenerate flag, and so every result, are those of the full-tolerance
     scan. Its ``residuals`` are exact only at converged points and bracket
     ends, and its ``failed`` lists the points that failed before their sign
-    settled. Returns (scan, results sorted by scale).
+    settled.
+
+    The scan is skipped when the rate bounds prove that no scale has a root:
+    every fixed rate passes the bounds check and ``(beta_max + t) I`` is
+    below ``1 - root_tol`` (``t`` the check's tolerance on ``beta_max``,
+    ``I`` from :func:`_computed_mass_bound`), so every evaluation that passes
+    the check has ``R - 1 < -root_tol``. The skipped scan has the scan grid,
+    that bound minus 1 as every residual, and no brackets. It evaluates no
+    rate, so a model whose rates that read u leave their declared bounds
+    (which no built-in family can do) gets no result here, where the scan
+    would raise :class:`BoundsViolationError`.
+
+    Returns (scan, results): one entry per bracket, in the scan's order,
+    which is that of scale. An entry is an :class:`EquilibriumResult`, or a
+    :class:`BracketFailure` when the bracket's refinement raised
+    :class:`ConvergenceError`.
     """
+    lams = _scan_lambdas(ctx, cfg)      # the scan's config errors come first
+    beta_max = ctx.model.bounds.beta_max
+    R_max = (beta_max + _tolerance(beta_max)) * _computed_mass_bound(ctx)
+    # an infinite bound compares false and scans
+    if all(error is None for error in ctx.rates.errors) and R_max < 1.0 - cfg.root_tol:
+        return ScanResult(lams, np.full(lams.shape, R_max - 1.0), (), (), (), False), []
     scan = scan_roots(ctx, cfg, sign_only=True)
-    results = [bisect_root(ctx, br, cfg, ends) for br, ends in zip(scan.brackets, scan.ends)]
-    results.sort(key=lambda r: r.lambda_star)
+    results = []
+    # each root lies in its bracket, and brackets follow one another in scale
+    for bracket, ends in zip(scan.brackets, scan.ends):
+        try:
+            results.append(bisect_root(ctx, bracket, cfg, ends))
+        except ConvergenceError as exc:
+            results.append(BracketFailure(bracket, str(exc)))
     return scan, results

@@ -43,6 +43,18 @@ grid.n = 1001
 solver.scan_points = 16
 """
 
+# the scan brackets the root; its refinement stops short of picard_tol at 8 steps
+ABORT_TEXT = """\
+model.variant = hierarchical
+model.g_low = 0.02
+model.g_high = 1
+model.mu0 = 0.5
+model.b0 = 1.5
+grid.n = 201
+solver.scan_points = 16
+solver.picard_max_iter = 8
+"""
+
 COMPOSITE_TEXT = """\
 model.variant = composite
 model.g.const = 1.0
@@ -258,6 +270,45 @@ class TestSolveCommand:
         code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "no positive equilibrium" in capsys.readouterr().out
+
+    def test_failed_bracket_is_reported_and_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "abort.cfg", ABORT_TEXT)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bracket [0.0358568340394, 1.71145587196]: inner iteration did not "
+            "reach 1e-10 after 8 steps (last residual 2.92818e-09)\n")
+        # the roots that refined are written: here there are none
+        assert (out / "equilibria.csv").read_text() == "lambda_star,P_star,R_at_u,residual_l1\n"
+        assert sorted(p.name for p in out.iterdir()) == ["equilibria.csv"]
+
+    def test_roots_that_refine_are_written_beside_a_failed_bracket(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # the counterexample's second bracket fails; its first root is still written
+        entries = []
+        solve_all = cli.solve_all
+
+        def second_fails(ctx, cfg):
+            scan, results = solve_all(ctx, cfg)
+            results[1] = sp.BracketFailure(scan.brackets[1], "forced")
+            entries.extend(results)
+            return scan, results
+
+        monkeypatch.setattr(cli, "solve_all", second_fails)
+        cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        root = entries[0]
+        assert captured.out == ("equilibrium lambda_star=%.12g P_star=%.12g residual=%.12g\n"
+                                % (root.lambda_star, root.P_star, root.residual_l1))
+        assert captured.err == "error: bracket [%.12g, %.12g]: forced\n" % entries[1].bracket
+        assert (out / "equilibria.csv").read_text().splitlines()[1:] == [
+            "%.12g,%.12g,%.12g,%.12g"
+            % (root.lambda_star, root.P_star, root.R_at_u, root.residual_l1)]
+        assert sorted(p.name for p in out.iterdir()) == ["equilibria.csv", "profile_001.csv"]
 
 
 class TestScanCommand:
@@ -534,12 +585,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: invalid %s parameters: "
                                                   % key.split(".")[0])
 
-    @pytest.mark.parametrize("command", ["scan", "solve"])
+    # constant_subcritical's bounds prove that solve has no root: it must still
+    # build the scan grid, and fail on it, before skipping the scan
+    @pytest.mark.parametrize("model,command", [
+        pytest.param("model.variant = counterexample\n", "scan", id="scan"),
+        pytest.param("model.variant = counterexample\n", "solve", id="solve"),
+        pytest.param(SUBCRIT_TEXT.split("grid.")[0], "solve", id="solve-constant_subcritical"),
+    ])
     def test_scan_grid_that_does_not_fit_is_a_named_config_error(self, tmp_path, capsys,
-                                                                 command):
+                                                                 model, command):
         # parses, since the scan grid is built only when a command scans
-        cfg = write_config(tmp_path / "huge.cfg", "model.variant = counterexample\n"
-                                                  "grid.n = 101\nsolver.scan_points = 1e16\n")
+        cfg = write_config(tmp_path / "huge.cfg",
+                           model + "grid.n = 101\nsolver.scan_points = 1e16\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "config error: invalid solver parameters: scan_points = 10000000000000000: "

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import steadypop as sp
+from steadypop import cli
+from steadypop.config import RunConfig
 from steadypop.errors import BoundsViolationError
 from steadypop.grid import cumulative_integral, integrate, reverse_cumulative_integral
 from steadypop.kernel import rates_and_survival
@@ -130,3 +132,27 @@ class TestFamilyOutsideTheBuilders:
         assert np.isnan(report.worst_bound_violation)
         assert np.isnan(report.continuity_response)
         assert next(report.rows())[:2] == ("bounds_A", "fail")
+
+    def test_rates_reading_u_past_the_bounds_are_not_evaluated_by_a_skipped_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # beta = b0 + P leaves its declared beta_max = b0 at every P > 0, which no
+        # built-in family can do. The bounds prove R <= b0 / mu0 = 1/2, so solve
+        # skips its scan and evaluates no rate: it exits 3 where the scan would
+        # raise. scan and diagnose still evaluate, and still find the violation.
+        def bind(p, grid):
+            g = mu = np.ones(grid.n)
+            return (g, mu, None), lambda u: (g, mu, p["b0"] + integrate(grid, u))
+
+        bounds = RateBounds(1.0, 1.0, 1.0, 1.0, 0.5)
+        model = ModelSpec("rising_fertility", bounds, {"b0": 0.5}, bind, lambda p, P: p["b0"] + P)
+        # graded: on a uniform grid diagnose's translation rows raise at the first sample
+        grid = sp.build_grid(sp.default_x_max(bounds), 201, "graded_trapezoid")
+        monkeypatch.setattr(cli, "load_config", lambda path, out_dir=None: RunConfig(
+            model, grid, sp.SolverConfig(scan_points=16), out_dir))
+        argv = ["--config", "unused.cfg", "--out", str(tmp_path)]
+        assert cli.main(["solve"] + argv) == 3
+        assert capsys.readouterr().out == "no positive equilibrium found in the scanned range\n"
+        assert cli.main(["scan"] + argv) == 1
+        assert capsys.readouterr().err.startswith("error: beta evaluated outside declared bounds")
+        assert cli.main(["diagnose"] + argv) == 0
+        assert capsys.readouterr().out.startswith("bounds_A,fail,")

@@ -2,10 +2,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import steadypop as sp
@@ -289,6 +290,36 @@ class TestScanAndBisect:
             above = sp.lambda_residual(ctx, r.lambda_star + cfg.root_tol, cfg)
             assert below * above < 0
 
+    def test_failed_refinement_is_a_flagged_entry(self):
+        # the scan brackets the root; 8 Picard steps do not reach picard_tol within it
+        m = sp.hierarchical_model(0.02, 1.0, 0.5, 1.5)
+        ctx = sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 201,
+                                               "uniform_trapezoid"))
+        cfg = sp.SolverConfig(scan_points=16, picard_max_iter=8)
+        scan, results = sp.solve_all(ctx, cfg)
+        ((lo, hi),) = scan.brackets
+        assert lo == pytest.approx(0.0359, abs=1e-4) and hi == pytest.approx(1.711, abs=1e-3)
+        message = "inner iteration did not reach 1e-10 after 8 steps (last residual 2.92818e-09)"
+        assert results == [sp.BracketFailure((lo, hi), message)]
+        with pytest.raises(ConvergenceError, match=r"^%s$" % re.escape(message)):
+            sp.bisect_root(ctx, (lo, hi), cfg, scan.ends[0])
+
+    def test_failed_bracket_keeps_the_other_roots(self, ce_ctx, ce_solutions, monkeypatch):
+        bisect = sp.solver.bisect_root
+
+        def second_fails(ctx, bracket, cfg, ends=None):
+            if bracket == ce_solutions[0].brackets[1]:
+                raise ConvergenceError("forced", last_residual=1.0, iterations=1)
+            return bisect(ctx, bracket, cfg, ends)
+
+        monkeypatch.setattr(sp.solver, "bisect_root", second_fails)
+        scan, (root, failure) = sp.solve_all(ce_ctx, CE_CFG)
+        assert scan.brackets == ce_solutions[0].brackets
+        assert failure == sp.BracketFailure(scan.brackets[1], "forced")
+        expected = ce_solutions[1][0]
+        assert root.lambda_star == expected.lambda_star
+        assert np.array_equal(root.u_star.values, expected.u_star.values)
+
     def test_bisect_without_ends_agrees(self, ce_ctx, ce_solutions):
         scan, results = ce_solutions
         for bracket, r in zip(scan.brackets, results):
@@ -513,6 +544,94 @@ class TestSignOnlyScan:
         assert len(results) == 1 and results[0].P_star == pytest.approx(9.0, rel=0.02)
         assert sum(steps[:len(scan.lambdas)]) <= 180
         assert sum(steps) <= 380
+
+
+def _count_inner_solves(monkeypatch):
+    lams = []
+    inner = sp.solver.inner_picard
+
+    def counted(ctx, lam, *args, **kwargs):
+        lams.append(lam)
+        return inner(ctx, lam, *args, **kwargs)
+
+    monkeypatch.setattr(sp.solver, "inner_picard", counted)
+    return lams
+
+
+def _proved_R_bound(ctx):
+    beta_max = ctx.model.bounds.beta_max
+    return (beta_max + sp.model._tolerance(beta_max)) * sp.solver._computed_mass_bound(ctx)
+
+
+def _assert_skipped(ctx, cfg, scan, results):
+    lams = sp.solver._scan_lambdas(ctx, cfg)
+    assert np.array_equal(scan.lambdas, lams)
+    assert np.array_equal(scan.residuals, np.full(lams.shape, _proved_R_bound(ctx) - 1.0))
+    assert scan.brackets == scan.ends == scan.failed == ()
+    assert not scan.degenerate
+    assert results == []
+
+
+class TestScanSkippedByTheBounds:
+    """solve_all skips the scan where the rate bounds prove R < 1 - root_tol at every scale."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["constant", "composite"]),
+        scheme=st.sampled_from(["uniform_trapezoid", "graded_trapezoid"]),
+        n=st.sampled_from([201, 2001]),
+        mu=st.floats(0.5, 2.0),
+        g=st.floats(0.5, 2.0),
+        sat=st.floats(0.0, 1.0),
+        ratio=st.floats(0.05, 0.95),
+    )
+    def test_skipped_scan_bounds_the_full_scan(self, family, scheme, n, mu, g, sat, ratio):
+        if family == "constant":
+            model = sp.constant_model(mu0=mu, g0=g, beta0=ratio * mu)
+        else:                      # configs/composite_increasing_mu.cfg's family
+            model = sp.composite_model(g=sp.CompositeRate(const=g),
+                                       mu=sp.CompositeRate(const=mu, u_sat=sat),
+                                       beta=sp.CompositeRate(const=ratio * mu))
+        ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
+        cfg = sp.SolverConfig(scan_points=16)
+        bound = _proved_R_bound(ctx) - 1.0
+        assume(bound < -cfg.root_tol)
+        scan, results = sp.solve_all(ctx, cfg)
+        _assert_skipped(ctx, cfg, scan, results)
+        full = sp.scan_roots(ctx, cfg)
+        assert full.brackets == () and not full.degenerate
+        good = full.residuals[~np.isnan(full.residuals)]
+        assert good.size > 0
+        assert np.max(good) <= bound < -cfg.root_tol
+
+    @pytest.mark.parametrize("name", ["composite_increasing_mu", "constant_subcritical"])
+    def test_qualifying_model_makes_no_inner_solve(self, name, monkeypatch):
+        ctx, cfg = _shipped_ctx(name)
+        lams = _count_inner_solves(monkeypatch)
+        scan, results = sp.solve_all(ctx, cfg)
+        assert lams == []
+        _assert_skipped(ctx, cfg, scan, results)
+
+    @pytest.mark.parametrize("name,n_roots", [
+        ("constant_degenerate", 0), ("counterexample", 2), ("hierarchical", 1)])
+    def test_models_the_bounds_do_not_settle_still_scan(self, name, n_roots, monkeypatch):
+        ctx, cfg = _shipped_ctx(name)
+        assert _proved_R_bound(ctx) >= 1.0 - cfg.root_tol
+        lams = _count_inner_solves(monkeypatch)
+        scan, results = sp.solve_all(ctx, cfg)
+        assert len(lams) >= cfg.scan_points
+        assert scan.degenerate == (name == "constant_degenerate")
+        assert len(results) == n_roots
+
+    def test_fixed_rate_failing_its_check_still_scans_and_raises(self):
+        # the bounds prove R <= 1/4, but mu0 = 1 lies outside the declared [2, 2]
+        bounds = sp.RateBounds(g_low=1.0, g_high=1.0, mu_low=2.0, mu_high=2.0, beta_max=0.5)
+        model = replace(sp.constant_model(mu0=1.0, g0=1.0, beta0=0.5), bounds=bounds)
+        ctx = _graded_ctx(model, 201)
+        cfg = sp.SolverConfig(scan_points=16)
+        assert _proved_R_bound(ctx) < 0.3
+        with pytest.raises(BoundsViolationError, match="^mu evaluated outside"):
+            sp.solve_all(ctx, cfg)
 
 
 class TestMapA:
