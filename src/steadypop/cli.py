@@ -126,12 +126,14 @@ def cmd_diagnose(run: RunConfig) -> int:
     samples = random_onion_samples(run.model.bounds, run.grid, lambdas, 2, rng)
     report = validate_hypotheses(ctx, samples)
     rows = list(report.rows())
-    if run.grid.is_uniform:
+    if not run.grid.is_uniform:
+        rows.append(("translation", "skipped", "non-uniform grid has no translation diagnostics"))
+    elif report.bounds_ok:      # the compactness bounds assume the rate bounds
         # a short horizon keeps only the shifts that fit inside it
         shifts = [h for h in (0.1, 0.01, 0.001) if h < run.grid.x_max]
         rows += compactness_diagnostics(ctx, samples[:6], shifts, 0.5 * run.grid.x_max).rows()
     else:
-        rows.append(("translation", "skipped", "non-uniform grid has no translation diagnostics"))
+        rows.append(("translation", "skipped", "rates leave their declared bounds (see bounds_A)"))
     lines = ["%s,%s,%s" % (check, verdict, detail.replace(",", ";"))
              for check, verdict, detail in rows]
     out = _ensure_out(run)

@@ -164,13 +164,11 @@ def reverse_cumulative_integral(grid: Grid, f) -> np.ndarray:
 def translate(grid: Grid, f, h: float) -> np.ndarray:
     """Samples of x -> f(x + h), extending f by 0 outside [0, x_max].
 
-    Non-grid-aligned shifts use linear interpolation, consistent with the
-    trapezoid accuracy order. Requires a uniform grid.
+    Shifts off the nodes use linear interpolation, consistent with the
+    trapezoid accuracy order, on any grid.
     """
     if abs(h) >= grid.x_max:
         raise ParameterError("|h| must be smaller than x_max")
-    if not grid.is_uniform:
-        raise ParameterError("translate requires a uniform grid")
     vals = _values(grid, f)
     return np.interp(grid.nodes + h, grid.nodes, vals, left=0.0, right=0.0)
 

@@ -155,7 +155,6 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
 
     The translation modulus over [0, T] is compared against the explicit bound
     (T mu_high / g_low^2) h + (T / g_low^2) * int_0^T |g(x+h, u) - g(x, u)| dx.
-    Requires a uniform grid (translation uses linear interpolation).
 
     Every sample's rates are evaluated and bounds-checked. When the survival
     shape is the context's fixed ``ctx.pi``, g is fixed too, so every sample

@@ -379,11 +379,6 @@ def freeze_rates(model: ModelSpec, grid: Grid) -> FrozenRates:
     return FrozenRates(fixed, errors, limits, rates)
 
 
-def beta_sup(model: ModelSpec, P: float) -> float:
-    """Bound on beta(x, u) over all x, for every profile u whose integral is P."""
-    return model.beta_sup(model.params, P)
-
-
 def eval_g(model: ModelSpec, u: DensityProfile) -> np.ndarray:
     """Growth rate at the nodes of ``u``'s grid under population profile u."""
     return _at_nodes(u.grid, freeze_rates(model, u.grid).checked(u.values)[0])

@@ -27,7 +27,6 @@ from .kernel import KernelContext, net_reproduction_R, rates_and_survival, resid
 from .model import (
     _at_nodes,
     _tolerance,
-    beta_sup,
     envelope_tail_mass,
     random_onion_samples,
     survival_mass_bound,
@@ -463,7 +462,7 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     rho0 = None
     for size, group in itertools.groupby(samples, key=lambda s: s[0]):
         # the negated form evaluates when the product is NaN (0 * inf)
-        if not beta_sup(ctx.model, size) * bound <= 1.0 and any(
+        if not ctx.model.beta_sup(ctx.model.params, size) * bound <= 1.0 and any(
                 _ray_R(ctx, w, (lam,))[0] > 1.0 for _, lam, w in group):
             break
         rho0 = size

@@ -44,6 +44,22 @@ def misdeclared_hierarchical():
     return replace(sp.hierarchical_model(g_low=0.5, g_high=1.0, mu0=2.0, b0=2.0), bounds=bounds)
 
 
+def _rising_fertility(p, grid):
+    g = mu = np.ones(grid.n)
+    return (g, mu, None), lambda u: (g, mu, p["b0"] + sp.integrate(grid, u))
+
+
+def _rising_fertility_beta_sup(p, P):
+    return p["b0"] + P
+
+
+def rising_fertility_model():
+    """beta = 0.5 + P with g = mu = 1: beta leaves its declared beta_max = 0.5 at every P > 0."""
+    bounds = sp.RateBounds(1.0, 1.0, 1.0, 1.0, 0.5)
+    return sp.ModelSpec("rising_fertility", bounds, {"b0": 0.5}, _rising_fertility,
+                        _rising_fertility_beta_sup)
+
+
 def exp_profile(grid, scale=1.0, decay=1.0):
     return sp.DensityProfile(grid, scale * np.exp(-decay * grid.nodes))
 

@@ -1,17 +1,23 @@
+import contextlib
 import dataclasses
 import inspect
+import io
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steadypop as sp
 from steadypop import cli
 from steadypop.cli import main
-from steadypop.config import load_config
+from steadypop.config import RunConfig, load_config
 from steadypop.errors import ConfigError, ConvergenceError
 
-from conftest import write_config
+from conftest import misdeclared_constant, rising_fertility_model, write_config
 
 CE_TEXT = """\
 # two-equilibrium benchmark
@@ -423,6 +429,19 @@ class TestDiagnoseCommand:
         report = open(str(tmp_path / "o" / "diagnostics.txt")).read()
         assert "translation,skipped" in report
 
+    @pytest.mark.parametrize("model", [rising_fertility_model(), misdeclared_constant("g"),
+                                       misdeclared_constant("mu"), misdeclared_constant("beta")],
+                             ids=["rising_fertility", "g", "mu", "beta"])
+    def test_rates_outside_their_bounds_skip_translation(self, tmp_path, monkeypatch, model):
+        grid = sp.build_grid(sp.default_x_max(model.bounds), 201)
+        monkeypatch.setattr(cli, "load_config", lambda path, out_dir=None: RunConfig(
+            model, grid, sp.SolverConfig(), out_dir))
+        assert main(["diagnose", "--config", "unused.cfg", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "diagnostics.txt").read_text().splitlines()
+        assert rows[1].startswith("bounds_A,fail,")
+        assert [row for row in rows if row.startswith("translation,")] == [
+            "translation,skipped,rates leave their declared bounds (see bounds_A)"]
+
     @pytest.mark.parametrize("x_max,shifts", [("0.05", ["0.01", "0.001"]), ("0.0005", [])])
     def test_short_horizon_keeps_shifts_inside_it(self, tmp_path, x_max, shifts):
         text = "model.variant = counterexample\ngrid.x_max = %s\ngrid.n = 201\n" % x_max
@@ -604,3 +623,73 @@ class TestExitCodes:
 
     def test_missing_config_exit_2(self):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
+
+
+def _composite_rate(rate, floor):
+    """``model.<rate>.*`` lines: its const and a random subset of its optional fields."""
+    optional = {
+        "x_amp": st.floats(0.0, 2.0),
+        "x_rate": st.floats(0.1, 5.0),
+        "u_sat": st.floats(0.0, 2.0),
+        "u_inv": st.floats(0.0, 2.0),
+        "functional": st.sampled_from(["norm", "tail", "weighted"]),
+        "tail_from": st.floats(0.0, 5.0),
+        "weight_decay": st.floats(0.1, 5.0),
+    }
+    fields = st.fixed_dictionaries({"const": st.floats(floor, 3.0)}, optional=optional)
+    return fields.map(lambda f: ["model.%s.%s = %s" % (rate, k, v) for k, v in f.items()])
+
+
+_RATE = st.floats(0.05, 5.0)
+_MODELS = st.one_of(
+    st.tuples(_RATE, _RATE, st.floats(0.0, 5.0)).map(
+        lambda p: ["model.variant = constant", "model.mu0 = %r" % p[0], "model.g0 = %r" % p[1],
+                   "model.beta0 = %r" % p[2]]),
+    st.one_of(st.just([]), _RATE.map(lambda g: ["model.g = %r" % g])).map(
+        lambda g: ["model.variant = counterexample"] + g),
+    st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0), _RATE, _RATE).map(
+        lambda p: ["model.variant = hierarchical", "model.g_low = %r" % p[0],
+                   "model.g_high = %r" % (p[0] + p[1]), "model.mu0 = %r" % p[2],
+                   "model.b0 = %r" % p[3]]),
+    st.tuples(_composite_rate("g", 0.05), _composite_rate("mu", 0.05),
+              _composite_rate("beta", 0.0)).map(
+        lambda r: ["model.variant = composite"] + r[0] + r[1] + r[2]),
+)
+_CONFIGS = st.tuples(
+    _MODELS,
+    st.sampled_from(["uniform_trapezoid", "graded_trapezoid"]),
+    st.sampled_from([3, 5, 51, 201]),
+    st.sampled_from([2, 3, 16, 32]),
+    st.sampled_from([1, 3, 8, 200]),
+).map(lambda c: "\n".join(c[0] + ["grid.scheme = %s" % c[1], "grid.n = %d" % c[2],
+                                   "solver.scan_points = %d" % c[3],
+                                   "solver.picard_max_iter = %d" % c[4]]) + "\n")
+
+
+class TestFuzzedConfigs:
+    """No config that parses ends in a traceback, and every exit code is one a command may give."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(text=_CONFIGS)
+    def test_every_command_reports(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(pathlib.Path(tmp) / "fuzz.cfg", text)
+            load_config(cfg)        # parses
+            out = pathlib.Path(tmp) / "o"
+
+            def run(*argv):
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = main([*argv, "--config", cfg, "--out", str(out)])
+                return code, stderr.getvalue()
+
+            code, err = run("solve")
+            assert code in (0, 1, 3), err
+            if code == 1:
+                lines = err.splitlines()
+                assert lines and all(line.startswith("error: bracket [") for line in lines), err
+            assert run("scan")[0] in (0, 3)
+            assert run("certify")[0] == 0
+            assert run("diagnose")[0] == 0
+            for profile in sorted(out.glob("profile_*.csv")):
+                assert run("verify", "--profile", str(profile))[0] in (0, 4)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import steadypop as sp
 import steadypop.kernel as kernel
 from steadypop import cli
+from steadypop.config import load_config
 from steadypop.errors import BoundsViolationError
 from steadypop.grid import _density_values, integrate, translate
 from steadypop.kernel import TranslationRow, rates_and_survival
@@ -295,3 +296,16 @@ def test_diagnose_binds_the_model_once(monkeypatch, tmp_path):
         assert cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
         assert len(binds) == 1, cfg.name
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["composite_increasing_mu", "constant_degenerate",
+                                  "counterexample", "hierarchical"])
+def test_translation_rows_pass_on_graded_shipped_configs(name):
+    # translate needs no uniform spacing; these are cmd_diagnose's samples, shifts and T
+    run = load_config(str(Path(__file__).resolve().parent.parent / "configs" / (name + ".cfg")))
+    assert not run.grid.is_uniform
+    ctx = sp.make_context(run.model, run.grid)
+    samples = _samples(ctx, run.solver.seed)[:6]
+    rows = sp.compactness_diagnostics(ctx, samples, SHIFTS, 0.5 * run.grid.x_max).translation_rows
+    assert len(rows) == 18
+    assert all(row.ok for row in rows)

@@ -237,10 +237,12 @@ class TestTranslate:
         with pytest.raises(ParameterError):
             sp.translate(g, np.ones(g.n), 10.0)
 
-    def test_nonuniform_rejected(self):
+    def test_graded_grid_interpolates_linearly(self):
         g = sp.build_grid(10.0, 101, "graded_trapezoid")
-        with pytest.raises(ParameterError):
-            sp.translate(g, np.ones(g.n), 0.5)
+        f = np.random.default_rng(7).random(g.n)
+        for h in (0.5, 0.01, -0.3):
+            expect = np.interp(g.nodes + h, g.nodes, f, left=0.0, right=0.0)
+            assert sp.translate(g, f, h).tobytes() == expect.tobytes()
 
 
 class TestDensityProfile:

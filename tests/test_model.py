@@ -279,18 +279,22 @@ class TestReproductionBound:
         rng = np.random.default_rng(seed)
         for u in sp.random_onion_samples(ctx.model.bounds, ctx.grid, [10.0**log_scale], 4, rng):
             P = sp.integrate(ctx.grid, u)
-            assert sp.net_reproduction_R(ctx, u) <= sp.model.beta_sup(ctx.model, P) * I
+            assert sp.net_reproduction_R(ctx, u) <= ctx.model.beta_sup(ctx.model.params, P) * I
 
     def test_beta_sup_per_variant(self):
         P = 0.75
-        beta_sup = sp.model.beta_sup
-        assert beta_sup(BOUND_MODELS["constant_mixed"], P) == 1.0
-        assert beta_sup(BOUND_MODELS["counterexample"], P) == 5.0 * sp.counterexample_f(P)
-        assert beta_sup(BOUND_MODELS["hierarchical"], P) == 2.0 / (1.0 + P)
-        assert beta_sup(BOUND_MODELS["composite_norm"], P) == pytest.approx(
+
+        def beta_sup(name):
+            model = BOUND_MODELS[name]
+            return model.beta_sup(model.params, P)
+
+        assert beta_sup("constant_mixed") == 1.0
+        assert beta_sup("counterexample") == 5.0 * sp.counterexample_f(P)
+        assert beta_sup("hierarchical") == 2.0 / (1.0 + P)
+        assert beta_sup("composite_norm") == pytest.approx(
             0.3 + 0.7 + (0.4 * P + 1.5) / (1.0 + P), rel=1e-15)
         for name in ("composite_tail", "composite_weighted"):
-            assert beta_sup(BOUND_MODELS[name], P) == BOUND_MODELS[name].bounds.beta_max
+            assert beta_sup(name) == BOUND_MODELS[name].bounds.beta_max
 
     def test_survival_bound_is_the_widened_upper_envelope(self):
         b = sp.RateBounds(g_low=0.5, g_high=1.0, mu_low=0.8, mu_high=1.2, beta_max=2.0)

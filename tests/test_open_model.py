@@ -19,6 +19,8 @@ from steadypop.grid import cumulative_integral, integrate, reverse_cumulative_in
 from steadypop.kernel import rates_and_survival
 from steadypop.model import ModelSpec, RateBounds
 
+from conftest import rising_fertility_model
+
 PARAMS = {"g_low": 0.5, "g_high": 1.0, "mu0": 1.0, "b0": 2.0}
 CFG = sp.SolverConfig(scan_points=32)
 
@@ -133,20 +135,15 @@ class TestFamilyOutsideTheBuilders:
         assert np.isnan(report.continuity_response)
         assert next(report.rows())[:2] == ("bounds_A", "fail")
 
+    @pytest.mark.parametrize("scheme", ["uniform_trapezoid", "graded_trapezoid"])
     def test_rates_reading_u_past_the_bounds_are_not_evaluated_by_a_skipped_solve(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch, scheme):
         # beta = b0 + P leaves its declared beta_max = b0 at every P > 0, which no
         # built-in family can do. The bounds prove R <= b0 / mu0 = 1/2, so solve
         # skips its scan and evaluates no rate: it exits 3 where the scan would
         # raise. scan and diagnose still evaluate, and still find the violation.
-        def bind(p, grid):
-            g = mu = np.ones(grid.n)
-            return (g, mu, None), lambda u: (g, mu, p["b0"] + integrate(grid, u))
-
-        bounds = RateBounds(1.0, 1.0, 1.0, 1.0, 0.5)
-        model = ModelSpec("rising_fertility", bounds, {"b0": 0.5}, bind, lambda p, P: p["b0"] + P)
-        # graded: on a uniform grid diagnose's translation rows raise at the first sample
-        grid = sp.build_grid(sp.default_x_max(bounds), 201, "graded_trapezoid")
+        model = rising_fertility_model()
+        grid = sp.build_grid(sp.default_x_max(model.bounds), 201, scheme)
         monkeypatch.setattr(cli, "load_config", lambda path, out_dir=None: RunConfig(
             model, grid, sp.SolverConfig(scan_points=16), out_dir))
         argv = ["--config", "unused.cfg", "--out", str(tmp_path)]

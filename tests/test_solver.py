@@ -1,6 +1,7 @@
 from dataclasses import replace
 from pathlib import Path
 
+import functools
 import math
 import re
 
@@ -19,6 +20,7 @@ from steadypop.errors import (
 )
 
 from conftest import exp_profile, misdeclared_constant, misdeclared_hierarchical
+from oracle import hierarchical_shape
 
 CE_CFG = sp.SolverConfig(lambda_min=0.01, lambda_max=10.0, scan_points=200)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -378,6 +380,45 @@ class TestScanAndBisect:
         assert len(fine) == len(coarse) == 2
         for a, b in zip(coarse, fine):
             assert a.lambda_star == pytest.approx(b.lambda_star, abs=1e-8)
+
+
+SHIPPED_HIERARCHICAL = (0.5, 1.0, 1.0, 2.0)
+STIFF_HIERARCHICAL = (0.02, 1.0, 1.0, 10.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_error(params, scheme, n):
+    """Quadrature of |u_star - u*| for solve_all's one hierarchical equilibrium."""
+    model = sp.hierarchical_model(*params)
+    ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
+    _, (result,) = sp.solve_all(ctx, sp.SolverConfig(scan_points=64))
+    exact = hierarchical_shape(*params, ctx.grid.nodes)
+    return sp.integrate(ctx.grid, np.abs(result.u_star.values - exact))
+
+
+class TestHierarchicalShape:
+    """The equilibrium's shape against the closed form in ``tests/oracle.py``.
+
+    Stiff on the uniform grid is left out: its error ratio per doubling at
+    n = 4001 (4.49) is not yet the trapezoid rule's 4.
+    """
+
+    @pytest.mark.parametrize("params, scheme, error", [
+        (SHIPPED_HIERARCHICAL, "uniform_trapezoid", 6.284e-6),
+        (SHIPPED_HIERARCHICAL, "graded_trapezoid", 2.879e-7),
+        (STIFF_HIERARCHICAL, "graded_trapezoid", 1.660e-4),
+    ])
+    def test_shape_error(self, params, scheme, error):
+        assert _shape_error(params, scheme, 4001) == pytest.approx(error, rel=1e-3)
+
+    @pytest.mark.parametrize("params, scheme, ratio", [
+        (SHIPPED_HIERARCHICAL, "uniform_trapezoid", 4.000),
+        (SHIPPED_HIERARCHICAL, "graded_trapezoid", 4.001),
+        (STIFF_HIERARCHICAL, "graded_trapezoid", 3.993),
+    ])
+    def test_second_order(self, params, scheme, ratio):
+        halved = _shape_error(params, scheme, 2001) / _shape_error(params, scheme, 4001)
+        assert halved == pytest.approx(ratio, abs=5e-3)
 
 
 def _stiff_reference_ctx(n=4001):
