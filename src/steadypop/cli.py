@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import os
 import sys
 import warnings
@@ -42,10 +43,11 @@ EXIT_VERIFY_FAIL = 4
 
 
 def _write(path: str, lines) -> None:
-    # one joined write: streaming the lines of a 1e5-row profile made later
-    # numpy temporaries fault in fresh pages and slowed scan and certify
+    # bounded chunks: one join of a 1e5-row profile (~25 MB) let peak RSS hang on the heap
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        while chunk := list(itertools.islice(lines, 4096)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def _ensure_out(run: RunConfig) -> str:
@@ -67,7 +69,7 @@ def cmd_solve(run: RunConfig) -> int:
     for i, r in enumerate(results, start=1):
         rows = zip(ctx.grid.nodes, r.u_star.values, r.pi.values)
         _write(os.path.join(out, "profile_%03d.csv" % i),
-               ["x,u_star,pi"] + ["%.12g,%.12g,%.12g" % row for row in rows])
+               itertools.chain(["x,u_star,pi"], ("%.12g,%.12g,%.12g" % row for row in rows)))
 
     if scan.degenerate:
         print("degenerate family: residual ~ 0 across the scan; no discrete roots reported")
@@ -167,8 +169,12 @@ def _read_profile(path: str, grid) -> DensityProfile:
     if not np.all(np.isfinite(data)):
         raise ParameterError("profile file %s has non-finite values" % path)
     xs, us = data[:, 0], data[:, 1]
+    if np.any(us < 0):
+        raise ParameterError("density values must be nonnegative")
     order = np.argsort(xs)
-    return DensityProfile(grid, np.interp(grid.nodes, xs[order], us[order], left=0.0, right=0.0))
+    # np.interp can round a subnormal slope below 0 (-2.96e-323 between 9.88e-323 and 0)
+    values = np.interp(grid.nodes, xs[order], us[order], left=0.0, right=0.0)
+    return DensityProfile(grid, np.maximum(values, 0.0))
 
 
 def cmd_verify(run: RunConfig, profile_path: str, tol: float) -> int:

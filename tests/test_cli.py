@@ -271,6 +271,15 @@ class TestSolveCommand:
             b = open("%s/%s" % (out2, name), "rb").read()
             assert a == b
 
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 10001])
+    def test_write_in_chunks_matches_one_join(self, tmp_path, count):
+        # a 1e5-row profile is written a chunk of lines at a time; the bytes
+        # must match one join whatever the chunk boundaries
+        lines = ["%d,%.12g" % (i, i / 7.0) for i in range(count)]
+        path = tmp_path / "rows.csv"
+        cli._write(str(path), iter(lines))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_no_equilibrium_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "sub.cfg", SUBCRIT_TEXT)
         code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -478,6 +487,22 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
         prof = self._profile_file(tmp_path, 0.5)  # between the two equilibria
         assert main(["verify", "--config", cfg, "--profile", prof, "--tol", "1e-4"]) == 4
+
+    def test_subnormal_tail_accepted(self, tmp_path, capsys):
+        # solve writes u_star = 9.88131291682e-323 then 0; interpolating at
+        # the true nodes, 12 digits off the written x, rounds to -2.96e-323
+        cfg = write_config(tmp_path / "fz.cfg", (
+            "model.variant = hierarchical\nmodel.g_low = 0.01\nmodel.g_high = 0.69359375\n"
+            "model.mu0 = 0.3704803581113075\nmodel.b0 = 0.5625\n"
+            "grid.scheme = uniform_trapezoid\ngrid.n = 5\nsolver.scan_points = 2\n"
+            "solver.picard_max_iter = 3\n"))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert "9.88131291682e-323" in (out / "profile_001.csv").read_text()
+        capsys.readouterr()
+        assert main(["verify", "--config", cfg, "--profile", str(out / "profile_001.csv"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("residual_l1 = ")
 
     def test_unreadable_profile_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
