@@ -1,10 +1,11 @@
 """Command-line front end.
 
-    steadypop <solve|scan|certify|diagnose|verify> --config <path>
-              [--out <dir>] [--tol <real>] [--profile <path>]
+    steadypop <solve|scan|certify|diagnose|verify> --config <path> [--out <dir>]
+    steadypop verify --config <path> --profile <path> [--tol <real>]
 
-Exit codes: 0 success, 1 runtime error, 2 config/input error,
-3 no equilibrium found, 4 verification failure.
+Options may come before the command. Exit codes: 0 success, 1 runtime error,
+2 usage, config, input or output error, 3 no equilibrium found,
+4 verification failure.
 
 All numbers are written with 12 significant digits and rows are sorted, so
 identical configs produce byte-identical outputs. The CLI performs no
@@ -41,17 +42,32 @@ EXIT_CONFIG = 2
 EXIT_NO_EQUILIBRIUM = 3
 EXIT_VERIFY_FAIL = 4
 
+VERIFY_TOL = 1e-5       # verify's default --tol
+
+
+class _OutputError(Exception):
+    """An output directory or file that cannot be written (exit 2)."""
+
+    def __init__(self, path: str, exc: OSError):
+        super().__init__("cannot write output %s: %s" % (path, exc.strerror or exc))
+
 
 def _write(path: str, lines) -> None:
     # bounded chunks: one join of a 1e5-row profile (~25 MB) let peak RSS hang on the heap
     lines = iter(lines)
-    with open(path, "w", encoding="utf-8") as fh:
-        while chunk := list(itertools.islice(lines, 4096)):
-            fh.write("\n".join(chunk) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            while chunk := list(itertools.islice(lines, 4096)):
+                fh.write("\n".join(chunk) + "\n")
+    except OSError as exc:
+        raise _OutputError(path, exc) from exc
 
 
 def _ensure_out(run: RunConfig) -> str:
-    os.makedirs(run.out_dir, exist_ok=True)
+    try:
+        os.makedirs(run.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise _OutputError(run.out_dir, exc) from exc
     return run.out_dir
 
 
@@ -191,24 +207,33 @@ def cmd_verify(run: RunConfig, profile_path: str, tol: float) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one flat parser; main checks which options the command takes
     parser = argparse.ArgumentParser(
         prog="steadypop",
         description="Stationary solutions of quasilinear size-structured population models.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "scan", "certify", "diagnose", "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--out", default=None, help="output directory")
-        if name == "verify":
-            p.add_argument("--profile", required=True, help="profile file with columns x,u")
-            p.add_argument("--tol", type=float, default=1e-5,
-                           help="residual threshold for acceptance")
+    parser.add_argument("command", choices=("solve", "scan", "certify", "diagnose", "verify"))
+    parser.add_argument("--config", required=True, help="run configuration file")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--profile", help="verify only, required: profile file with columns x,u")
+    parser.add_argument("--tol", type=float,
+                        help="verify only: residual threshold for acceptance (default %g)"
+                        % VERIFY_TOL)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify":
+        if args.profile is None:
+            parser.error("verify requires --profile")
+        if args.tol is None:
+            args.tol = VERIFY_TOL
+    else:
+        for option, value in (("--profile", args.profile), ("--tol", args.tol)):
+            if value is not None:
+                parser.error("%s belongs to verify only" % option)
     try:
         run = load_config(args.config, out_dir=args.out)
     except ConfigError as exc:
@@ -228,6 +253,9 @@ def main(argv=None) -> int:
         except ParameterError as exc:
             print("input error: %s" % exc, file=sys.stderr)
             return EXIT_CONFIG
+    except _OutputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     except SteadypopError as exc:
         if isinstance(exc, ParameterError) and exc.field == "scan_points":
             # the scan grid is built only when a command scans

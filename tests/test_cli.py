@@ -650,6 +650,67 @@ class TestExitCodes:
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
 
 
+class TestUsageErrors:
+    """Misuse of the command line exits 2 with a usage line, before any config is read."""
+
+    @pytest.mark.parametrize("args,name", [
+        pytest.param([], "command", id="no-command"),
+        pytest.param(["bogus", "--config", "{cfg}"], "bogus", id="unknown-command"),
+        pytest.param(["solve"], "--config", id="no-config"),
+        pytest.param(["verify", "--config", "{cfg}"], "--profile", id="verify-no-profile"),
+        pytest.param(["solve", "--config", "{cfg}", "--profile", "p.csv"], "--profile",
+                     id="profile-to-solve"),
+        pytest.param(["diagnose", "--config", "{cfg}", "--tol", "1"], "--tol",
+                     id="tol-to-diagnose"),
+        pytest.param(["verify", "--config", "{cfg}", "--profile", "p.csv", "--tol", "tiny"],
+                     "--tol", id="non-numeric-tol"),
+    ])
+    def test_exit_2_with_usage_and_no_file(self, tmp_path, monkeypatch, capsys, args, name):
+        cfg = write_config(tmp_path / "sub.cfg", SUBCRIT_TEXT)
+        monkeypatch.chdir(tmp_path)         # where output.dir's default would land
+        argv = [a.format(cfg=cfg) for a in args] + ["--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ")
+        assert name in captured.err.splitlines()[-1]
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["sub.cfg"]
+
+
+class TestUnwritableOutput:
+    """An output location that cannot be written exits 2 naming it, not with a traceback."""
+
+    @pytest.mark.parametrize("command", ["solve", "scan", "certify", "diagnose"])
+    @pytest.mark.parametrize("where", ["out", "output.dir"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_exit_2_naming_the_path(self, tmp_path, capsys, command, where, below):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        target = str(afile / below) if below else str(afile)
+        text = HIER_TEXT + "grid.n = 401\n"
+        if where == "out":
+            cfg = write_config(tmp_path / "h.cfg", text)
+            argv = [command, "--config", cfg, "--out", target]
+        else:
+            cfg = write_config(tmp_path / "h.cfg", text + "output.dir = %s\n" % target)
+            argv = [command, "--config", cfg]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output %s: " % target), err
+        assert err.count("\n") == 1
+        assert afile.read_text() == "keep\n"
+
+    def test_unwritable_file_in_a_good_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "certificate.txt").mkdir(parents=True)      # a directory where the file goes
+        cfg = write_config(tmp_path / "sub.cfg", SUBCRIT_TEXT)
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write output %s: " % (out / "certificate.txt"))
+
+
 def _composite_rate(rate, floor):
     """``model.<rate>.*`` lines: its const and a random subset of its optional fields."""
     optional = {
