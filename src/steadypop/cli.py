@@ -48,27 +48,23 @@ VERIFY_TOL = 1e-5       # verify's default --tol
 class _OutputError(Exception):
     """An output directory or file that cannot be written (exit 2)."""
 
-    def __init__(self, path: str, exc: OSError):
-        super().__init__("cannot write output %s: %s" % (path, exc.strerror or exc))
+    def __init__(self, path: str, exc: OSError | ValueError):
+        reason = getattr(exc, "strerror", None) or exc      # a ValueError has none
+        super().__init__("cannot write output %s: %s" % (path, reason))
 
 
-def _write(path: str, lines) -> None:
-    # bounded chunks: one join of a 1e5-row profile (~25 MB) let peak RSS hang on the heap
-    lines = iter(lines)
+def _write(run: RunConfig, name: str, lines) -> None:
+    """Write ``lines`` to the file ``name`` in the run's output directory, creating it."""
+    path, lines = run.out_dir, iter(lines)
     try:
+        os.makedirs(path, exist_ok=True)
+        path = os.path.join(path, name)
         with open(path, "w", encoding="utf-8") as fh:
+            # bounded chunks: one join of a 1e5-row profile (~25 MB) let peak RSS hang on the heap
             while chunk := list(itertools.islice(lines, 4096)):
                 fh.write("\n".join(chunk) + "\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _OutputError(path, exc) from exc
-
-
-def _ensure_out(run: RunConfig) -> str:
-    try:
-        os.makedirs(run.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise _OutputError(run.out_dir, exc) from exc
-    return run.out_dir
 
 
 def cmd_solve(run: RunConfig) -> int:
@@ -76,15 +72,13 @@ def cmd_solve(run: RunConfig) -> int:
     scan, entries = solve_all(ctx, run.solver)
     results = [r for r in entries if isinstance(r, EquilibriumResult)]
     failures = [f for f in entries if not isinstance(f, EquilibriumResult)]
-    out = _ensure_out(run)
-
-    _write(os.path.join(out, "equilibria.csv"), ["lambda_star,P_star,R_at_u,residual_l1"] + [
+    _write(run, "equilibria.csv", ["lambda_star,P_star,R_at_u,residual_l1"] + [
         "%.12g,%.12g,%.12g,%.12g" % (r.lambda_star, r.P_star, r.R_at_u, r.residual_l1)
         for r in results])
 
     for i, r in enumerate(results, start=1):
         rows = zip(ctx.grid.nodes, r.u_star.values, r.pi.values)
-        _write(os.path.join(out, "profile_%03d.csv" % i),
+        _write(run, "profile_%03d.csv" % i,
                itertools.chain(["x,u_star,pi"], ("%.12g,%.12g,%.12g" % row for row in rows)))
 
     if scan.degenerate:
@@ -105,8 +99,7 @@ def cmd_solve(run: RunConfig) -> int:
 def cmd_scan(run: RunConfig) -> int:
     ctx = make_context(run.model, run.grid)
     scan = scan_roots(ctx, run.solver)
-    out = _ensure_out(run)
-    _write(os.path.join(out, "scan.csv"), ["lambda,residual,status"] + [
+    _write(run, "scan.csv", ["lambda,residual,status"] + [
         "%.12g,%.12g,%s" % (lam, res, "failed" if i in scan.failed else "ok")
         for i, (lam, res) in enumerate(zip(scan.lambdas.tolist(), scan.residuals.tolist()))])
     if scan.degenerate:
@@ -119,7 +112,6 @@ def cmd_scan(run: RunConfig) -> int:
 def cmd_certify(run: RunConfig) -> int:
     ctx = make_context(run.model, run.grid)
     cert = certify(ctx, run.solver)
-    out = _ensure_out(run)
     lines = [
         "kind = %s" % cert.kind,
         "R0 = %.12g" % cert.R0,
@@ -132,7 +124,7 @@ def cmd_certify(run: RunConfig) -> int:
         if isinstance(value, tuple):
             value = " ".join("%.12g" % v if isinstance(v, float) else str(v) for v in value)
         lines.append("evidence.%s = %s" % (key, value))
-    _write(os.path.join(out, "certificate.txt"), lines)
+    _write(run, "certificate.txt", lines)
     print("certificate: %s (R0=%.12g)" % (cert.kind, cert.R0))
     return EXIT_OK
 
@@ -149,13 +141,12 @@ def cmd_diagnose(run: RunConfig) -> int:
     elif report.bounds_ok:      # the compactness bounds assume the rate bounds
         # a short horizon keeps only the shifts that fit inside it
         shifts = [h for h in (0.1, 0.01, 0.001) if h < run.grid.x_max]
-        rows += compactness_diagnostics(ctx, samples[:6], shifts, 0.5 * run.grid.x_max).rows()
+        rows += compactness_diagnostics(ctx, samples[:6], shifts, report.gx_window).rows()
     else:
         rows.append(("translation", "skipped", "rates leave their declared bounds (see bounds_A)"))
     lines = ["%s,%s,%s" % (check, verdict, detail.replace(",", ";"))
              for check, verdict, detail in rows]
-    out = _ensure_out(run)
-    _write(os.path.join(out, "diagnostics.txt"), ["check,verdict,detail"] + lines)
+    _write(run, "diagnostics.txt", ["check,verdict,detail"] + lines)
     for line in lines:
         print(line)
     return EXIT_OK

@@ -129,7 +129,7 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc))
     pairs = _parse_pairs(text)
 

@@ -115,7 +115,7 @@ class ScanResult:
     lambdas: np.ndarray
     residuals: np.ndarray          # nan where the inner iteration failed
     brackets: tuple                # (lo, hi) pairs with a sign change
-    ends: tuple                    # per bracket ((r_lo, v_lo), (r_hi, v_hi)) from the scan
+    ends: tuple                    # per bracket the scan's (lo, hi) PicardResults
     failed: tuple                  # scan indices whose inner iteration failed
     degenerate: bool               # residual ~ 0 across the scan
 
@@ -236,7 +236,7 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     """Evaluate the scalar residual on a scale grid and collect sign-change brackets.
 
     Every point starts cold, so each residual equals ``lambda_residual`` at
-    that scale. Each bracket keeps its two end residuals and shapes, for the
+    that scale. Each bracket keeps its two ends' converged results, for the
     refinement to reuse. Completeness is not guaranteed: only sign changes at
     scan resolution are found. A residual that is ~0 at >= 90% of the points
     is reported as a degenerate family and yields no brackets.
@@ -291,7 +291,7 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
         lambdas=lams,
         residuals=r,
         brackets=tuple((float(lams[i]), float(lams[j])) for (i, _), (j, _) in pairs),
-        ends=tuple(tuple((ends[i].R - 1.0, ends[i].v) for i, _ in pair) for pair in pairs),
+        ends=tuple((ends[i], ends[j]) for (i, _), (j, _) in pairs),
         failed=tuple(failed),
         degenerate=degenerate,
     )
@@ -315,8 +315,9 @@ def _assemble_result(ctx: KernelContext, lam: float, pr: PicardResult) -> Equili
 def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends=None) -> EquilibriumResult:
     """Refine a sign-change bracket of the scalar residual by ITP.
 
-    ``ends`` holds the scan's ``((r_lo, v_lo), (r_hi, v_hi))`` for the
-    bracket; without it both ends are solved here. ITP (Oliveira & Takahashi,
+    ``ends`` holds the scan's two converged :class:`PicardResult` for the
+    bracket; without it both ends are solved here. An end or ITP step
+    whose ``R`` is exactly 1 is the root. ITP (Oliveira & Takahashi,
     ACM TOMS 47, 2021) keeps a sign-change bracket, converges superlinearly
     on smooth residuals, and needs at most one evaluation more than
     bisection. It stops at width <= root_tol, or when the bracket can no
@@ -329,15 +330,12 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends=None) -> Eq
     if not 0 <= lo < hi < math.inf:       # also rejects NaN
         raise ParameterError("bracket ends must be finite with 0 <= lo < hi", "bracket")
     if ends is None:
-        ends = []
-        for lam in (lo, hi):
-            pr = inner_picard(ctx, lam, cfg)
-            ends.append((pr.R - 1.0, pr.v))
-    (r_lo, v_lo), (r_hi, v) = ends      # v: shape at the last scale solved
-    if r_lo == 0.0:
-        return _assemble_result(ctx, lo, inner_picard(ctx, lo, cfg, v_lo))
-    if r_hi == 0.0:
-        return _assemble_result(ctx, hi, inner_picard(ctx, hi, cfg, v))
+        ends = [inner_picard(ctx, lam, cfg) for lam in (lo, hi)]
+    for lam, pr in zip((lo, hi), ends):
+        if pr.R == 1.0:
+            return _assemble_result(ctx, lam, pr)
+    r_lo, r_hi = (pr.R - 1.0 for pr in ends)
+    v = ends[1].v                  # shape at the last scale solved
     if r_lo * r_hi > 0:
         raise ParameterError("bracket endpoints must have opposite residual signs")
     eps = 0.5 * cfg.root_tol
@@ -428,8 +426,9 @@ def _computed_mass_bound(ctx: KernelContext) -> float:
     # exp(745 (n + 8) ulps). exp, the division by g, beta (its P included) and
     # the two dot products of nonnegative terms add under n + 10 ulps. The
     # n-term covers all of it; the 1e-6 keeps R below 1 by more than
-    # subnormal exp values can add.
-    margin = 1e-6 + 1e3 * ctx.grid.n * np.finfo(float).eps
+    # subnormal exp values can add. The margin is a Python float: find_rho0
+    # takes 0 * inf as NaN, which numpy's float64 would warn about.
+    margin = 1e-6 + 1e3 * ctx.grid.n * math.ulp(1.0)
     return survival_mass_bound(ctx.model.bounds, ctx.grid) * (1.0 + margin)
 
 

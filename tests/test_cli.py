@@ -276,8 +276,10 @@ class TestSolveCommand:
         # a 1e5-row profile is written a chunk of lines at a time; the bytes
         # must match one join whatever the chunk boundaries
         lines = ["%d,%.12g" % (i, i / 7.0) for i in range(count)]
-        path = tmp_path / "rows.csv"
-        cli._write(str(path), iter(lines))
+        run = load_config(write_config(tmp_path / "sub.cfg", SUBCRIT_TEXT),
+                          out_dir=str(tmp_path / "o"))
+        cli._write(run, "rows.csv", iter(lines))
+        path = tmp_path / "o" / "rows.csv"
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_no_equilibrium_exit_3(self, tmp_path, capsys):
@@ -649,6 +651,20 @@ class TestExitCodes:
     def test_missing_config_exit_2(self):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "scan", "certify", "diagnose", "verify"])
+    def test_config_that_is_not_utf8_exit_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"model.variant = counter\xffexample\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "verify":
+            argv += ["--profile", str(tmp_path / "p.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: cannot read config file %s: 'utf-8' codec can't "
+                                "decode byte 0xff in position 23: invalid start byte\n" % cfg)
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
 
 class TestUsageErrors:
     """Misuse of the command line exits 2 with a usage line, before any config is read."""
@@ -701,6 +717,14 @@ class TestUnwritableOutput:
         assert err.startswith("error: cannot write output %s: " % target), err
         assert err.count("\n") == 1
         assert afile.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command", ["solve", "scan", "certify", "diagnose"])
+    def test_nul_byte_in_output_dir_exit_2(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)         # where a relative output.dir would land
+        cfg = write_config(tmp_path / "h.cfg", HIER_TEXT + "grid.n = 401\noutput.dir = \0bad\n")
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: cannot write output \0bad: embedded null byte\n"
+        assert sorted(os.listdir(tmp_path)) == ["h.cfg"]
 
     def test_unwritable_file_in_a_good_directory(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -4,6 +4,7 @@ from pathlib import Path
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from steadypop.errors import (
     GridMismatchError,
     ParameterError,
 )
+from steadypop.model import survival_mass_bound
 
 from conftest import exp_profile, misdeclared_constant, misdeclared_hierarchical
 from oracle import hierarchical_shape
@@ -270,8 +272,13 @@ class TestScanAndBisect:
         for lam, r in zip(scan.lambdas, scan.residuals):
             assert r == sp.lambda_residual(hier_ctx, float(lam), cfg)
         assert len(scan.ends) == len(scan.brackets) == 1
-        (r_lo, _), (r_hi, _) = scan.ends[0]
-        assert r_lo * r_hi < 0
+        for lam, end in zip(scan.brackets[0], scan.ends[0]):
+            cold = sp.inner_picard(hier_ctx, lam, cfg)
+            assert end.converged
+            assert end.R == cold.R and end.iterations == cold.iterations
+            assert np.array_equal(end.v.values, cold.v.values)
+        lo_end, hi_end = scan.ends[0]
+        assert (lo_end.R - 1.0) * (hi_end.R - 1.0) < 0
 
     def test_tiny_root_tol_stops_at_float_resolution(self, hier_ctx):
         _, (coarse,) = sp.solve_all(hier_ctx, sp.SolverConfig(scan_points=64))
@@ -331,9 +338,9 @@ class TestScanAndBisect:
     @pytest.mark.parametrize("zero_end", [0, 1])
     def test_zero_residual_end_is_the_root(self, ce_ctx, monkeypatch, zero_end):
         bracket = (0.1, 0.3)
-        shapes = [sp.inner_picard(ce_ctx, lam, CE_CFG).v for lam in bracket]
-        ends = [(-0.5, shapes[0]), (0.5, shapes[1])]
-        ends[zero_end] = (0.0, shapes[zero_end])
+        ends = [replace(sp.inner_picard(ce_ctx, lam, CE_CFG), R=R)
+                for lam, R in zip(bracket, (0.5, 1.5))]
+        ends[zero_end] = replace(ends[zero_end], R=1.0)
         calls = []
         inner = sp.solver.inner_picard
 
@@ -343,17 +350,22 @@ class TestScanAndBisect:
 
         monkeypatch.setattr(sp.solver, "inner_picard", counted)
         result = sp.bisect_root(ce_ctx, bracket, CE_CFG, ends)
-        # no ITP step: one solve at the zero end to assemble the result
-        assert calls == [bracket[zero_end]]
+        # no ITP step and no inner solve: the zero end's own result is the root
+        assert calls == []
+        end = ends[zero_end]
         assert result.lambda_star == bracket[zero_end]
+        assert result.R_at_u == 1.0 and result.inner_iterations == end.iterations
+        assert result.v_star is end.v
+        assert np.array_equal(result.pi.values, end.pi)
 
     def test_bracket_of_adjacent_floats_stops(self, ce_ctx):
         lo = 1.0 / 6.0
         hi = float(np.nextafter(lo, 1.0))
         cfg = replace(CE_CFG, root_tol=1e-20)
-        v = sp.inner_picard(ce_ctx, lo, cfg).v
+        pr = sp.inner_picard(ce_ctx, lo, cfg)
         # the midpoint rounds to an end, so ITP stops before its first step
-        result = sp.bisect_root(ce_ctx, (lo, hi), cfg, ((-1e-3, v), (1e-3, v)))
+        result = sp.bisect_root(ce_ctx, (lo, hi), cfg, (replace(pr, R=1.0 - 1e-3),
+                                                         replace(pr, R=1.0 + 1e-3)))
         assert result.lambda_star in (lo, hi)
 
     def test_bisect_rejects_bad_bracket(self, ce_ctx):
@@ -367,8 +379,8 @@ class TestScanAndBisect:
         self, ce_ctx, with_ends, bracket
     ):
         # ITP's step bound takes the log of the width: only a finite, ordered bracket has one
-        v = sp.inner_picard(ce_ctx, 0.5, CE_CFG).v
-        ends = ((-1e-3, v), (1e-3, v)) if with_ends else None
+        pr = sp.inner_picard(ce_ctx, 0.5, CE_CFG)
+        ends = (replace(pr, R=1.0 - 1e-3), replace(pr, R=1.0 + 1e-3)) if with_ends else None
         with pytest.raises(ParameterError) as info:
             sp.bisect_root(ce_ctx, bracket, CE_CFG, ends)
         assert info.value.field == "bracket"
@@ -439,9 +451,13 @@ def _assert_same_scan(sign, full):
     assert sign.degenerate == full.degenerate
     assert len(sign.ends) == len(full.ends)
     for sign_ends, full_ends in zip(sign.ends, full.ends):
-        for (r_sign, v_sign), (r_full, v_full) in zip(sign_ends, full_ends):
-            assert r_sign == r_full
-            assert np.array_equal(v_sign.values, v_full.values)
+        for sign_end, full_end in zip(sign_ends, full_ends):
+            assert sign_end.converged and full_end.converged
+            assert sign_end.R == full_end.R
+            assert sign_end.iterations == full_end.iterations
+            assert sign_end.residual_l1 == full_end.residual_l1
+            assert np.array_equal(sign_end.v.values, full_end.v.values)
+            assert np.array_equal(sign_end.pi, full_end.pi)
 
 
 class TestSignOnlyScan:
@@ -796,6 +812,22 @@ class TestCertificates:
         assert cert.kind == "inconclusive"
         assert cert.R0 == pytest.approx(0.5, abs=1e-5)
         assert RISING_NOTE in cert.evidence["notes"]
+
+    @pytest.mark.parametrize("model", [
+        pytest.param((sp.counterexample_model, 1e-13), id="counterexample-g-1e-13"),
+        pytest.param((sp.counterexample_model, 1e-150), id="counterexample-g-1e-150"),
+        pytest.param((sp.constant_model, 1.0, 1e-13, 0.0), id="constant-g0-1e-13-beta0-0"),
+    ])
+    def test_g_low_within_the_check_tolerance_certifies_without_a_warning(self, model):
+        # the mass bound is inf and beta_sup reaches 0: find_rho0 meets 0 * inf
+        builder, *params = model
+        m = builder(*params)
+        ctx = sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 201))
+        assert survival_mass_bound(m.bounds, ctx.grid) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = sp.certify(ctx, sp.SolverConfig())
+        assert cert.kind == "inconclusive"
 
     def test_no_note_when_R_never_rises_above_R0(self, const_ctx_factory):
         # configs/constant_subcritical.cfg: R = 1/2 at every population
