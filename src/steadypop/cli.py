@@ -131,17 +131,23 @@ def cmd_certify(run: RunConfig) -> int:
 
 def cmd_diagnose(run: RunConfig) -> int:
     ctx = make_context(run.model, run.grid)
-    rng = np.random.default_rng(run.solver.seed)
     lambdas = [10.0**k for k in range(-3, 4)]
-    samples = random_onion_samples(run.model.bounds, run.grid, lambdas, 2, rng)
-    report = validate_hypotheses(ctx, samples)
+
+    def samples():
+        # a fresh generator from the seed: every call yields the same 14 samples, one at a time
+        rng = np.random.default_rng(run.solver.seed)
+        return random_onion_samples(run.model.bounds, run.grid, lambdas, 2, rng)
+
+    report = validate_hypotheses(ctx, samples())
     rows = list(report.rows())
     if not run.grid.is_uniform:
         rows.append(("translation", "skipped", "non-uniform grid has no translation diagnostics"))
     elif report.bounds_ok:      # the compactness bounds assume the rate bounds
         # a short horizon keeps only the shifts that fit inside it
         shifts = [h for h in (0.1, 0.01, 0.001) if h < run.grid.x_max]
-        rows += compactness_diagnostics(ctx, samples[:6], shifts, report.gx_window).rows()
+        # the first six samples again, drawn afresh rather than kept
+        first_six = itertools.islice(samples(), 6)
+        rows += compactness_diagnostics(ctx, first_six, shifts, report.gx_window).rows()
     else:
         rows.append(("translation", "skipped", "rates leave their declared bounds (see bounds_A)"))
     lines = ["%s,%s,%s" % (check, verdict, detail.replace(",", ";"))

@@ -150,6 +150,11 @@ class CompactnessReport:
                    % (r.sample_index, r.h, r.measured, r.bound))
 
 
+def _abs_change(shifted: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``|shifted - f|``, written over ``shifted``, a fresh array of translate's."""
+    return np.abs(np.subtract(shifted, f, out=shifted), out=shifted)
+
+
 def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> CompactnessReport:
     """Check the three relative-compactness conditions on sampled survival shapes.
 
@@ -159,10 +164,10 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     Every sample's rates are evaluated and bounds-checked. When the survival
     shape is the context's fixed ``ctx.pi``, g is fixed too, so every sample
     has the same norm, tail and translation values: they are computed once,
-    translating pi and g once per shift, and reported for each sample.
+    before any sample is drawn, translating pi and g once per shift, and
+    reported for each sample. ``samples`` may be any iterable, a one-shot
+    generator included; none is stored.
     """
-    if not samples:
-        raise ParameterError("need at least one onion sample")
     if not (0 < T < ctx.grid.x_max):
         raise ParameterError("T must lie strictly inside (0, x_max)")
     for h in h_list:
@@ -176,10 +181,6 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
     iT = int(np.searchsorted(nodes, T, side="right")) - 1
     T_eff = float(nodes[iT])
     wmask = grid.weights * (nodes <= T_eff)
-    # trapezoid weights restricted to [T_eff, x_max]: only half an interval at T_eff
-    wtail = grid.weights * (nodes > T_eff)
-    if iT + 1 < grid.n:
-        wtail[iT] = 0.5 * grid.steps[iT]
 
     # trapezoid overshoots convex integrands; certified bias bounds via e2''.
     # Products, not powers: a huge finite spacing gives inf, not OverflowError,
@@ -191,26 +192,36 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
                   + (h_max * h_max / 12.0) * decay * math.exp(-decay * T) / b.g_low)
     g_low2 = b.g_low * b.g_low
 
+    def tail_mass(pi):
+        # trapezoid weights restricted to [T_eff, x_max]: only half an interval at T_eff;
+        # made per call, so that they are not held through the translations
+        wtail = grid.weights * (nodes > T_eff)
+        if iT + 1 < grid.n:
+            wtail[iT] = 0.5 * grid.steps[iT]
+        return _accel.weighted_sum(wtail, pi)
+
     def shape_values(g, pi):
         """|pi|_1, pi's tail mass beyond T_eff, and (measured, bound) per shift."""
         g = _at_nodes(grid, g)
         moduli = []
         for h in h_list:
-            measured = _accel.weighted_sum(wmask, np.abs(translate(grid, pi, h) - pi))
+            measured = _accel.weighted_sum(wmask, _abs_change(translate(grid, pi, h), pi))
             # the zero extension of g beyond x_max is irrelevant on [0, T]
-            g_term = _accel.weighted_sum(wmask, np.abs(translate(grid, g, h) - g))
+            g_term = _accel.weighted_sum(wmask, _abs_change(translate(grid, g, h), g))
             bound = (T_eff * b.mu_high / g_low2) * h + (T_eff / g_low2) * g_term
             moduli.append((measured, bound))
-        return integrate(grid, pi), _accel.weighted_sum(wtail, pi), moduli
+        return integrate(grid, pi), tail_mass(pi), moduli
 
     norm_rows = []
     tail_rows = []
     trans_rows = []
     ok = True
-    values = None
-    for idx, s in enumerate(samples):
-        g, _, pi = rates_and_survival(ctx, _density_values(grid, s))
-        if values is None or ctx.pi is None:
+    values = None if ctx.pi is None else shape_values(ctx.rates.fixed[0], ctx.pi)
+    for s in samples:              # not enumerate: its reused tuple would hold the last sample
+        idx = len(norm_rows)
+        g, beta, pi = rates_and_survival(ctx, _density_values(grid, s))
+        del s, beta                # neither is read again: free them for shape_values
+        if ctx.pi is None:
             values = shape_values(g, pi)
         l1, tail, moduli = values
         norm_ok = math.isfinite(norm_bound) and l1 <= norm_bound * (1.0 + 1e-9)
@@ -224,6 +235,8 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
             trans_rows.append(TranslationRow(idx, h, measured, bound, row_ok))
             ok = ok and row_ok
 
+    if not norm_rows:
+        raise ParameterError("need at least one onion sample")
     return CompactnessReport(
         T=T_eff,
         norm_rows=tuple(norm_rows),

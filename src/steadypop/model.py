@@ -446,17 +446,25 @@ def default_x_max(bounds: RateBounds, tail_tol: float = 1e-10) -> float:
     return (b.g_high / b.mu_low) * math.log(b.g_high / (b.g_low * b.mu_low * tail_tol))
 
 
-def random_onion_samples(bounds, grid, lambdas, per_lambda, rng) -> list:
-    """Seeded onion samples: profiles ``lam * v``, shapes ``v`` random between the envelopes."""
-    e1, e2 = envelope_values(bounds, grid.nodes)
-    out = []
-    for lam in lambdas:
-        if not lam > 0:
-            raise ParameterError("onion sample scale must be positive")
-        for _ in range(per_lambda):
-            r = rng.random(grid.n)
-            out.append(DensityProfile(grid, lam * (e1 + r * (e2 - e1))))
-    return out
+def random_onion_samples(bounds, grid, lambdas, per_lambda, rng):
+    """Seeded onion samples: profiles ``lam * v``, shapes ``v`` random between the envelopes.
+
+    Yields them one at a time, each drawn from ``rng`` when it is asked for,
+    so a caller that keeps none holds one sample's n values at a time; the
+    envelopes are made at the first draw. A scale that is not positive
+    raises here, before anything is drawn.
+    """
+    lambdas = tuple(lambdas)
+    if not all(lam > 0 for lam in lambdas):
+        raise ParameterError("onion sample scale must be positive")
+
+    def draws():
+        e1, e2 = envelope_values(bounds, grid.nodes)
+        for lam in lambdas:
+            for _ in range(per_lambda):
+                yield DensityProfile(grid, lam * (e1 + rng.random(grid.n) * (e2 - e1)))
+
+    return draws()
 
 
 # -- sampled hypothesis checks ----------------------------------------------
@@ -511,9 +519,9 @@ def validate_hypotheses(ctx, samples) -> HypothesisReport:
     (a fixed rate's verdict is ``ctx.rates.errors``); its worst violation, the
     largest excess past a declared bound, is NaN when a rate is NaN. A rate
     that ignores u, and g's slope when it is one, is taken once per call.
+    ``samples`` may be any iterable; only the first is kept, for the
+    continuity row.
     """
-    if not samples:
-        raise ParameterError("need at least one onion sample")
     model, grid, frozen = ctx.model, ctx.grid, ctx.rates
     T = 0.5 * grid.x_max
     in_window = (grid.nodes <= T)[:-1]
@@ -532,12 +540,18 @@ def validate_hypotheses(ctx, samples) -> HypothesisReport:
     checks = [check(i, value) for i, value in enumerate(fixed) if value is not None]
     judged = len(checks)           # freeze_rates already judged these
     slopes = [] if fixed[0] is None else [slope(fixed[0])]
-    values = [_density_values(grid, s) for s in samples]
-    for u in values:
+    base = None
+    for s in samples:
+        u = _density_values(grid, s)
+        if base is None:
+            base = u
         rates = raw(u)
         checks += [check(i, value) for i, value in enumerate(rates) if fixed[i] is None]
         if fixed[0] is None:
             slopes.append(slope(rates[0]))
+        del s, u, rates            # before the next sample is drawn
+    if base is None:
+        raise ParameterError("need at least one onion sample")
     bounds_ok = (all(error is None for error in frozen.errors)
                  and all(passes for _, _, passes, _, _ in checks[judged:]))
     # rounding is monotone, so low - min(v) is max(low - v) bit for bit
@@ -558,7 +572,6 @@ def validate_hypotheses(ctx, samples) -> HypothesisReport:
     lbeta_pass = nonincreasing and beta_sweep[-1] <= 1e-3 * max(beta_sweep[0], 1e-300)
 
     # continuity evidence: relative rate response to a 1e-6 L1 perturbation
-    base = values[0]
     delta = 1e-6 / max(integrate(grid, e2), 1e-300)
     responses = []
     for a0, a1 in zip(raw(base), raw(base + delta * e2)):

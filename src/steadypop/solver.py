@@ -256,6 +256,7 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     lams = _scan_lambdas(ctx, cfg)
     r = np.full(lams.shape, np.nan)      # residuals
     failed, pairs, converged = [], [], 0
+    ends = {}                      # index -> PicardResult of each bracket end
     prev = None                    # (index, PicardResult) of the last good point
     for i, lam in enumerate(lams):
         try:
@@ -266,22 +267,23 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
         r[i] = pr.R - 1.0
         converged += pr.converged
         if prev is not None and r[prev[0]] != 0.0 and (r[prev[0]] * r[i] < 0 or r[i] == 0.0):
-            pairs.append((prev, (i, pr)))
+            pairs.append((prev[0], i))
+            ends.update((prev, (i, pr)))
         prev = (i, pr)
+    prev = pr = None               # the last point's result lives on only as a bracket end
     good = r[~np.isnan(r)]
     zeros = int(np.count_nonzero(np.abs(good) < cfg.root_tol))
     degenerate = bool(good.size > 0 and zeros >= 0.9 * good.size)
     if degenerate:
-        pairs = []
+        pairs, ends = [], {}
     elif sign_only and zeros > 0 and zeros >= 0.9 * converged:
         # stopped points are never ~0, but the full scan may fail some of
         # them; without them the flag would be set, so only it can tell
         return scan_roots(ctx, cfg)
-    ends = dict(end for pair in pairs for end in pair)     # index -> PicardResult
-    for i, pr in sorted(ends.items()):
-        if not pr.converged:
+    for i in sorted(ends):         # a resumed end replaces its sign-only result
+        if not ends[i].converged:
             try:
-                ends[i] = inner_picard(ctx, float(lams[i]), cfg, pr)
+                ends[i] = inner_picard(ctx, float(lams[i]), cfg, ends[i])
             except ConvergenceError:
                 return scan_roots(ctx, cfg)
             if np.sign(ends[i].R - 1.0) != np.sign(r[i]):      # its sign was settled wrongly
@@ -290,8 +292,8 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     return ScanResult(
         lambdas=lams,
         residuals=r,
-        brackets=tuple((float(lams[i]), float(lams[j])) for (i, _), (j, _) in pairs),
-        ends=tuple((ends[i], ends[j]) for (i, _), (j, _) in pairs),
+        brackets=tuple((float(lams[i]), float(lams[j])) for i, j in pairs),
+        ends=tuple((ends[i], ends[j]) for i, j in pairs),
         failed=tuple(failed),
         degenerate=degenerate,
     )
@@ -406,8 +408,8 @@ def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: S
 
 def _sample_shapes(ctx: KernelContext, rng, n_random: int = 5):
     """Both envelopes, their midpoint and ``n_random`` seeded shapes between them."""
-    return [ctx.e1, ctx.e2, ctx.start] + random_onion_samples(
-        ctx.model.bounds, ctx.grid, (1.0,), n_random, rng)
+    return [ctx.e1, ctx.e2, ctx.start,
+            *random_onion_samples(ctx.model.bounds, ctx.grid, (1.0,), n_random, rng)]
 
 
 def _ray_R(ctx: KernelContext, w: DensityProfile, lams) -> list:

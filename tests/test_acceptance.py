@@ -132,7 +132,7 @@ def test_criterion_03_envelope_property():
         model = builders[k % 4](rng)
         ctx = sp.make_context(model, grid)
         lam = 10.0 ** rng.uniform(-2, 2)
-        s = sp.random_onion_samples(model.bounds, grid, [lam], 1, rng)[0]
+        s = list(sp.random_onion_samples(model.bounds, grid, [lam], 1, rng))[0]
         pi = sp.survival_pi(ctx, s).values
         lo_ok = np.all(pi >= ctx.e1.values * (1 - 1e-12))
         hi_ok = np.all(pi <= ctx.e2.values * (1 + 1e-12))
@@ -235,7 +235,7 @@ def test_criterion_08_translation_bound():
         grid = sp.build_grid(min(sp.default_x_max(model.bounds), 40.0), 4001)
         ctx = sp.make_context(model, grid)
         nodes = grid.nodes
-        samples = sp.random_onion_samples(b, grid, [0.1, 0.7, 3.0, 12.0, 60.0], 2, rng)
+        samples = list(sp.random_onion_samples(b, grid, [0.1, 0.7, 3.0, 12.0, 60.0], 2, rng))
         triples = 0
         for u in samples:  # 10 profiles x 5 (h, T) pairs = 50 triples per builtin
             pi = sp.survival_pi(ctx, u).values

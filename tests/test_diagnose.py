@@ -2,7 +2,8 @@
 
 Each check is compared, bit for bit, with a plain per-sample reference kept
 here: every rate, survival shape and translation evaluated afresh for each
-sample, as the checks did before they reused the u-independent parts.
+sample, as the checks did before they reused the u-independent parts. The
+samples are drawn lazily and the checks take them from any iterable.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import steadypop as sp
 import steadypop.kernel as kernel
 from steadypop import cli
 from steadypop.config import load_config
-from steadypop.errors import BoundsViolationError
+from steadypop.errors import BoundsViolationError, ParameterError
 from steadypop.grid import _density_values, integrate, translate
 from steadypop.kernel import TranslationRow, rates_and_survival
 from steadypop.model import (
@@ -148,7 +149,7 @@ def _context(name, n=1001):
 def _samples(ctx, seed=0):
     # cmd_diagnose's draws: two per scale 1e-3 .. 1e3
     rng = np.random.default_rng(seed)
-    return sp.random_onion_samples(ctx.model.bounds, ctx.grid, LAMBDAS, 2, rng)
+    return list(sp.random_onion_samples(ctx.model.bounds, ctx.grid, LAMBDAS, 2, rng))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -309,3 +310,89 @@ def test_translation_rows_pass_on_graded_shipped_configs(name):
     rows = sp.compactness_diagnostics(ctx, samples, SHIFTS, 0.5 * run.grid.x_max).translation_rows
     assert len(rows) == 18
     assert all(row.ok for row in rows)
+
+
+# -- samples are drawn one at a time and taken from any iterable ---------------
+
+
+def _reference_samples(bounds, grid, lambdas, per_lambda, rng):
+    """The onion samples as a list, drawn as the sampler drew them when it built one."""
+    e1, e2 = envelope_values(bounds, grid.nodes)
+    out = []
+    for lam in lambdas:
+        for _ in range(per_lambda):
+            r = rng.random(grid.n)
+            out.append(sp.DensityProfile(grid, lam * (e1 + r * (e2 - e1))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_lazy_draws_match_the_eager_list(name):
+    ctx = _context(name)
+    rng = np.random.default_rng(3)
+    samples = sp.random_onion_samples(ctx.model.bounds, ctx.grid, LAMBDAS, 2, rng)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+    reference = _reference_samples(ctx.model.bounds, ctx.grid, LAMBDAS, 2,
+                                   np.random.default_rng(3))
+    drawn = list(samples)
+    assert len(drawn) == len(reference) == 14
+    for s, ref in zip(drawn, reference):
+        assert s.grid is ctx.grid
+        np.testing.assert_array_equal(s.values, ref.values)
+    assert list(samples) == []          # a generator: its samples are drawn once
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+def test_nonpositive_scale_raises_at_the_call_before_any_draw(lam):
+    ctx = _context("constant")
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match="scale must be positive"):
+        sp.random_onion_samples(ctx.model.bounds, ctx.grid, [1.0, 10.0, lam], 2, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+CHECKS = {
+    "validate_hypotheses": sp.validate_hypotheses,
+    "compactness_diagnostics":
+        lambda ctx, samples: sp.compactness_diagnostics(ctx, samples, SHIFTS,
+                                                        0.5 * ctx.grid.x_max),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("empty", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+def test_no_samples_raise(check, empty):
+    with pytest.raises(ParameterError, match="need at least one onion sample"):
+        CHECKS[check](_context("counterexample"), empty)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_one_shot_generator_gives_the_list_report(name, check):
+    ctx = _context(name)
+    samples = _samples(ctx)[:6] if check == "compactness_diagnostics" else _samples(ctx)
+    consumed = []
+
+    def one_shot():
+        for s in samples:
+            consumed.append(s)
+            yield s
+
+    _same(CHECKS[check](ctx, one_shot()), CHECKS[check](ctx, samples))
+    assert len(consumed) == len(samples)
+
+
+def test_diagnose_rows_come_from_the_seeded_samples(tmp_path, capsys):
+    # cmd_diagnose draws its compactness samples afresh: the same six it checked first
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "constant_subcritical.cfg"
+    run = load_config(str(cfg))
+    assert run.grid.is_uniform
+    ctx = sp.make_context(run.model, run.grid)
+    samples = _samples(ctx, run.solver.seed)
+    report = sp.validate_hypotheses(ctx, samples)
+    rows = list(report.rows()) + list(sp.compactness_diagnostics(
+        ctx, samples[:6], SHIFTS, report.gx_window).rows())
+    assert cli.main(["diagnose", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    expected = ["%s,%s,%s" % (check, verdict, detail.replace(",", ";"))
+                for check, verdict, detail in rows]
+    assert capsys.readouterr().out.splitlines() == expected

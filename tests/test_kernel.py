@@ -130,9 +130,9 @@ class TestFixedPointMap:
 class TestCompactnessDiagnostics:
     def _samples(self, ctx, count=3, seed=0):
         rng = np.random.default_rng(seed)
-        return sp.random_onion_samples(
+        return list(sp.random_onion_samples(
             ctx.model.bounds, ctx.grid, [0.5, 2.0, 8.0], 1, rng
-        )[:count]
+        ))[:count]
 
     def test_zero_shift_zero_modulus(self, const_ctx_factory):
         ctx = const_ctx_factory(mu0=1.0, g0=1.0, beta0=0.5, scheme="uniform_trapezoid")

@@ -125,8 +125,8 @@ class TestFamilyOutsideTheBuilders:
 
         model = dataclasses.replace(competition_model(0.3, **PARAMS), bind=bind)
         ctx = _context(model, n=101)
-        samples = sp.random_onion_samples(model.bounds, ctx.grid, [0.1, 1.0], 2,
-                                          np.random.default_rng(0))
+        samples = list(sp.random_onion_samples(model.bounds, ctx.grid, [0.1, 1.0], 2,
+                                               np.random.default_rng(0)))
         with pytest.raises(BoundsViolationError, match="^beta evaluated outside"):
             sp.net_reproduction_R(ctx, samples[0])
         report = sp.validate_hypotheses(ctx, samples)
