@@ -254,7 +254,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except SteadypopError as exc:
-        if isinstance(exc, ParameterError) and exc.field == "scan_points":
+        if isinstance(exc, ParameterError) and exc.field in ("scan_points", "lambda_max"):
             # the scan grid is built only when a command scans
             print("config error: invalid solver parameters: %s" % exc, file=sys.stderr)
             return EXIT_CONFIG

@@ -134,7 +134,13 @@ class ModelSpec:
     evaluates the rates (see the note on rate evaluation below), ``beta_sup(params,
     P)`` bounds beta over all x for every u of integral P, and the optional
     ``gx_bound(params, bounds, T)`` bounds |g_x| on [0, T] over the admissible
-    set. Give them as module-level functions, so that equal models compare equal.
+    set. The optional ``beta_inf(params, P)`` is a lower bound on beta over all x
+    for every u of integral P. A family that gives it promises that ``beta_inf``
+    and ``beta_sup`` are both monotone in P, so that over an interval of sizes
+    their extremes lie at its ends, and that both also take an array of sizes,
+    giving a bound per size; the solver's sign-only scan reads both to skip the
+    scales whose sign of R - 1 the bounds prove. Give them as module-level
+    functions, so that equal models compare equal.
     """
 
     variant: str
@@ -143,6 +149,7 @@ class ModelSpec:
     bind: Callable
     beta_sup: Callable
     gx_bound: Callable | None = None
+    beta_inf: Callable | None = None
 
 
 def constant_model(mu0: float, g0: float, beta0: float) -> ModelSpec:
@@ -167,7 +174,7 @@ def hierarchical_model(g_low: float, g_high: float, mu0: float, b0: float) -> Mo
     bounds = RateBounds(g_low, g_high, mu0, mu0, b0)
     return ModelSpec(
         "hierarchical", bounds, {"g_low": g_low, "g_high": g_high, "mu0": mu0, "b0": b0},
-        _hierarchical, _hierarchical_beta_sup, _hierarchical_gx_bound,
+        _hierarchical, _hierarchical_beta, _hierarchical_gx_bound, _hierarchical_beta,
     )
 
 
@@ -176,7 +183,7 @@ def composite_model(g: CompositeRate, mu: CompositeRate, beta: CompositeRate) ->
         raise ParameterError("composite g and mu must have positive lower bounds")
     bounds = RateBounds(g.low(), g.high(), mu.low(), mu.high(), max(beta.high(), 1e-300))
     return ModelSpec("composite", bounds, {"g": g, "mu": mu, "beta": beta}, _composite,
-                     _composite_beta_sup)
+                     _composite_beta_sup, beta_inf=_composite_beta_inf)
 
 
 def counterexample_f(a: float) -> float:
@@ -245,7 +252,8 @@ def _hierarchical(p, grid: Grid):
     return (None, mu, None), rates
 
 
-def _hierarchical_beta_sup(p, P):
+def _hierarchical_beta(p, P):
+    # beta reads only P, so this is both beta_sup and beta_inf
     return p["b0"] / (1.0 + P)
 
 
@@ -299,8 +307,16 @@ def _composite_beta_sup(p, P):
     beta = p["beta"]
     if beta.functional == "norm":
         # the x-shape rises to x_amp as x -> inf; the u-terms read P itself
-        return float(beta.at(beta.x_shape(math.inf), P))
+        return beta.at(float(beta.x_shape(math.inf)), P)
     return beta.high()
+
+
+def _composite_beta_inf(p, P):
+    beta = p["beta"]
+    if beta.functional == "norm":
+        # the x-shape is least at x = 0
+        return beta.at(float(beta.x_shape(0.0)), P)
+    return beta.low()
 
 
 def _tolerance(bound):

@@ -105,11 +105,10 @@ class ScanResult:
 
     A sign-only scan (``scan_roots(..., sign_only=True)``) has exact
     ``residuals`` only at converged points and bracket ends; elsewhere they
-    are estimates of the right sign. Its ``failed`` lists the points that
-    failed before their sign settled. A scan that :func:`solve_all` skips,
-    because the rate bounds prove ``R < 1`` at every scale, has every
-    residual equal to that proved bound minus 1, and no brackets, ends or
-    failed points.
+    are estimates of the right sign. At a point it skipped because the rate
+    bounds prove its sign, the residual is the proved bound on R nearest 1,
+    minus 1. Its ``failed`` lists the points that failed before their sign
+    settled.
     """
 
     lambdas: np.ndarray
@@ -223,6 +222,9 @@ def _scan_lambdas(ctx: KernelContext, cfg: SolverConfig) -> np.ndarray:
         # the invariant-box bound can drop below 1 when no equilibrium exists;
         # keep a positive scan range so the empty result is still observed
         hi = max(compute_M(ctx, _rho0_proxy(ctx)), 1.0, 10.0 * lo)
+        if not hi < math.inf:
+            raise ParameterError("the default lambda_max, the invariant-box scale bound, "
+                                 "is not finite; set lambda_max", "lambda_max")
     try:
         if lo > 0:
             return np.geomspace(lo, hi, cfg.scan_points)
@@ -246,30 +248,55 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     the bracket ends, so brackets, ends and the degenerate flag are those of
     the full scan, while ``residuals`` are exact only at converged points and
     bracket ends and ``failed`` lists the points that failed before their
-    sign settled. When that cannot stand in for the full scan (a bracket end
-    fails or changes sign when resumed, or the degenerate flag depends on
-    points that were stopped) it returns the full scan. Points near a
-    root or a fold, where ``|R - 1|`` is small, never settle early, so they
-    keep full accuracy; a search for close root pairs between scan points
-    can rely on that.
+    sign settled. It also skips, with no inner solve, each point that
+    :func:`_proved_R_bounds` proves to have ``R - 1`` beyond ``root_tol`` of
+    the same sign as at its neighbours; a skipped point's residual is its
+    proved bound nearest 1, minus 1, and it does not count as converged.
+    When a bracket would end on a skipped point it returns the sign-only
+    scan without skipping. When that cannot stand in for the full scan (a
+    bracket end fails or changes sign when resumed, or the degenerate flag
+    depends on points that were stopped) it returns the full scan. Points
+    near a root or a fold, where ``|R - 1|`` is small, never settle early,
+    so they keep full accuracy; a search for close root pairs between scan
+    points can rely on that.
     """
     lams = _scan_lambdas(ctx, cfg)
+    skipped = {}                   # index -> residual of each point skipped
+    bounds = _proved_R_bounds(ctx, cfg, lams) if sign_only else None
+    if bounds is not None:
+        lo, hi = (R - 1.0 for R in bounds)
+        sign = np.where(lo > cfg.root_tol, 1, np.where(hi < -cfg.root_tol, -1, 0))
+        edge = np.concatenate((sign[:1], sign, sign[-1:]))     # an end has one neighbour
+        skip = np.flatnonzero((sign != 0) & (edge[:-2] == sign) & (edge[2:] == sign))
+        skipped = dict(zip(skip.tolist(), np.where(sign > 0, lo, hi)[skip].tolist()))
+    return _scan(ctx, cfg, lams, sign_only, skipped)
+
+
+def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray, sign_only: bool,
+          skipped: dict) -> ScanResult:
+    """:func:`scan_roots` on the scales ``lams``, skipping the points in ``skipped``."""
     r = np.full(lams.shape, np.nan)      # residuals
     failed, pairs, converged = [], [], 0
     ends = {}                      # index -> PicardResult of each bracket end
-    prev = None                    # (index, PicardResult) of the last good point
-    for i, lam in enumerate(lams):
-        try:
-            pr = inner_picard(ctx, float(lam), cfg, sign_only=sign_only)
-        except ConvergenceError:
-            failed.append(i)
-            continue
-        r[i] = pr.R - 1.0
-        converged += pr.converged
-        if prev is not None and r[prev[0]] != 0.0 and (r[prev[0]] * r[i] < 0 or r[i] == 0.0):
+    prev = None                    # (index, PicardResult, residual) of the last good point
+    for i, lam in enumerate(lams.tolist()):
+        if i in skipped:
+            pr, res = None, skipped[i]
+        else:
+            try:
+                pr = inner_picard(ctx, lam, cfg, sign_only=sign_only)
+            except ConvergenceError:
+                failed.append(i)
+                continue
+            res = pr.R - 1.0
+            converged += pr.converged
+        r[i] = res
+        if prev is not None and prev[2] != 0.0 and (prev[2] * res < 0 or res == 0.0):
+            if pr is None or prev[1] is None:          # a bracket end was skipped
+                return _scan(ctx, cfg, lams, sign_only, {})
             pairs.append((prev[0], i))
-            ends.update((prev, (i, pr)))
-        prev = (i, pr)
+            ends[prev[0]], ends[i] = prev[1], pr
+        prev = (i, pr, res)
     prev = pr = None               # the last point's result lives on only as a bracket end
     good = r[~np.isnan(r)]
     zeros = int(np.count_nonzero(np.abs(good) < cfg.root_tol))
@@ -279,15 +306,15 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     elif sign_only and zeros > 0 and zeros >= 0.9 * converged:
         # stopped points are never ~0, but the full scan may fail some of
         # them; without them the flag would be set, so only it can tell
-        return scan_roots(ctx, cfg)
+        return _scan(ctx, cfg, lams, False, {})
     for i in sorted(ends):         # a resumed end replaces its sign-only result
         if not ends[i].converged:
             try:
                 ends[i] = inner_picard(ctx, float(lams[i]), cfg, ends[i])
             except ConvergenceError:
-                return scan_roots(ctx, cfg)
+                return _scan(ctx, cfg, lams, False, {})
             if np.sign(ends[i].R - 1.0) != np.sign(r[i]):      # its sign was settled wrongly
-                return scan_roots(ctx, cfg)
+                return _scan(ctx, cfg, lams, False, {})
             r[i] = ends[i].R - 1.0
     return ScanResult(
         lambdas=lams,
@@ -420,6 +447,11 @@ def _ray_R(ctx: KernelContext, w: DensityProfile, lams) -> list:
 def _computed_mass_bound(ctx: KernelContext) -> float:
     """:func:`survival_mass_bound` widened for rounding: every R computed on the
     context from rates that pass the bounds check is at most ``beta_sup(P)`` times this."""
+    return survival_mass_bound(ctx.model.bounds, ctx.grid) * (1.0 + _rounding_margin(ctx.grid))
+
+
+def _rounding_margin(grid) -> float:
+    """Relative widening that takes a bound on the exact sums of R to the computed R."""
     # The computed R differs from the exact sum that beta_sup(P) * I bounds by
     # relative rounding only. The ratio mu/g, c and each trapezoid segment
     # carry a few ulps and a running sum of n positive terms at most n, so the
@@ -430,8 +462,71 @@ def _computed_mass_bound(ctx: KernelContext) -> float:
     # n-term covers all of it; the 1e-6 keeps R below 1 by more than
     # subnormal exp values can add. The margin is a Python float: find_rho0
     # takes 0 * inf as NaN, which numpy's float64 would warn about.
-    margin = 1e-6 + 1e3 * ctx.grid.n * math.ulp(1.0)
-    return survival_mass_bound(ctx.model.bounds, ctx.grid) * (1.0 + margin)
+    return 1e-6 + 1e3 * grid.n * math.ulp(1.0)
+
+
+def _computed_mass_interval(ctx: KernelContext) -> tuple:
+    """``(S_lo, S_hi)`` holding the computed mass ``sum(w pi)`` of every survival
+    shape on the context whose rates pass the bounds check; ``(0, inf)`` when
+    the bounds leave ``g_low - t`` or ``mu_low - t`` not positive.
+
+    Let ``a = mu/g``, ``C`` its running trapezoid and ``pi = e^{-C}/g``, so
+    ``T = sum(w mu pi) = sum(w a e^{-C})``. On a segment of width ``h`` from
+    node i, with ``d = h (a_i + a_{i+1})/2``, T's share is
+    ``(h/2) e^{-C_i} (a_i + a_{i+1} e^{-d})`` and its exact share is
+    ``e^{-C_i} (1 - e^{-d})``. As ``a_i + a_{i+1} e^{-d}`` lies between
+    ``(a_i + a_{i+1}) e^{-d}`` and ``a_i + a_{i+1}``, their ratio lies in
+    ``[d/(e^d - 1), d/(1 - e^{-d})]``. Both ends are monotone in d, and
+    ``d <= D = h_max c_high`` with ``c_high = (mu_high + t)/(g_low - t)``
+    (``t`` the check's tolerances). The exact shares telescope to
+    ``1 - e^{-C(x_max)}``, which lies in ``[1 - e^{-c_low x_max}, 1]`` with
+    ``c_low = (mu_low - t)/(g_high + t)``, and ``(mu_low - t) S <= T <=
+    (mu_high + t) S``. So ``S_lo = (1 - e^{-c_low x_max}) D/(e^D - 1) /
+    (mu_high + t)`` and ``S_hi = D/(1 - e^{-D}) / (mu_low - t)``, or
+    :func:`survival_mass_bound` where that is smaller, each widened by
+    :func:`_rounding_margin`.
+    """
+    b, grid = ctx.model.bounds, ctx.grid
+    g_low, g_high = b.g_low - _tolerance(b.g_low), b.g_high + _tolerance(b.g_high)
+    mu_low, mu_high = b.mu_low - _tolerance(b.mu_low), b.mu_high + _tolerance(b.mu_high)
+    if not (g_low > 0 and mu_low > 0):
+        return 0.0, math.inf
+    D = float(np.max(grid.steps)) * mu_high / g_low
+    # D/(e^D - 1) is 0 in floating point long before expm1 overflows; both ends tend to 1
+    lo, hi = (D / math.expm1(D) if D < 700 else 0.0, D / -math.expm1(-D)) if D > 0 else (1.0, 1.0)
+    margin = _rounding_margin(grid)
+    return (-math.expm1(-mu_low / g_high * grid.x_max) * lo / mu_high / (1.0 + margin),
+            min(hi / mu_low * (1.0 + margin), _computed_mass_bound(ctx)))
+
+
+def _proved_R_bounds(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray):
+    """``(R_lo, R_hi)``, arrays over the scales ``lams``, holding the R of every
+    inner solve to ``picard_tol`` at that scale whose rates pass the bounds check.
+
+    They come from the rate bounds alone and evaluate no rate. None when a
+    fixed rate fails its check, since then every evaluation raises, or when
+    :func:`_computed_mass_interval` gives no finite ``S_hi``.
+
+    A converged solve has ``|sum(w v) - S| <= picard_tol``, with ``S`` in
+    ``[S_lo, S_hi]`` of :func:`_computed_mass_interval`, and its rates read
+    ``P = lam sum(w v)``. So ``P`` lies in ``[lam (S_lo - picard_tol), lam
+    (S_hi + picard_tol)]`` and ``R = sum(w beta pi)`` in ``[beta_inf(P) S_lo,
+    beta_sup(P) S_hi]``. A family that gives ``beta_inf`` has both bounds
+    monotone in P (see :class:`ModelSpec`), so their extremes over that
+    interval lie at its ends; for one that does not, beta lies in ``[0,
+    beta_max + t]``.
+    """
+    model, b = ctx.model, ctx.model.bounds
+    S_lo, S_hi = _computed_mass_interval(ctx)
+    if any(error is not None for error in ctx.rates.errors) or not S_hi < math.inf:
+        return None
+    if model.beta_inf is None:
+        beta_lo, beta_hi = 0.0, b.beta_max + _tolerance(b.beta_max)
+    else:
+        P = (lams * max(S_lo - cfg.picard_tol, 0.0), lams * (S_hi + cfg.picard_tol))
+        beta_lo = np.minimum(*(model.beta_inf(model.params, end) for end in P))
+        beta_hi = np.maximum(*(model.beta_sup(model.params, end) for end in P))
+    return np.full(lams.shape, beta_lo * S_lo), np.full(lams.shape, beta_hi * S_hi)
 
 
 def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
@@ -582,27 +677,20 @@ def solve_all(ctx: KernelContext, cfg: SolverConfig):
     ends, and its ``failed`` lists the points that failed before their sign
     settled.
 
-    The scan is skipped when the rate bounds prove that no scale has a root:
-    every fixed rate passes the bounds check and ``(beta_max + t) I`` is
-    below ``1 - root_tol`` (``t`` the check's tolerance on ``beta_max``,
-    ``I`` from :func:`_computed_mass_bound`), so every evaluation that passes
-    the check has ``R - 1 < -root_tol``. The skipped scan has the scan grid,
-    that bound minus 1 as every residual, and no brackets. It evaluates no
+    The scan skips the points whose sign the rate bounds prove (see
+    :func:`scan_roots`); each skipped point's residual is its proved bound
+    nearest 1, minus 1. Where the bounds prove ``R - 1 < -root_tol`` at every
+    scale, no inner solve is made: the scan has those bounds minus 1 as its
+    residuals, and no brackets, ends or failed points. A skip evaluates no
     rate, so a model whose rates that read u leave their declared bounds
-    (which no built-in family can do) gets no result here, where the scan
-    would raise :class:`BoundsViolationError`.
+    (which no built-in family can do) gets no error at a skipped point, where
+    the full scan would raise :class:`BoundsViolationError`.
 
     Returns (scan, results): one entry per bracket, in the scan's order,
     which is that of scale. An entry is an :class:`EquilibriumResult`, or a
     :class:`BracketFailure` when the bracket's refinement raised
     :class:`ConvergenceError`.
     """
-    lams = _scan_lambdas(ctx, cfg)      # the scan's config errors come first
-    beta_max = ctx.model.bounds.beta_max
-    R_max = (beta_max + _tolerance(beta_max)) * _computed_mass_bound(ctx)
-    # an infinite bound compares false and scans
-    if all(error is None for error in ctx.rates.errors) and R_max < 1.0 - cfg.root_tol:
-        return ScanResult(lams, np.full(lams.shape, R_max - 1.0), (), (), (), False), []
     scan = scan_roots(ctx, cfg, sign_only=True)
     results = []
     # each root lies in its bracket, and brackets follow one another in scale

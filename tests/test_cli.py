@@ -5,6 +5,7 @@ import io
 import os
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -647,6 +648,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "config error: invalid solver parameters: scan_points = 10000000000000000: "
             "the scan grid does not fit in memory\n")
+
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_default_scan_range_that_overflows_is_a_named_config_error(self, tmp_path, capsys,
+                                                                       command):
+        # beta_max |e2|_1 overflows, so the invariant-box scale bound is inf; the
+        # scan used to run on non-finite scales and fail on the first one
+        cfg = write_config(tmp_path / "overflow.cfg", "model.variant = hierarchical\n"
+                           "model.g_low = 0.001\nmodel.g_high = 1\nmodel.mu0 = 1\n"
+                           "model.b0 = 1e307\ngrid.n = 201\nsolver.scan_points = 8\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: invalid solver parameters: the default lambda_max, the "
+            "invariant-box scale bound, is not finite; set lambda_max\n")
+        assert captured.out == ""
 
     def test_missing_config_exit_2(self):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2

@@ -44,7 +44,9 @@ def _competition_beta_sup(p, P):
 def competition_model(alpha, g_low, g_high, mu0, b0):
     bounds = RateBounds(g_low, g_high, mu0, mu0, b0)
     params = {"alpha": alpha, "g_low": g_low, "g_high": g_high, "mu0": mu0, "b0": b0}
-    return ModelSpec("competition", bounds, params, _competition_bind, _competition_beta_sup)
+    # beta reads only P: the hierarchical beta_inf, so the solver skips the same scan points
+    return ModelSpec("competition", bounds, params, _competition_bind, _competition_beta_sup,
+                     beta_inf=_competition_beta_sup)
 
 
 def _context(model, n=1001):
@@ -83,6 +85,20 @@ class TestFamilyOutsideTheBuilders:
             _same(rates_and_survival(custom, u), rates_and_survival(builtin, u))
         _same(sp.solve_all(custom, CFG), sp.solve_all(builtin, CFG))
         _same(sp.certify(custom, CFG), sp.certify(builtin, CFG))
+
+    def test_family_without_beta_inf_evaluates_every_scan_point(self, monkeypatch):
+        # without beta_inf the bounds prove nothing here: beta_max |pi|_1 is about 2
+        ctx = _context(dataclasses.replace(competition_model(0.3, **PARAMS), beta_inf=None))
+        inner, lams = sp.solver.inner_picard, []
+
+        def counted(ctx, lam, *args, **kwargs):
+            lams.append(lam)
+            return inner(ctx, lam, *args, **kwargs)
+
+        monkeypatch.setattr(sp.solver, "inner_picard", counted)
+        scan = sp.scan_roots(ctx, CFG, sign_only=True)
+        assert set(scan.lambdas.tolist()) <= set(lams)
+        assert len(scan.brackets) == 1
 
     def test_competition_from_smaller_individuals_solves(self):
         ctx = _context(competition_model(0.3, **PARAMS))

@@ -544,20 +544,23 @@ class TestSignOnlyScan:
     def test_wrong_settled_sign_falls_back_to_the_full_scan(self, monkeypatch):
         ctx = _stiff_reference_ctx(2001)
         cfg = sp.SolverConfig(scan_points=64)
+        # the bracket's lower end: the rate bounds skip no point next to it, so
+        # its stop is always made, and a wrong sign there makes a bracket end
+        wrong = sp.scan_roots(ctx, cfg).brackets[0][0]
         inner = sp.solver.inner_picard
         flipped = []
 
         def flipping(ctx, lam, cfg, start=None, **kwargs):
             pr = inner(ctx, lam, cfg, start, **kwargs)
-            if pr.converged or flipped:
+            if pr.converged or lam != wrong:
                 return pr
-            flipped.append(lam)            # the first stop reports R - 1 of the wrong sign
+            flipped.append(lam)            # the stop reports R - 1 of the wrong sign
             return replace(pr, R=2.0 - pr.R)
 
         monkeypatch.setattr(sp.solver, "inner_picard", flipping)
         scan, results = sp.solve_all(ctx, cfg)
         monkeypatch.undo()
-        assert len(flipped) == 1 and len(results) == 1
+        assert flipped == [wrong] and len(results) == 1
         self._assert_full_path(ctx, cfg, scan, results)
 
     def test_degenerate_flag_resting_on_stopped_points_falls_back(self, const_ctx_factory,
@@ -584,23 +587,24 @@ class TestSignOnlyScan:
         assert len(scan.failed) == 4
 
     def test_solve_all_scan_steps_stay_sign_only(self, monkeypatch):
-        # 149 scan steps and 326 in all; the full-tolerance scan takes 670
-        # steps here, ITP 134 more
+        # 53 steps at the scan's scales, the resumed bracket ends' included,
+        # and 187 in all; the full-tolerance scan takes 670 steps here, ITP
+        # 134 more
         ctx = _stiff_reference_ctx()
-        steps = []                     # per inner solve; a resumed one from its stop
+        steps = {}                     # per scale; a resumed solve counted from its stop
         inner = sp.solver.inner_picard
 
         def counted(ctx, lam, cfg, start=None, **kwargs):
             pr = inner(ctx, lam, cfg, start, **kwargs)
             done = start.iterations if isinstance(start, sp.solver.PicardResult) else 0
-            steps.append(pr.iterations - done)
+            steps[lam] = steps.get(lam, 0) + pr.iterations - done
             return pr
 
         monkeypatch.setattr(sp.solver, "inner_picard", counted)
         scan, results = sp.solve_all(ctx, sp.SolverConfig(scan_points=64))
         assert len(results) == 1 and results[0].P_star == pytest.approx(9.0, rel=0.02)
-        assert sum(steps[:len(scan.lambdas)]) <= 180
-        assert sum(steps) <= 380
+        assert sum(steps.get(lam, 0) for lam in scan.lambdas.tolist()) <= 60
+        assert sum(steps.values()) <= 200
 
 
 def _count_inner_solves(monkeypatch):
@@ -621,9 +625,12 @@ def _proved_R_bound(ctx):
 
 
 def _assert_skipped(ctx, cfg, scan, results):
+    # every point proved negative holds its proved upper bound on R, minus 1
     lams = sp.solver._scan_lambdas(ctx, cfg)
     assert np.array_equal(scan.lambdas, lams)
-    assert np.array_equal(scan.residuals, np.full(lams.shape, _proved_R_bound(ctx) - 1.0))
+    _, R_hi = sp.solver._proved_R_bounds(ctx, cfg, lams)
+    assert np.all(R_hi - 1.0 < -cfg.root_tol)
+    assert np.array_equal(scan.residuals, R_hi - 1.0)
     assert scan.brackets == scan.ends == scan.failed == ()
     assert not scan.degenerate
     assert results == []
@@ -657,9 +664,10 @@ class TestScanSkippedByTheBounds:
         _assert_skipped(ctx, cfg, scan, results)
         full = sp.scan_roots(ctx, cfg)
         assert full.brackets == () and not full.degenerate
-        good = full.residuals[~np.isnan(full.residuals)]
-        assert good.size > 0
-        assert np.max(good) <= bound < -cfg.root_tol
+        good = ~np.isnan(full.residuals)
+        assert np.any(good)
+        assert np.all(full.residuals[good] <= scan.residuals[good])
+        assert np.max(scan.residuals) <= bound < -cfg.root_tol
 
     @pytest.mark.parametrize("name", ["composite_increasing_mu", "constant_subcritical"])
     def test_qualifying_model_makes_no_inner_solve(self, name, monkeypatch):
@@ -676,7 +684,12 @@ class TestScanSkippedByTheBounds:
         assert _proved_R_bound(ctx) >= 1.0 - cfg.root_tol
         lams = _count_inner_solves(monkeypatch)
         scan, results = sp.solve_all(ctx, cfg)
-        assert len(lams) >= cfg.scan_points
+        if name == "hierarchical":
+            # the bounds prove the sign at every scale but the bracket's two
+            # ends: 2 stops, 2 resumes and 9 ITP solves, of 64 scan points
+            assert len(lams) <= 13
+        else:
+            assert len(lams) >= cfg.scan_points
         assert scan.degenerate == (name == "constant_degenerate")
         assert len(results) == n_roots
 
@@ -689,6 +702,130 @@ class TestScanSkippedByTheBounds:
         assert _proved_R_bound(ctx) < 0.3
         with pytest.raises(BoundsViolationError, match="^mu evaluated outside"):
             sp.solve_all(ctx, cfg)
+
+
+def _proof_model(family, a, b, c):
+    if family == "stiff":          # the stiff-picard benchmark's corner
+        mu0 = 0.8 + 0.45 * b
+        return sp.hierarchical_model(g_low=0.02 + 0.08 * a, g_high=1.0, mu0=mu0,
+                                     b0=(5.0 + 5.0 * c) * mu0)
+    if family == "hierarchical":
+        return sp.hierarchical_model(g_low=0.05 + 0.95 * a, g_high=1.0, mu0=0.5 + b,
+                                     b0=0.2 + 10.0 * c)
+    return _evidence_model("composite_norm", 2.0 * a, 2.0 * b)
+
+
+def _unskipped(monkeypatch):
+    """Make the sign-only scan skip no point, as if the bounds proved nothing."""
+    monkeypatch.setattr(sp.solver, "_proved_R_bounds", lambda ctx, cfg, lams: None)
+
+
+class TestScanPointsTheBoundsProve:
+    """The sign-only scan skips the points whose sign of R - 1 the rate bounds prove."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["stiff", "hierarchical", "norm"]),
+        scheme=st.sampled_from(["uniform_trapezoid", "graded_trapezoid"]),
+        n=st.sampled_from([3, 11, 201, 2001]),
+        a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), c=st.floats(0.0, 1.0),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_survival_mass_lies_in_the_proved_interval(self, family, scheme, n, a, b, c,
+                                                       scale):
+        model = _proof_model(family, a, b, c)
+        ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
+        S_lo, S_hi = sp.solver._computed_mass_interval(ctx)
+        assert 0.0 <= S_lo <= S_hi <= sp.solver._computed_mass_bound(ctx)
+        rng = np.random.default_rng(n)
+        for u in sp.random_onion_samples(model.bounds, ctx.grid, (scale,), 4, rng):
+            noisy = u.values * rng.uniform(0.0, 2.0, n)       # per-node noise
+            pi = sp.kernel.rates_and_survival(ctx, noisy)[2]
+            assert S_lo <= sp.integrate(ctx.grid, pi) <= S_hi
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["stiff", "hierarchical", "norm"]),
+        scheme=st.sampled_from(["uniform_trapezoid", "graded_trapezoid"]),
+        n=st.sampled_from([201, 2001, 4001]),
+        a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), c=st.floats(0.0, 1.0),
+    )
+    def test_proved_points_bound_the_full_scan(self, family, scheme, n, a, b, c):
+        model = _proof_model(family, a, b, c)
+        ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
+        cfg = sp.SolverConfig(scan_points=16)
+        full = sp.scan_roots(ctx, cfg)
+        lo, hi = (R - 1.0 for R in sp.solver._proved_R_bounds(ctx, cfg, full.lambdas))
+        r, good = full.residuals, ~np.isnan(full.residuals)
+        assert np.all(lo[good] <= r[good]) and np.all(r[good] <= hi[good])
+        assert np.all(r[good & (lo > cfg.root_tol)] > cfg.root_tol)
+        assert np.all(r[good & (hi < -cfg.root_tol)] < -cfg.root_tol)
+        _assert_same_scan(sp.scan_roots(ctx, cfg, sign_only=True), full)
+
+    def test_skipped_point_holds_its_proved_bound_nearest_one(self, monkeypatch):
+        ctx = _stiff_reference_ctx()
+        cfg = sp.SolverConfig(scan_points=64)
+        lams = _count_inner_solves(monkeypatch)
+        scan = sp.scan_roots(ctx, cfg, sign_only=True)
+        lo, hi = (R - 1.0 for R in sp.solver._proved_R_bounds(ctx, cfg, scan.lambdas))
+        solved = np.isin(scan.lambdas, lams)
+        # the bounds settle all but the bracket (scan points 46 and 47) and one more point
+        assert np.count_nonzero(solved) == 3 and len(scan.brackets) == 1
+        skipped = ~solved
+        assert np.array_equal(scan.residuals[skipped],
+                              np.where(lo > 0, lo, hi)[skipped])
+        assert np.all((lo[skipped] > cfg.root_tol) | (hi[skipped] < -cfg.root_tol))
+
+    @pytest.mark.parametrize("name", ["counterexample", "constant_degenerate"])
+    def test_family_the_bounds_do_not_settle_evaluates_every_point(self, name, monkeypatch):
+        # neither family gives beta_inf, and beta_max bounds R above 1
+        ctx, cfg = _shipped_ctx(name)
+        assert ctx.model.beta_inf is None
+        lams = _count_inner_solves(monkeypatch)
+        scan = sp.scan_roots(ctx, cfg, sign_only=True)
+        assert set(scan.lambdas.tolist()) <= set(lams)
+
+    def test_bracket_ending_on_a_skipped_point_gives_the_unskipped_scan(self, monkeypatch):
+        # the first stop, next to a skipped point, reports R - 1 of the wrong sign
+        ctx = _stiff_reference_ctx(2001)
+        cfg = sp.SolverConfig(scan_points=64)
+        inner = sp.solver.inner_picard
+        flipped = []
+
+        def flipping(ctx, lam, cfg, start=None, **kwargs):
+            pr = inner(ctx, lam, cfg, start, **kwargs)
+            if pr.converged or flipped:
+                return pr
+            flipped.append(lam)
+            return replace(pr, R=2.0 - pr.R)
+
+        monkeypatch.setattr(sp.solver, "inner_picard", flipping)
+        scan = sp.scan_roots(ctx, cfg, sign_only=True)
+        monkeypatch.undo()
+        assert len(flipped) == 1
+        _unskipped(monkeypatch)
+        unskipped = sp.scan_roots(ctx, cfg, sign_only=True)
+        assert np.array_equal(scan.residuals, unskipped.residuals, equal_nan=True)
+        assert scan.failed == unskipped.failed
+        _assert_same_scan(scan, unskipped)
+
+    def test_failed_resume_next_to_a_skipped_point_gives_the_unskipped_results(
+            self, monkeypatch):
+        # 20 steps let each scale settle its sign but not resume to picard_tol, so
+        # the full scan stands in; it brackets a wide interval that does not refine
+        ctx = _stiff_reference_ctx()
+        cfg = sp.SolverConfig(scan_points=64, picard_max_iter=20)
+        lams = _count_inner_solves(monkeypatch)
+        scan, results = sp.solve_all(ctx, cfg)
+        assert lams[:3] == sp.solver._scan_lambdas(ctx, cfg)[46:49].tolist()
+        _unskipped(monkeypatch)
+        unskipped, unskipped_results = sp.solve_all(ctx, cfg)
+        assert np.array_equal(scan.residuals, unskipped.residuals, equal_nan=True)
+        assert scan.failed == unskipped.failed
+        _assert_same_scan(scan, unskipped)
+        assert len(scan.brackets) == 1
+        assert results == unskipped_results
+        assert isinstance(results[0], sp.BracketFailure)
 
 
 class TestMapA:
