@@ -60,6 +60,13 @@ class RateBounds:
                 "rate bounds give envelope norms or a default horizon that are not "
                 "finite and positive"
             )
+        # the a-priori bounds on beta pi at a node and on R, which can overflow
+        if not (math.isfinite(self.beta_max / self.g_low)
+                and math.isfinite(self.beta_max * envelope_norms(self)[1])):
+            raise ParameterError(
+                "rate bounds give beta_max / g_low or beta_max * |e2|_1, the bounds on "
+                "beta pi at a node and on R, that are not finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -438,22 +445,6 @@ def envelope_tail_mass(bounds: RateBounds, T: float) -> float:
     return (bounds.g_high / (bounds.g_low * bounds.mu_low)) * math.exp(
         -bounds.mu_low * T / bounds.g_high
     )
-
-
-def survival_mass_bound(bounds: RateBounds, grid: Grid) -> float:
-    """``I`` with ``R(u) <= beta_sup(P) * I`` for every u of integral P whose rates pass the check.
-
-    The check admits ``g >= g_low - t`` and ``mu/g >= c = (mu_low - t)/(g_high + t)``
-    (``t`` its tolerances), so the running trapezoid of mu/g at node x is at least
-    ``c x`` and the survival shape is at most ``exp(-c x)/(g_low - t)``; ``I`` is the
-    quadrature of that bound. It is inf when ``g_low - t`` or ``c`` is not positive.
-    """
-    g_low = bounds.g_low - _tolerance(bounds.g_low)
-    c = ((bounds.mu_low - _tolerance(bounds.mu_low))
-         / (bounds.g_high + _tolerance(bounds.g_high)))
-    if not (g_low > 0 and c > 0):
-        return math.inf
-    return _accel.weighted_sum(grid.weights, np.exp(-c * grid.nodes)) / g_low
 
 
 def default_x_max(bounds: RateBounds, tail_tol: float = 1e-10) -> float:

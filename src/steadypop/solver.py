@@ -29,7 +29,6 @@ from .model import (
     _tolerance,
     envelope_tail_mass,
     random_onion_samples,
-    survival_mass_bound,
 )
 
 
@@ -444,31 +443,29 @@ def _ray_R(ctx: KernelContext, w: DensityProfile, lams) -> list:
     return [net_reproduction_R(ctx, DensityProfile(ctx.grid, lam * w.values)) for lam in lams]
 
 
-def _computed_mass_bound(ctx: KernelContext) -> float:
-    """:func:`survival_mass_bound` widened for rounding: every R computed on the
-    context from rates that pass the bounds check is at most ``beta_sup(P)`` times this."""
-    return survival_mass_bound(ctx.model.bounds, ctx.grid) * (1.0 + _rounding_margin(ctx.grid))
-
-
 def _rounding_margin(grid) -> float:
-    """Relative widening that takes a bound on the exact sums of R to the computed R."""
-    # The computed R differs from the exact sum that beta_sup(P) * I bounds by
-    # relative rounding only. The ratio mu/g, c and each trapezoid segment
-    # carry a few ulps and a running sum of n positive terms at most n, so the
-    # integral C of mu/g is off by a factor within (n + 8) ulps; exp(-C) is 0
-    # past C ~ 745, so before that it moves by a factor within
+    """Relative widening that takes a bound on an exact survival mass to the computed one."""
+    # The computed sum(w pi), and R = sum(w beta pi), differ from the exact
+    # sums that _computed_mass_interval's lemma and envelope bound by
+    # relative rounding only. The ratio mu/g, c_low and each trapezoid
+    # segment carry a few ulps and a running sum of n positive terms at most
+    # n, so the integral C of mu/g is off by a factor within (n + 8) ulps;
+    # exp(-C) is 0 past C ~ 745, so before that it moves by a factor within
     # exp(745 (n + 8) ulps). exp, the division by g, beta (its P included) and
     # the two dot products of nonnegative terms add under n + 10 ulps. The
     # n-term covers all of it; the 1e-6 keeps R below 1 by more than
-    # subnormal exp values can add. The margin is a Python float: find_rho0
-    # takes 0 * inf as NaN, which numpy's float64 would warn about.
+    # subnormal exp values can add. The margin is a Python float, so S_hi is
+    # one: find_rho0 takes 0 * inf as NaN, which numpy's float64 would warn about.
     return 1e-6 + 1e3 * grid.n * math.ulp(1.0)
 
 
 def _computed_mass_interval(ctx: KernelContext) -> tuple:
     """``(S_lo, S_hi)`` holding the computed mass ``sum(w pi)`` of every survival
     shape on the context whose rates pass the bounds check; ``(0, inf)`` when
-    the bounds leave ``g_low - t`` or ``mu_low - t`` not positive.
+    the bounds leave ``g_low - t`` or ``mu_low - t`` not positive. It is the
+    package's one proof of how large that mass can be: every R computed from
+    rates that pass the check at a profile of integral P is at most
+    ``beta_sup(P) S_hi``, which both the scan's skip and :func:`find_rho0` read.
 
     Let ``a = mu/g``, ``C`` its running trapezoid and ``pi = e^{-C}/g``, so
     ``T = sum(w mu pi) = sum(w a e^{-C})``. On a segment of width ``h`` from
@@ -482,21 +479,26 @@ def _computed_mass_interval(ctx: KernelContext) -> tuple:
     ``1 - e^{-C(x_max)}``, which lies in ``[1 - e^{-c_low x_max}, 1]`` with
     ``c_low = (mu_low - t)/(g_high + t)``, and ``(mu_low - t) S <= T <=
     (mu_high + t) S``. So ``S_lo = (1 - e^{-c_low x_max}) D/(e^D - 1) /
-    (mu_high + t)`` and ``S_hi = D/(1 - e^{-D}) / (mu_low - t)``, or
-    :func:`survival_mass_bound` where that is smaller, each widened by
-    :func:`_rounding_margin`.
+    (mu_high + t)`` and ``S_hi = D/(1 - e^{-D}) / (mu_low - t)``.
+
+    ``S_hi`` is capped by the a-priori envelope where that is smaller: as
+    ``a >= c_low``, ``C >= c_low x`` at every node, so ``pi <=
+    e^{-c_low x}/(g_low - t)``, and the quadrature of that envelope bounds
+    ``sum(w pi)``. Both ends are widened by :func:`_rounding_margin`.
     """
     b, grid = ctx.model.bounds, ctx.grid
     g_low, g_high = b.g_low - _tolerance(b.g_low), b.g_high + _tolerance(b.g_high)
     mu_low, mu_high = b.mu_low - _tolerance(b.mu_low), b.mu_high + _tolerance(b.mu_high)
     if not (g_low > 0 and mu_low > 0):
         return 0.0, math.inf
+    c_low = mu_low / g_high
     D = float(np.max(grid.steps)) * mu_high / g_low
     # D/(e^D - 1) is 0 in floating point long before expm1 overflows; both ends tend to 1
     lo, hi = (D / math.expm1(D) if D < 700 else 0.0, D / -math.expm1(-D)) if D > 0 else (1.0, 1.0)
+    envelope = _accel.weighted_sum(grid.weights, np.exp(-c_low * grid.nodes)) / g_low
     margin = _rounding_margin(grid)
-    return (-math.expm1(-mu_low / g_high * grid.x_max) * lo / mu_high / (1.0 + margin),
-            min(hi / mu_low * (1.0 + margin), _computed_mass_bound(ctx)))
+    return (-math.expm1(-c_low * grid.x_max) * lo / mu_high / (1.0 + margin),
+            min(hi / mu_low, envelope) * (1.0 + margin))
 
 
 def _proved_R_bounds(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray):
@@ -536,10 +538,10 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     Sizes are visited from the largest down, and the walk stops at the first
     size with a sample of R > 1, since no smaller size can then qualify.
     Each shape's sizes are computed lazily, only as far as the walk goes.
-    A size P with ``beta_sup(P) * I <= 1`` (``I`` from
-    :func:`_computed_mass_bound`) is passed without
-    evaluating its samples: every profile of that size whose rates pass the
-    bounds check has R <= 1. Every sample that is evaluated is checked.
+    A size P with ``beta_sup(P) * S_hi <= 1`` (``S_hi`` from
+    :func:`_computed_mass_interval`) is passed without evaluating its
+    samples: every profile of that size whose rates pass the bounds check
+    has R <= 1. Every sample that is evaluated is checked.
     """
     lams = np.geomspace(1e-3, 1e4, 100)[::-1]
 
@@ -554,11 +556,11 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     rng = np.random.default_rng(cfg.seed)
     samples = heapq.merge(*map(walk, _sample_shapes(ctx, rng)),
                           key=lambda s: s[0], reverse=True)
-    bound = _computed_mass_bound(ctx)
+    S_hi = _computed_mass_interval(ctx)[1]
     rho0 = None
     for size, group in itertools.groupby(samples, key=lambda s: s[0]):
         # the negated form evaluates when the product is NaN (0 * inf)
-        if not ctx.model.beta_sup(ctx.model.params, size) * bound <= 1.0 and any(
+        if not ctx.model.beta_sup(ctx.model.params, size) * S_hi <= 1.0 and any(
                 _ray_R(ctx, w, (lam,))[0] > 1.0 for _, lam, w in group):
             break
         rho0 = size

@@ -64,6 +64,14 @@ def exp_profile(grid, scale=1.0, decay=1.0):
     return sp.DensityProfile(grid, scale * np.exp(-decay * grid.nodes))
 
 
+def envelope_quadrature(bounds, grid):
+    """The quadrature of exp(-c x)/(g_low - t), the largest survival shape the bounds
+    check admits (c = (mu_low - t)/(g_high + t), t its tolerances)."""
+    t = sp.model._tolerance
+    c = (bounds.mu_low - t(bounds.mu_low)) / (bounds.g_high + t(bounds.g_high))
+    return sp.integrate(grid, np.exp(-c * grid.nodes)) / (bounds.g_low - t(bounds.g_low))
+
+
 def write_config(path, text):
     path.write_text(text)
     return str(path)

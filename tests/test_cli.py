@@ -31,6 +31,16 @@ solver.lambda_max = 10
 solver.scan_points = 200
 """
 
+# hierarchical with tiny g_low: beta_max |e2|_1 = 1000 b0
+OVERFLOW_TEXT = """\
+model.variant = hierarchical
+model.g_low = 0.001
+model.g_high = 1
+model.mu0 = 1
+model.b0 = %r
+grid.n = 201
+"""
+
 HIER_TEXT = """\
 model.variant = hierarchical
 model.g_low = 0.5
@@ -652,11 +662,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["solve", "scan"])
     def test_default_scan_range_that_overflows_is_a_named_config_error(self, tmp_path, capsys,
                                                                        command):
-        # beta_max |e2|_1 overflows, so the invariant-box scale bound is inf; the
-        # scan used to run on non-finite scales and fail on the first one
-        cfg = write_config(tmp_path / "overflow.cfg", "model.variant = hierarchical\n"
-                           "model.g_low = 0.001\nmodel.g_high = 1\nmodel.mu0 = 1\n"
-                           "model.b0 = 1e307\ngrid.n = 201\nsolver.scan_points = 8\n")
+        # beta_max |e2|_1 = 1e307 is finite, but the invariant-box scale bound
+        # overflows; the scan used to run on non-finite scales and fail on the first one
+        cfg = write_config(tmp_path / "overflow.cfg", OVERFLOW_TEXT % 1e304)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -666,6 +674,34 @@ class TestExitCodes:
             "config error: invalid solver parameters: the default lambda_max, the "
             "invariant-box scale bound, is not finite; set lambda_max\n")
         assert captured.out == ""
+
+    def test_default_scan_range_that_overflows_still_certifies(self, tmp_path, capsys):
+        # certify reads no scan range, and R = 1e304-ish stays finite
+        cfg = write_config(tmp_path / "overflow.cfg", OVERFLOW_TEXT % 1e304)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["solve", "scan", "certify", "diagnose", "verify"])
+    def test_rate_bounds_whose_R_bound_overflows_are_a_config_error(self, tmp_path, capsys,
+                                                                    command):
+        # beta_max |e2|_1 = 1e310 overflows: certify used to warn from R and write M = inf
+        cfg = write_config(tmp_path / "overflow.cfg", OVERFLOW_TEXT % 1e307)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if command == "verify":
+            argv += ["--profile", str(tmp_path / "p.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: invalid model parameters: rate bounds give beta_max / g_low or "
+            "beta_max * |e2|_1, the bounds on beta pi at a node and on R, that are not finite\n")
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["overflow.cfg"]
 
     def test_missing_config_exit_2(self):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2

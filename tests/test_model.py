@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import steadypop as sp
 from steadypop.errors import BoundsViolationError, GridMismatchError, ParameterError
-from conftest import exp_profile, misdeclared_constant, misdeclared_hierarchical
+from conftest import (
+    envelope_quadrature,
+    exp_profile,
+    misdeclared_constant,
+    misdeclared_hierarchical,
+)
 
 
 class TestCounterexampleF:
@@ -267,7 +272,7 @@ def _bound_ctx(name, scheme):
 
 
 class TestReproductionBound:
-    """R(u) <= beta_sup(P) * I, the bound find_rho0 passes sizes with."""
+    """R(u) <= beta_sup(P) * S_hi, the bound find_rho0 passes sizes with."""
 
     @pytest.mark.parametrize("scheme", ["uniform_trapezoid", "graded_trapezoid"])
     @pytest.mark.parametrize("name", sorted(BOUND_MODELS))
@@ -275,11 +280,14 @@ class TestReproductionBound:
     @given(log_scale=st.floats(-3.0, 4.0), seed=st.integers(0, 2**32 - 1))
     def test_R_within_bound(self, name, scheme, log_scale, seed):
         ctx = _bound_ctx(name, scheme)
-        I = sp.model.survival_mass_bound(ctx.model.bounds, ctx.grid)
+        S_hi = sp.solver._computed_mass_interval(ctx)[1]
         rng = np.random.default_rng(seed)
         for u in sp.random_onion_samples(ctx.model.bounds, ctx.grid, [10.0**log_scale], 4, rng):
-            P = sp.integrate(ctx.grid, u)
-            assert sp.net_reproduction_R(ctx, u) <= ctx.model.beta_sup(ctx.model.params, P) * I
+            noisy = sp.DensityProfile(ctx.grid, u.values * rng.uniform(0.0, 2.0, ctx.grid.n))
+            for v in (u, noisy):                                  # and per-node noise
+                P = sp.integrate(ctx.grid, v)
+                assert sp.net_reproduction_R(ctx, v) <= ctx.model.beta_sup(ctx.model.params,
+                                                                           P) * S_hi
 
     def test_beta_sup_per_variant(self):
         P = 0.75
@@ -296,21 +304,30 @@ class TestReproductionBound:
         for name in ("composite_tail", "composite_weighted"):
             assert beta_sup(name) == BOUND_MODELS[name].bounds.beta_max
 
-    def test_survival_bound_is_the_widened_upper_envelope(self):
-        b = sp.RateBounds(g_low=0.5, g_high=1.0, mu_low=0.8, mu_high=1.2, beta_max=2.0)
-        g = sp.build_grid(30.0, 301)
+    @pytest.mark.parametrize("n", [11, 301])
+    def test_S_hi_is_at_most_the_widened_envelope_quadrature(self, n):
+        # g in [0.5, 1], mu in [0.8, 1.2]; at n = 11 the envelope is the smaller bound
+        model = sp.composite_model(g=sp.CompositeRate(const=0.5, x_amp=0.5),
+                                   mu=sp.CompositeRate(const=0.8, x_amp=0.4),
+                                   beta=sp.CompositeRate(const=2.0))
+        b, g = model.bounds, sp.build_grid(30.0, n)
+        quadrature = envelope_quadrature(b, g)
         e2 = sp.envelope_profiles(b, g)[1]
-        I = sp.model.survival_mass_bound(b, g)
-        assert I > sp.integrate(g, e2)
-        assert I == pytest.approx(sp.integrate(g, e2), rel=1e-10)
+        assert quadrature > sp.integrate(g, e2)
+        assert quadrature == pytest.approx(sp.integrate(g, e2), rel=1e-10)
+        widened = quadrature * (1.0 + sp.solver._rounding_margin(g))
+        S_hi = sp.solver._computed_mass_interval(sp.make_context(model, g))[1]
+        assert S_hi <= widened
+        assert (S_hi == widened) == (n == 11)
 
-    @pytest.mark.parametrize("low", ["g_low", "mu_low"])
-    def test_survival_bound_inf_below_the_check_tolerance(self, low):
+    @pytest.mark.parametrize("low", ["g0", "mu0"])
+    def test_interval_is_zero_to_inf_below_the_check_tolerance(self, low):
         # the check admits rates down to low - 1e-12, which is not positive here
-        kwargs = dict(g_low=0.5, g_high=1.0, mu_low=0.8, mu_high=1.2, beta_max=2.0)
+        kwargs = dict(mu0=1.0, g0=1.0, beta0=0.5)
         kwargs[low] = 1e-13
-        b = sp.RateBounds(**kwargs)
-        assert sp.model.survival_mass_bound(b, sp.build_grid(30.0, 301)) == math.inf
+        model = sp.constant_model(**kwargs)
+        ctx = sp.make_context(model, sp.build_grid(30.0, 301))
+        assert sp.solver._computed_mass_interval(ctx) == (0.0, math.inf)
 
 
 class TestValidateHypotheses:

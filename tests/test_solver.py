@@ -19,9 +19,12 @@ from steadypop.errors import (
     GridMismatchError,
     ParameterError,
 )
-from steadypop.model import survival_mass_bound
-
-from conftest import exp_profile, misdeclared_constant, misdeclared_hierarchical
+from conftest import (
+    envelope_quadrature,
+    exp_profile,
+    misdeclared_constant,
+    misdeclared_hierarchical,
+)
 from oracle import hierarchical_shape
 
 CE_CFG = sp.SolverConfig(lambda_min=0.01, lambda_max=10.0, scan_points=200)
@@ -621,7 +624,8 @@ def _count_inner_solves(monkeypatch):
 
 def _proved_R_bound(ctx):
     beta_max = ctx.model.bounds.beta_max
-    return (beta_max + sp.model._tolerance(beta_max)) * sp.solver._computed_mass_bound(ctx)
+    S_hi = sp.solver._computed_mass_interval(ctx)[1]
+    return (beta_max + sp.model._tolerance(beta_max)) * S_hi
 
 
 def _assert_skipped(ctx, cfg, scan, results):
@@ -736,7 +740,8 @@ class TestScanPointsTheBoundsProve:
         model = _proof_model(family, a, b, c)
         ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
         S_lo, S_hi = sp.solver._computed_mass_interval(ctx)
-        assert 0.0 <= S_lo <= S_hi <= sp.solver._computed_mass_bound(ctx)
+        margin = sp.solver._rounding_margin(ctx.grid)
+        assert 0.0 <= S_lo <= S_hi <= envelope_quadrature(model.bounds, ctx.grid) * (1.0 + margin)
         rng = np.random.default_rng(n)
         for u in sp.random_onion_samples(model.bounds, ctx.grid, (scale,), 4, rng):
             noisy = u.values * rng.uniform(0.0, 2.0, n)       # per-node noise
@@ -960,7 +965,7 @@ class TestCertificates:
         builder, *params = model
         m = builder(*params)
         ctx = sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 201))
-        assert survival_mass_bound(m.bounds, ctx.grid) == math.inf
+        assert sp.solver._computed_mass_interval(ctx) == (0.0, math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cert = sp.certify(ctx, sp.SolverConfig())
@@ -1049,18 +1054,22 @@ class TestCertificates:
         # 8 shapes at 100 scales each
         assert len(sizes) < 800
 
-    def test_find_rho0_stops_at_first_size_above_one(self, hier_ctx, monkeypatch):
+    @pytest.mark.parametrize("case,evals", [("hier_ctx", 2), ("hierarchical_stiff", 11)])
+    def test_find_rho0_stops_at_first_size_above_one(self, request, monkeypatch, case, evals):
+        ctx = (_stiff_hierarchical_ctx() if case == "hierarchical_stiff"
+               else request.getfixturevalue(case))
         calls = _count_R_evals(monkeypatch)
-        assert sp.find_rho0(hier_ctx, sp.SolverConfig()) is not None
-        # evaluating every sample first takes all 800, the stop alone 463; the
-        # bound beta_sup(P) * I <= 1 passes every size P >= 3 unevaluated
-        assert len(calls) <= 60
+        assert sp.find_rho0(ctx, sp.SolverConfig()) is not None
+        # on hier_ctx, evaluating every sample first takes all 800 and the stop
+        # alone 463; the bound beta_sup(P) * S_hi <= 1 passes every larger size
+        # unevaluated, so the walk evaluates only the sizes nearest rho0
+        assert len(calls) <= evals
 
     @pytest.mark.parametrize("case", ["constant_subcritical", "composite_increasing_mu"])
     def test_find_rho0_evaluates_nothing_the_bound_settles(
         self, const_ctx_factory, monkeypatch, case
     ):
-        # beta_sup(P) * I <= 1 at every size
+        # beta_sup(P) * S_hi <= 1 at every size
         ctx = {
             "constant_subcritical": lambda: const_ctx_factory(1.0, 1.0, 0.5),
             "composite_increasing_mu": _increasing_mu_ctx,
