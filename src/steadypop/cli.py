@@ -81,6 +81,9 @@ def cmd_solve(run: RunConfig) -> int:
         _write(run, "profile_%03d.csv" % i,
                itertools.chain(["x,u_star,pi"], ("%.12g,%.12g,%.12g" % row for row in rows)))
 
+    if scan.failed:
+        print("scan: %d of %d points failed to converge in solver.picard_max_iter steps; "
+              "roots next to them may be missed" % (len(scan.failed), len(scan.lambdas)))
     if scan.degenerate:
         print("degenerate family: residual ~ 0 across the scan; no discrete roots reported")
     for r in results:

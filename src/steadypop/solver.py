@@ -102,10 +102,9 @@ class MapATrace:
 class ScanResult:
     """Scalar residual on the scan grid, its sign-change brackets and failed points.
 
-    A sign-only scan (``scan_roots(..., sign_only=True)``) has exact
-    ``residuals`` only at converged points and bracket ends; elsewhere they
-    are estimates of the right sign. At a point it skipped because the rate
-    bounds prove its sign, the residual is the proved bound on R nearest 1,
+    A sign-only scan (see :func:`scan_roots`) has exact ``residuals`` only
+    at converged points and bracket ends; elsewhere they are estimates of
+    the right sign, or at a skipped point its proved bound on R nearest 1,
     minus 1. Its ``failed`` lists the points that failed before their sign
     settled.
     """
@@ -243,18 +242,19 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     is reported as a degenerate family and yields no brackets.
 
     ``sign_only`` (used by :func:`solve_all`) stops each point once the sign
-    of its residual is settled (see :func:`inner_picard`) and resumes only
-    the bracket ends, so brackets, ends and the degenerate flag are those of
-    the full scan, while ``residuals`` are exact only at converged points and
-    bracket ends and ``failed`` lists the points that failed before their
-    sign settled. It also skips, with no inner solve, each point that
-    :func:`_proved_R_bounds` proves to have ``R - 1`` beyond ``root_tol`` of
-    the same sign as at its neighbours; a skipped point's residual is its
-    proved bound nearest 1, minus 1, and it does not count as converged.
-    When a bracket would end on a skipped point it returns the sign-only
-    scan without skipping. When that cannot stand in for the full scan (a
-    bracket end fails or changes sign when resumed, or the degenerate flag
-    depends on points that were stopped) it returns the full scan. Points
+    of its residual is settled (see :func:`inner_picard`). It also skips,
+    with no inner solve, each point that :func:`_proved_R_bounds` proves to
+    have ``R - 1`` beyond ``root_tol`` of the same sign as at its
+    neighbours; a skipped point's residual is its proved bound nearest 1,
+    minus 1, and it does not count as converged. Only the bracket ends are
+    then solved to ``picard_tol``: a stopped end resumes its iteration, a
+    skipped one starts cold, and either gives its cold solve bit for bit.
+    So brackets, ends and the degenerate flag are those of the full scan,
+    while ``residuals`` are exact only at converged points and bracket ends
+    and ``failed`` lists the points that failed before their sign settled.
+    The full scan is returned instead when a bracket end cannot be solved to
+    ``picard_tol``, when an end changes sign once solved, or when the
+    degenerate flag rests on points not solved to ``picard_tol``. Points
     near a root or a fold, where ``|R - 1|`` is small, never settle early,
     so they keep full accuracy; a search for close root pairs between scan
     points can rely on that.
@@ -268,18 +268,22 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
         edge = np.concatenate((sign[:1], sign, sign[-1:]))     # an end has one neighbour
         skip = np.flatnonzero((sign != 0) & (edge[:-2] == sign) & (edge[2:] == sign))
         skipped = dict(zip(skip.tolist(), np.where(sign > 0, lo, hi)[skip].tolist()))
-    return _scan(ctx, cfg, lams, sign_only, skipped)
+    scan = _scan(ctx, cfg, lams, skipped) if sign_only else None
+    return _scan(ctx, cfg, lams, None) if scan is None else scan
 
 
-def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray, sign_only: bool,
-          skipped: dict) -> ScanResult:
-    """:func:`scan_roots` on the scales ``lams``, skipping the points in ``skipped``."""
+def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray,
+          skipped: dict | None) -> ScanResult | None:
+    """:func:`scan_roots` on the scales ``lams``: the full scan when ``skipped``
+    is None, else the sign-only scan skipping the points in ``skipped``, or
+    None where that cannot stand in for the full scan."""
+    sign_only = skipped is not None
     r = np.full(lams.shape, np.nan)      # residuals
     failed, pairs, converged = [], [], 0
-    ends = {}                      # index -> PicardResult of each bracket end
+    ends = {}                      # index -> PicardResult of each bracket end, None if skipped
     prev = None                    # (index, PicardResult, residual) of the last good point
     for i, lam in enumerate(lams.tolist()):
-        if i in skipped:
+        if sign_only and i in skipped:
             pr, res = None, skipped[i]
         else:
             try:
@@ -291,8 +295,6 @@ def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray, sign_only: bo
             converged += pr.converged
         r[i] = res
         if prev is not None and prev[2] != 0.0 and (prev[2] * res < 0 or res == 0.0):
-            if pr is None or prev[1] is None:          # a bracket end was skipped
-                return _scan(ctx, cfg, lams, sign_only, {})
             pairs.append((prev[0], i))
             ends[prev[0]], ends[i] = prev[1], pr
         prev = (i, pr, res)
@@ -305,15 +307,15 @@ def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray, sign_only: bo
     elif sign_only and zeros > 0 and zeros >= 0.9 * converged:
         # stopped points are never ~0, but the full scan may fail some of
         # them; without them the flag would be set, so only it can tell
-        return _scan(ctx, cfg, lams, False, {})
-    for i in sorted(ends):         # a resumed end replaces its sign-only result
-        if not ends[i].converged:
+        return None
+    for i in sorted(ends):         # a stopped end resumes, a skipped one starts cold
+        if ends[i] is None or not ends[i].converged:
             try:
                 ends[i] = inner_picard(ctx, float(lams[i]), cfg, ends[i])
             except ConvergenceError:
-                return _scan(ctx, cfg, lams, False, {})
-            if np.sign(ends[i].R - 1.0) != np.sign(r[i]):      # its sign was settled wrongly
-                return _scan(ctx, cfg, lams, False, {})
+                return None
+            if np.sign(ends[i].R - 1.0) != np.sign(r[i]):      # settled or proved wrongly
+                return None
             r[i] = ends[i].R - 1.0
     return ScanResult(
         lambdas=lams,
@@ -673,17 +675,11 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
 def solve_all(ctx: KernelContext, cfg: SolverConfig):
     """Scan for signs, then refine every bracket by ITP from its scan ends.
 
-    The scan is sign-only (see :func:`scan_roots`): its brackets, ends and
-    degenerate flag, and so every result, are those of the full-tolerance
-    scan. Its ``residuals`` are exact only at converged points and bracket
-    ends, and its ``failed`` lists the points that failed before their sign
-    settled.
-
-    The scan skips the points whose sign the rate bounds prove (see
-    :func:`scan_roots`); each skipped point's residual is its proved bound
-    nearest 1, minus 1. Where the bounds prove ``R - 1 < -root_tol`` at every
-    scale, no inner solve is made: the scan has those bounds minus 1 as its
-    residuals, and no brackets, ends or failed points. A skip evaluates no
+    The scan is sign-only, and skips the points whose sign the rate bounds
+    prove; :func:`scan_roots` says what its residuals and failed points
+    hold. Its brackets, ends and degenerate flag, and so every result, are
+    those of the full-tolerance scan. Where the bounds prove ``R - 1 <
+    -root_tol`` at every scale, no inner solve is made. A skip evaluates no
     rate, so a model whose rates that read u leave their declared bounds
     (which no built-in family can do) gets no error at a skipped point, where
     the full scan would raise :class:`BoundsViolationError`.

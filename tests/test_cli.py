@@ -304,13 +304,26 @@ class TestSolveCommand:
         out = tmp_path / "o"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == ("scan: 4 of 16 points failed to converge in "
+                                "solver.picard_max_iter steps; roots next to them may be missed\n")
         assert captured.err == (
             "error: bracket [0.0358568340394, 1.71145587196]: inner iteration did not "
             "reach 1e-10 after 8 steps (last residual 2.92818e-09)\n")
         # the roots that refined are written: here there are none
         assert (out / "equilibria.csv").read_text() == "lambda_star,P_star,R_at_u,residual_l1\n"
         assert sorted(p.name for p in out.iterdir()) == ["equilibria.csv"]
+
+    def test_failed_scan_points_are_reported(self, tmp_path, capsys):
+        # one step converges nowhere: every scan point fails, and solve says so
+        text = pathlib.Path(CONFIGS, "hierarchical.cfg").read_text()
+        cfg = write_config(tmp_path / "h.cfg", text + "solver.picard_max_iter = 1\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "scan: 64 of 64 points failed to converge in solver.picard_max_iter steps; "
+            "roots next to them may be missed\n"
+            "no positive equilibrium found in the scanned range\n")
+        assert captured.err == ""
 
     def test_roots_that_refine_are_written_beside_a_failed_bracket(self, tmp_path, capsys,
                                                                     monkeypatch):

@@ -463,6 +463,22 @@ def _assert_same_scan(sign, full):
             assert np.array_equal(sign_end.pi, full_end.pi)
 
 
+def _assert_full_path(ctx, cfg, scan, results):
+    """``solve_all``'s scan and results are the full scan's and their refinements."""
+    full = sp.scan_roots(ctx, cfg)
+    expected = sorted((sp.bisect_root(ctx, br, cfg, ends)
+                       for br, ends in zip(full.brackets, full.ends)),
+                      key=lambda r: r.lambda_star)
+    assert scan.failed == full.failed
+    assert np.array_equal(scan.residuals, full.residuals, equal_nan=True)
+    _assert_same_scan(scan, full)
+    assert len(results) == len(expected)
+    for r, e in zip(results, expected):
+        assert r.lambda_star == e.lambda_star
+        assert np.array_equal(r.u_star.values, e.u_star.values)
+        assert r.inner_iterations == e.inner_iterations
+
+
 class TestSignOnlyScan:
     """solve_all's scan settles signs only, yet gives the full scan's brackets, ends and flag."""
 
@@ -512,20 +528,6 @@ class TestSignOnlyScan:
         assert errors[0] == errors[1]
         assert errors[0][2] == stopped.iterations + 1
 
-    def _assert_full_path(self, ctx, cfg, scan, results):
-        full = sp.scan_roots(ctx, cfg)
-        expected = sorted((sp.bisect_root(ctx, br, cfg, ends)
-                           for br, ends in zip(full.brackets, full.ends)),
-                          key=lambda r: r.lambda_star)
-        assert scan.failed == full.failed
-        assert np.array_equal(scan.residuals, full.residuals, equal_nan=True)
-        _assert_same_scan(scan, full)
-        assert len(results) == len(expected)
-        for r, e in zip(results, expected):
-            assert r.lambda_star == e.lambda_star
-            assert np.array_equal(r.u_star.values, e.u_star.values)
-            assert r.inner_iterations == e.inner_iterations
-
     def test_failed_resume_falls_back_to_the_full_scan(self, monkeypatch):
         ctx = _stiff_reference_ctx(2001)
         cfg = sp.SolverConfig(scan_points=64)
@@ -542,7 +544,7 @@ class TestSignOnlyScan:
         scan, results = sp.solve_all(ctx, cfg)
         monkeypatch.undo()
         assert len(resumes) == 1 and len(results) == 1
-        self._assert_full_path(ctx, cfg, scan, results)
+        _assert_full_path(ctx, cfg, scan, results)
 
     def test_wrong_settled_sign_falls_back_to_the_full_scan(self, monkeypatch):
         ctx = _stiff_reference_ctx(2001)
@@ -564,7 +566,7 @@ class TestSignOnlyScan:
         scan, results = sp.solve_all(ctx, cfg)
         monkeypatch.undo()
         assert flipped == [wrong] and len(results) == 1
-        self._assert_full_path(ctx, cfg, scan, results)
+        _assert_full_path(ctx, cfg, scan, results)
 
     def test_degenerate_flag_resting_on_stopped_points_falls_back(self, const_ctx_factory,
                                                                    monkeypatch):
@@ -610,12 +612,16 @@ class TestSignOnlyScan:
         assert sum(steps.values()) <= 200
 
 
-def _count_inner_solves(monkeypatch):
+def _count_inner_solves(monkeypatch, failing=()):
+    """Record the scale of every inner solve; make each one at a scale in ``failing`` fail."""
     lams = []
+    failing = {float(lam) for lam in failing}
     inner = sp.solver.inner_picard
 
     def counted(ctx, lam, *args, **kwargs):
         lams.append(lam)
+        if lam in failing:
+            raise ConvergenceError("forced", last_residual=1.0, iterations=0)
         return inner(ctx, lam, *args, **kwargs)
 
     monkeypatch.setattr(sp.solver, "inner_picard", counted)
@@ -790,8 +796,9 @@ class TestScanPointsTheBoundsProve:
         scan = sp.scan_roots(ctx, cfg, sign_only=True)
         assert set(scan.lambdas.tolist()) <= set(lams)
 
-    def test_bracket_ending_on_a_skipped_point_gives_the_unskipped_scan(self, monkeypatch):
-        # the first stop, next to a skipped point, reports R - 1 of the wrong sign
+    def test_bracket_ending_on_a_skipped_point_gives_the_full_scan(self, monkeypatch):
+        # the first stop, next to skipped points, reports R - 1 of the wrong sign:
+        # both brackets it makes end on a skipped point, and its resume changes sign
         ctx = _stiff_reference_ctx(2001)
         cfg = sp.SolverConfig(scan_points=64)
         inner = sp.solver.inner_picard
@@ -805,14 +812,54 @@ class TestScanPointsTheBoundsProve:
             return replace(pr, R=2.0 - pr.R)
 
         monkeypatch.setattr(sp.solver, "inner_picard", flipping)
-        scan = sp.scan_roots(ctx, cfg, sign_only=True)
+        scan, results = sp.solve_all(ctx, cfg)
         monkeypatch.undo()
-        assert len(flipped) == 1
-        _unskipped(monkeypatch)
-        unskipped = sp.scan_roots(ctx, cfg, sign_only=True)
-        assert np.array_equal(scan.residuals, unskipped.residuals, equal_nan=True)
-        assert scan.failed == unskipped.failed
-        _assert_same_scan(scan, unskipped)
+        assert len(flipped) == 1 and len(results) == 1
+        _assert_full_path(ctx, cfg, scan, results)
+
+    def test_failed_point_next_to_a_skipped_one_solves_the_skipped_end(self, monkeypatch):
+        # scan point 46 fails in both scans, so the bracket runs from the skipped
+        # point 45 to 47: 45 is solved cold, 47 resumed, and no other point rescanned
+        ctx = _stiff_reference_ctx()
+        cfg = sp.SolverConfig(scan_points=64)
+        lams = sp.solver._scan_lambdas(ctx, cfg)
+        solves = _count_inner_solves(monkeypatch, [lams[46]])
+        sign = sp.scan_roots(ctx, cfg, sign_only=True)
+        assert len(solves) <= 5
+        full = sp.scan_roots(ctx, cfg)
+        assert sign.failed == full.failed == (46,)
+        assert sign.brackets == ((lams[45], lams[47]),)
+        _assert_same_scan(sign, full)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["stiff", "hierarchical", "norm"]),
+        scheme=st.sampled_from(["uniform_trapezoid", "graded_trapezoid"]),
+        scan_points=st.sampled_from([16, 33]),
+        k=st.integers(-7, 7),
+        anywhere=st.sets(st.integers(0, 32), max_size=2),
+        a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), c=st.floats(0.0, 1.0),
+    )
+    def test_failing_points_keep_the_full_scans_ends(self, family, scheme, scan_points, k,
+                                                     anywhere, a, b, c):
+        # fail the k lowest (k < 0: the -k highest) scales that the sign-only scan
+        # solves, so that a bracket can end on a skipped point, and up to two others
+        model = _proof_model(family, a, b, c)
+        ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), 201, scheme))
+        cfg = sp.SolverConfig(scan_points=scan_points)
+        lams = sp.solver._scan_lambdas(ctx, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            solved = _count_inner_solves(mp)
+            sp.scan_roots(ctx, cfg, sign_only=True)
+        solved = sorted(set(solved))
+        forced = (solved[:k] if k >= 0 else solved[k:]) + [
+            lams[i] for i in anywhere if i < scan_points]
+        with pytest.MonkeyPatch.context() as mp:
+            _count_inner_solves(mp, forced)
+            sign = sp.scan_roots(ctx, cfg, sign_only=True)
+            full = sp.scan_roots(ctx, cfg)
+        _assert_same_scan(sign, full)
+        assert set(sign.failed) <= set(full.failed)
 
     def test_failed_resume_next_to_a_skipped_point_gives_the_unskipped_results(
             self, monkeypatch):
