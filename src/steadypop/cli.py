@@ -27,6 +27,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, ParameterError, SteadypopError
 from .grid import DensityProfile, integrate
 from .kernel import (
+    KernelContext,
     birth_G,
     compactness_diagnostics,
     make_context,
@@ -43,6 +44,11 @@ EXIT_NO_EQUILIBRIUM = 3
 EXIT_VERIFY_FAIL = 4
 
 VERIFY_TOL = 1e-5       # verify's default --tol
+
+# command -> the options that it alone takes; main passes their values to
+# cmd_<command> after (run, ctx), looking the function up by name at each call,
+# so that a wrapper bound to that name on this module (a tracer's) is the one run
+COMMANDS = {"solve": (), "scan": (), "certify": (), "diagnose": (), "verify": ("profile", "tol")}
 
 
 class _OutputError(Exception):
@@ -67,8 +73,7 @@ def _write(run: RunConfig, name: str, lines) -> None:
         raise _OutputError(path, exc) from exc
 
 
-def cmd_solve(run: RunConfig) -> int:
-    ctx = make_context(run.model, run.grid)
+def cmd_solve(run: RunConfig, ctx: KernelContext) -> int:
     scan, entries = solve_all(ctx, run.solver)
     results = [r for r in entries if isinstance(r, EquilibriumResult)]
     failures = [f for f in entries if not isinstance(f, EquilibriumResult)]
@@ -99,8 +104,7 @@ def cmd_solve(run: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_scan(run: RunConfig) -> int:
-    ctx = make_context(run.model, run.grid)
+def cmd_scan(run: RunConfig, ctx: KernelContext) -> int:
     scan = scan_roots(ctx, run.solver)
     _write(run, "scan.csv", ["lambda,residual,status"] + [
         "%.12g,%.12g,%s" % (lam, res, "failed" if i in scan.failed else "ok")
@@ -112,8 +116,7 @@ def cmd_scan(run: RunConfig) -> int:
     return EXIT_OK if scan.brackets else EXIT_NO_EQUILIBRIUM
 
 
-def cmd_certify(run: RunConfig) -> int:
-    ctx = make_context(run.model, run.grid)
+def cmd_certify(run: RunConfig, ctx: KernelContext) -> int:
     cert = certify(ctx, run.solver)
     lines = [
         "kind = %s" % cert.kind,
@@ -132,8 +135,7 @@ def cmd_certify(run: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(run: RunConfig) -> int:
-    ctx = make_context(run.model, run.grid)
+def cmd_diagnose(run: RunConfig, ctx: KernelContext) -> int:
     lambdas = [10.0**k for k in range(-3, 4)]
 
     def samples():
@@ -193,11 +195,14 @@ def _read_profile(path: str, grid) -> DensityProfile:
     return DensityProfile(grid, np.maximum(values, 0.0))
 
 
-def cmd_verify(run: RunConfig, profile_path: str, tol: float) -> int:
-    if not tol > 0:     # also rejects nan
-        raise ParameterError("--tol must be positive, got %s" % tol)
-    ctx = make_context(run.model, run.grid)
-    u = _read_profile(profile_path, run.grid)
+def cmd_verify(run: RunConfig, ctx: KernelContext, profile_path: str, tol: float) -> int:
+    try:
+        if not tol > 0:     # also rejects nan
+            raise ParameterError("--tol must be positive, got %s" % tol)
+        u = _read_profile(profile_path, run.grid)
+    except ParameterError as exc:
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     res = residual(ctx, u)
     print("residual_l1 = %.12g" % res)
     print("R = %.12g" % net_reproduction_R(ctx, u))
@@ -212,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="steadypop",
         description="Stationary solutions of quasilinear size-structured population models.",
     )
-    parser.add_argument("command", choices=("solve", "scan", "certify", "diagnose", "verify"))
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--profile", help="verify only, required: profile file with columns x,u")
@@ -225,34 +230,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.profile is None:
-            parser.error("verify requires --profile")
-        if args.tol is None:
-            args.tol = VERIFY_TOL
-    else:
-        for option, value in (("--profile", args.profile), ("--tol", args.tol)):
-            if value is not None:
-                parser.error("%s belongs to verify only" % option)
+    options = COMMANDS[args.command]
+    if "profile" in options and args.profile is None:
+        parser.error("verify requires --profile")
+    for option in ("profile", "tol"):
+        if option not in options and getattr(args, option) is not None:
+            parser.error("--%s belongs to verify only" % option)
+    if args.tol is None:
+        args.tol = VERIFY_TOL
     try:
         run = load_config(args.config, out_dir=args.out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "solve":
-            return cmd_solve(run)
-        if args.command == "scan":
-            return cmd_scan(run)
-        if args.command == "certify":
-            return cmd_certify(run)
-        if args.command == "diagnose":
-            return cmd_diagnose(run)
-        try:
-            return cmd_verify(run, args.profile, args.tol)
-        except ParameterError as exc:
-            print("input error: %s" % exc, file=sys.stderr)
-            return EXIT_CONFIG
+        ctx = make_context(run.model, run.grid)
+        return globals()["cmd_" + args.command](run, ctx, *(getattr(args, o) for o in options))
     except _OutputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

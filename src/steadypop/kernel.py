@@ -208,7 +208,9 @@ def compactness_diagnostics(ctx: KernelContext, samples, h_list, T: float) -> Co
             measured = _accel.weighted_sum(wmask, _abs_change(translate(grid, pi, h), pi))
             # the zero extension of g beyond x_max is irrelevant on [0, T]
             g_term = _accel.weighted_sum(wmask, _abs_change(translate(grid, g, h), g))
-            bound = (T_eff * b.mu_high / g_low2) * h + (T_eff / g_low2) * g_term
+            # g_low^2 underflows to 0 below about 1.5e-154: the bound is inf, and its row fails
+            bound = ((T_eff * b.mu_high / g_low2) * h + (T_eff / g_low2) * g_term
+                     if g_low2 > 0 else math.inf)
             moduli.append((measured, bound))
         return integrate(grid, pi), tail_mass(pi), moduli
 

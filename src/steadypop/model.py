@@ -60,6 +60,12 @@ class RateBounds:
                 "rate bounds give envelope norms or a default horizon that are not "
                 "finite and positive"
             )
+        # the lower envelope's decay rate, which can overflow: e1 would be inf * 0 at x = 0
+        if not math.isfinite(self.mu_high / self.g_low):
+            raise ParameterError(
+                "rate bounds give mu_high / g_low, the decay rate of the lower envelope, "
+                "that is not finite"
+            )
         # the a-priori bounds on beta pi at a node and on R, which can overflow
         if not (math.isfinite(self.beta_max / self.g_low)
                 and math.isfinite(self.beta_max * envelope_norms(self)[1])):
@@ -360,7 +366,8 @@ class FrozenRates:
     that ignores u, None for each that reads it. ``errors`` holds each fixed
     rate's bounds-check failure (None when it passes); every checked evaluation
     raises it. ``limits`` holds each rate's (low, high, name) for the check, and
-    ``rates`` is the binder's closure from a density to the unchecked rates.
+    ``rates`` is the binder's closure from a density to the unchecked (g, mu,
+    beta); a rate constant in x is a float there.
     """
 
     fixed: tuple
@@ -368,12 +375,8 @@ class FrozenRates:
     limits: tuple
     rates: Callable
 
-    def raw(self, u_values: np.ndarray):
-        """Unchecked (g, mu, beta) under density ``u_values``; a rate constant in x is a float."""
-        return self.rates(u_values)
-
     def checked(self, u_values: np.ndarray):
-        """:meth:`raw`, raising :class:`BoundsViolationError` if any rate leaves its bounds.
+        """``rates(u_values)``, raising :class:`BoundsViolationError` if a rate leaves its bounds.
 
         Only the rates that read u are checked here; a fixed rate's verdict is the
         one :func:`freeze_rates` reached.
@@ -534,7 +537,7 @@ def validate_hypotheses(ctx, samples) -> HypothesisReport:
     in_window = (grid.nodes <= T)[:-1]
 
     def raw(u):
-        return tuple(_at_nodes(grid, value) for value in frozen.raw(u))
+        return tuple(_at_nodes(grid, value) for value in frozen.rates(u))
 
     def check(i, value):           # with rate i's declared bounds
         low, high, _ = frozen.limits[i]

@@ -342,11 +342,11 @@ def _assemble_result(ctx: KernelContext, lam: float, pr: PicardResult) -> Equili
     )
 
 
-def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends=None) -> EquilibriumResult:
+def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> EquilibriumResult:
     """Refine a sign-change bracket of the scalar residual by ITP.
 
-    ``ends`` holds the scan's two converged :class:`PicardResult` for the
-    bracket; without it both ends are solved here. An end or ITP step
+    ``ends`` holds the two converged :class:`PicardResult` at the bracket's
+    ends, as each entry of a scan's ``ends`` does. An end or ITP step
     whose ``R`` is exactly 1 is the root. ITP (Oliveira & Takahashi,
     ACM TOMS 47, 2021) keeps a sign-change bracket, converges superlinearly
     on smooth residuals, and needs at most one evaluation more than
@@ -359,8 +359,6 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends=None) -> Eq
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 <= lo < hi < math.inf:       # also rejects NaN
         raise ParameterError("bracket ends must be finite with 0 <= lo < hi", "bracket")
-    if ends is None:
-        ends = [inner_picard(ctx, lam, cfg) for lam in (lo, hi)]
     for lam, pr in zip((lo, hi), ends):
         if pr.R == 1.0:
             return _assemble_result(ctx, lam, pr)
@@ -370,7 +368,10 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends=None) -> Eq
         raise ParameterError("bracket endpoints must have opposite residual signs")
     eps = 0.5 * cfg.root_tol
     k1 = 0.2 / (hi - lo)
-    n_max = max(math.ceil(math.log2((hi - lo) / cfg.root_tol)), 0) + 1   # n0 = 1
+    try:
+        n_max = max(math.ceil(math.log2((hi - lo) / cfg.root_tol)), 0) + 1   # n0 = 1
+    except OverflowError:          # the quotient is inf past about root_tol * 1.8e308
+        n_max = math.ceil(math.log2(hi - lo) - math.log2(cfg.root_tol)) + 1
     j = 0
     while hi - lo > cfg.root_tol:
         mid = 0.5 * (lo + hi)
@@ -380,9 +381,16 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends=None) -> Eq
         # project into the ball that preserves bisection's worst case
         x_f = (hi * r_lo - lo * r_hi) / (r_lo - r_hi)
         sigma = math.copysign(1.0, mid - x_f)
-        delta = k1 * (hi - lo) ** 2
+        try:
+            delta = k1 * (hi - lo) ** 2
+        except OverflowError:      # the square overflows past about 1.3e154; k1 (hi - lo) <= 0.2
+            delta = k1 * (hi - lo) * (hi - lo)
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        rad = max(eps * 2.0 ** (n_max - j) - 0.5 * (hi - lo), 0.0)
+        try:
+            rad = eps * 2.0 ** (n_max - j)
+        except OverflowError:      # 2.0 ** k overflows past k = 1023, where eps * 2 ** k need not
+            rad = eps * 2.0 ** 1023 * 2.0 ** (n_max - j - 1023)
+        rad = max(rad - 0.5 * (hi - lo), 0.0)
         x = x_t if abs(x_t - mid) <= rad else mid - sigma * rad
         if not lo < x < hi:        # rounding can land x_f + delta on an end
             x = mid
@@ -580,7 +588,7 @@ def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
     mg, bm = [], []
 
     def add_row(u):
-        g, mu, beta = (_at_nodes(grid, a)[::stride] for a in ctx.rates.raw(u))
+        g, mu, beta = (_at_nodes(grid, a)[::stride] for a in ctx.rates.rates(u))
         mg.append(mu / g)
         bm.append(beta / mu)
 

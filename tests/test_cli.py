@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steadypop as sp
@@ -38,6 +38,17 @@ model.g_low = 0.001
 model.g_high = 1
 model.mu0 = 1
 model.b0 = %r
+grid.n = 201
+"""
+
+# composite with g_low = 1e-10 and mu_high = 1e300: mu_high / g_low overflows
+ENVELOPE_OVERFLOW_TEXT = """\
+model.variant = composite
+model.g.const = 1e-10
+model.g.x_amp = 1
+model.mu.const = 1
+model.mu.u_sat = 1e300
+model.beta.const = 0.5
 grid.n = 201
 """
 
@@ -698,10 +709,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["solve", "scan", "certify", "diagnose", "verify"])
-    def test_rate_bounds_whose_R_bound_overflows_are_a_config_error(self, tmp_path, capsys,
-                                                                    command):
+    @pytest.mark.parametrize("text,message", [
         # beta_max |e2|_1 = 1e310 overflows: certify used to warn from R and write M = inf
-        cfg = write_config(tmp_path / "overflow.cfg", OVERFLOW_TEXT % 1e307)
+        pytest.param(OVERFLOW_TEXT % 1e307,
+                     "beta_max / g_low or beta_max * |e2|_1, the bounds on beta pi at a node "
+                     "and on R, that are not finite", id="R-bound"),
+        # mu_high / g_low = 1e310 overflows: the lower envelope was inf * 0 = nan at x = 0,
+        # and each command warned and failed on its density check (verify blamed the profile)
+        pytest.param(ENVELOPE_OVERFLOW_TEXT,
+                     "mu_high / g_low, the decay rate of the lower envelope, that is not finite",
+                     id="envelope-rate"),
+    ])
+    def test_rate_bounds_that_overflow_are_a_config_error(self, tmp_path, capsys, command,
+                                                          text, message):
+        cfg = write_config(tmp_path / "overflow.cfg", text)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
         if command == "verify":
             argv += ["--profile", str(tmp_path / "p.csv")]
@@ -711,8 +732,7 @@ class TestExitCodes:
         assert caught == []
         captured = capsys.readouterr()
         assert captured.err == (
-            "config error: invalid model parameters: rate bounds give beta_max / g_low or "
-            "beta_max * |e2|_1, the bounds on beta pi at a node and on R, that are not finite\n")
+            "config error: invalid model parameters: rate bounds give %s\n" % message)
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["overflow.cfg"]
 
@@ -849,6 +869,12 @@ class TestFuzzedConfigs:
 
     @settings(max_examples=25, deadline=None)
     @given(text=_CONFIGS)
+    # brackets wide enough to overflow ITP's step bounds; the strategy draws rates of 0.01-5
+    @example(text="model.variant = hierarchical\nmodel.g_low = 0.001\nmodel.g_high = 0.5\n"
+                  "model.mu0 = 3\nmodel.b0 = 1e152\ngrid.n = 51\nsolver.scan_points = 3\n")
+    @example(text="model.variant = hierarchical\nmodel.g_low = 1e-5\nmodel.g_high = 1e-5\n"
+                  "model.mu0 = 1e-5\nmodel.b0 = 1e300\nsolver.scan_points = 8\n"
+                  "solver.lambda_max = 1e302\n")
     def test_every_command_reports(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(pathlib.Path(tmp) / "fuzz.cfg", text)

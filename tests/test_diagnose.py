@@ -84,7 +84,7 @@ def reference_hypotheses(ctx, samples):
     limits = ((b.g_low, b.g_high), (b.mu_low, b.mu_high), (0.0, b.beta_max))
 
     def raw(u):
-        return tuple(_at_nodes(grid, value) for value in frozen.raw(u))
+        return tuple(_at_nodes(grid, value) for value in frozen.rates(u))
 
     values = [_density_values(grid, s) for s in samples]
     terms, slopes, bounds_ok = [], [], True
@@ -396,3 +396,26 @@ def test_diagnose_rows_come_from_the_seeded_samples(tmp_path, capsys):
     expected = ["%s,%s,%s" % (check, verdict, detail.replace(",", ";"))
                 for check, verdict, detail in rows]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_translation_bounds_over_an_underflowed_g_low_squared_fail(tmp_path, capsys):
+    # g_low = 1e-300: g_low^2 is 0, and diagnose divided by it; solve and scan keep
+    # their config error, since the default scan range overflows too
+    cfg = tmp_path / "tiny_g.cfg"
+    cfg.write_text("model.variant = composite\nmodel.g.const = 1e-300\nmodel.g.x_amp = 1e-5\n"
+                   "model.mu.const = 1\nmodel.mu.u_sat = 1e5\nmodel.beta.const = 0.5\n"
+                   "model.beta.x_amp = 1e5\ngrid.n = 51\n")
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(["diagnose", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()]
+    verdicts = {check: {verdict for c, verdict, _ in rows if c == check}
+                for check in ("l1_bound", "tail_decay", "translation")}
+    assert verdicts == {"l1_bound": {"pass"}, "tail_decay": {"pass"}, "translation": {"fail"}}
+    assert all(detail.endswith(" bound=inf") for check, _, detail in rows
+               if check == "translation")
+    for command in ("solve", "scan"):
+        assert cli.main([command, *argv]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid solver parameters: the default lambda_max")

@@ -182,7 +182,7 @@ class TestBitIdenticalToReference:
         grid = sp.build_grid(100.0, n, scheme)
         u = scale * np.exp(-decay * grid.nodes)
         frozen = sp.model.freeze_rates(model, grid)
-        _same(frozen.raw(u), REFERENCE[model.variant](model.params, grid, u), n)
+        _same(frozen.rates(u), REFERENCE[model.variant](model.params, grid, u), n)
 
         got, error = _outcome(frozen.checked, u)
         expected, expected_error = _outcome(_reference_rates, model, grid, u)
@@ -207,7 +207,7 @@ class TestBitIdenticalToReference:
                                    beta=beta)
         grid = sp.build_grid(10.0, 11)
         u = np.ones(grid.n)
-        _same(sp.model.freeze_rates(model, grid).raw(u), _composite_rates(model.params, grid, u),
+        _same(sp.model.freeze_rates(model, grid).rates(u), _composite_rates(model.params, grid, u),
               grid.n)
 
 
@@ -228,7 +228,7 @@ def _count(monkeypatch, owner, name):
 
 def _assert_fixed_passed_through(ctx, u):
     # each evaluation hands out the context's own fixed arrays, never a recomputed copy
-    for evaluate in (ctx.rates.raw, ctx.rates.checked):
+    for evaluate in (ctx.rates.rates, ctx.rates.checked):
         values = evaluate(u)
         for value, fixed in zip(values, ctx.rates.fixed):
             if fixed is not None:

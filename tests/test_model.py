@@ -184,7 +184,7 @@ class TestEvalRates:
             sp.birth_G(ctx, sp.zero_profile(g))
         with pytest.raises(BoundsViolationError, match="^mu evaluated"):
             sp.model.eval_mu(bad, sp.zero_profile(g))
-        assert np.all(sp.model.freeze_rates(bad, g).raw(np.zeros(g.n))[1] == 2.0)
+        assert np.all(sp.model.freeze_rates(bad, g).rates(np.zeros(g.n))[1] == 2.0)
 
     def test_nan_profile_raises(self):
         # NaN compares false with both bounds, so only a negated check catches it
@@ -315,10 +315,17 @@ class TestReproductionBound:
         e2 = sp.envelope_profiles(b, g)[1]
         assert quadrature > sp.integrate(g, e2)
         assert quadrature == pytest.approx(sp.integrate(g, e2), rel=1e-10)
-        widened = quadrature * (1.0 + sp.solver._rounding_margin(g))
+        margin = sp.solver._rounding_margin(g)
+        widened = quadrature * (1.0 + margin)
         S_hi = sp.solver._computed_mass_interval(sp.make_context(model, g))[1]
         assert S_hi <= widened
         assert (S_hi == widened) == (n == 11)
+        # the segment lemma's bound, the smaller one at n = 301, is widened too; no computed
+        # R has been seen past either bound unwidened, so the margin is pinned here
+        t = sp.model._tolerance
+        D = float(np.max(g.steps)) * (b.mu_high + t(b.mu_high)) / (b.g_low - t(b.g_low))
+        lemma = D / -math.expm1(-D) / (b.mu_low - t(b.mu_low))
+        assert S_hi == min(lemma, quadrature) * (1.0 + margin)
 
     @pytest.mark.parametrize("low", ["g0", "mu0"])
     def test_interval_is_zero_to_inf_below_the_check_tolerance(self, low):

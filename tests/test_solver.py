@@ -319,7 +319,7 @@ class TestScanAndBisect:
     def test_failed_bracket_keeps_the_other_roots(self, ce_ctx, ce_solutions, monkeypatch):
         bisect = sp.solver.bisect_root
 
-        def second_fails(ctx, bracket, cfg, ends=None):
+        def second_fails(ctx, bracket, cfg, ends):
             if bracket == ce_solutions[0].brackets[1]:
                 raise ConvergenceError("forced", last_residual=1.0, iterations=1)
             return bisect(ctx, bracket, cfg, ends)
@@ -331,12 +331,6 @@ class TestScanAndBisect:
         expected = ce_solutions[1][0]
         assert root.lambda_star == expected.lambda_star
         assert np.array_equal(root.u_star.values, expected.u_star.values)
-
-    def test_bisect_without_ends_agrees(self, ce_ctx, ce_solutions):
-        scan, results = ce_solutions
-        for bracket, r in zip(scan.brackets, results):
-            alone = sp.bisect_root(ce_ctx, bracket, CE_CFG)
-            assert alone.lambda_star == pytest.approx(r.lambda_star, abs=CE_CFG.root_tol)
 
     @pytest.mark.parametrize("zero_end", [0, 1])
     def test_zero_residual_end_is_the_root(self, ce_ctx, monkeypatch, zero_end):
@@ -372,18 +366,16 @@ class TestScanAndBisect:
         assert result.lambda_star in (lo, hi)
 
     def test_bisect_rejects_bad_bracket(self, ce_ctx):
+        ends = [sp.inner_picard(ce_ctx, lam, CE_CFG) for lam in (0.3, 0.5)]
         with pytest.raises(ParameterError):
-            sp.bisect_root(ce_ctx, (0.3, 0.5), CE_CFG)  # same residual sign
+            sp.bisect_root(ce_ctx, (0.3, 0.5), CE_CFG, ends)  # same residual sign
 
     @pytest.mark.parametrize("bracket", [(math.nan, 0.5), (0.1, math.inf), (0.5, 0.1)],
                              ids=["nan_end", "inf_end", "reversed"])
-    @pytest.mark.parametrize("with_ends", [False, True])
-    def test_bisect_rejects_a_bracket_that_is_not_finite_and_ordered(
-        self, ce_ctx, with_ends, bracket
-    ):
+    def test_bisect_rejects_a_bracket_that_is_not_finite_and_ordered(self, ce_ctx, bracket):
         # ITP's step bound takes the log of the width: only a finite, ordered bracket has one
         pr = sp.inner_picard(ce_ctx, 0.5, CE_CFG)
-        ends = (replace(pr, R=1.0 - 1e-3), replace(pr, R=1.0 + 1e-3)) if with_ends else None
+        ends = (replace(pr, R=1.0 - 1e-3), replace(pr, R=1.0 + 1e-3))
         with pytest.raises(ParameterError) as info:
             sp.bisect_root(ce_ctx, bracket, CE_CFG, ends)
         assert info.value.field == "bracket"
@@ -1141,7 +1133,7 @@ class TestCertificates:
 
 
 def _ratios_reference(model, grid, u_values, stride: int):
-    raw = sp.model.freeze_rates(model, grid).raw(u_values)
+    raw = sp.model.freeze_rates(model, grid).rates(u_values)
     g, mu, beta = (np.broadcast_to(a, (grid.n,))[::stride] for a in raw)
     return mu / g, beta / mu
 
@@ -1232,20 +1224,27 @@ class TestMonotonicityEvidence:
         assert sp.solver._monotonicity_evidence(ctx, cfg) == _monotonicity_reference(ctx, cfg)
 
     def test_one_rate_evaluation_per_sampled_profile(self, hier_ctx, monkeypatch):
-        # every unchecked rate evaluation, the reference's included, runs FrozenRates.raw
+        # every rate evaluation, the reference's included, runs the binder's closure; R along
+        # the rays evaluates the rates too, through the bounds check, so it is taken out here
+        monkeypatch.setattr(sp.solver, "_ray_R", lambda ctx, w, lams: [0.0] * len(lams))
         evaluated = []
-        raw = sp.model.FrozenRates.raw
+        bind = hier_ctx.model.bind
 
-        def recorded(frozen, u_values):
-            evaluated.append(u_values.tobytes())
-            return raw(frozen, u_values)
+        def recording_bind(params, grid):
+            fixed, rates = bind(params, grid)
 
-        monkeypatch.setattr(sp.model.FrozenRates, "raw", recorded)
+            def recorded(u_values):
+                evaluated.append(u_values.tobytes())
+                return rates(u_values)
+
+            return fixed, recorded
+
+        ctx = sp.make_context(replace(hier_ctx.model, bind=recording_bind), hier_ctx.grid)
         cfg = sp.SolverConfig()
-        assert sp.solver._monotonicity_evidence(hier_ctx, cfg)["pairs_sampled"] == 28
+        assert sp.solver._monotonicity_evidence(ctx, cfg)["pairs_sampled"] == 28
         rows = list(evaluated)
         evaluated.clear()
-        _monotonicity_reference(hier_ctx, cfg)
+        _monotonicity_reference(ctx, cfg)
         # 6 shapes at 4 scales plus 10 random pairs: the 56 pair members hold 44 profiles
         assert len(evaluated) == 56
         assert len(rows) == len(set(rows)) == 44
