@@ -75,7 +75,6 @@ class PicardResult:
     residual_l1: float
     R: float                       # net reproduction at lam * v
     pi: np.ndarray                 # survival shape at lam * v
-    converged: bool = True         # False: stopped by sign_only once the sign of R - 1 settled
 
 
 @dataclass(frozen=True)
@@ -102,11 +101,10 @@ class MapATrace:
 class ScanResult:
     """Scalar residual on the scan grid, its sign-change brackets and failed points.
 
-    A sign-only scan (see :func:`scan_roots`) has exact ``residuals`` only
-    at converged points and bracket ends; elsewhere they are estimates of
-    the right sign, or at a skipped point its proved bound on R nearest 1,
-    minus 1. Its ``failed`` lists the points that failed before their sign
-    settled.
+    A sign-only scan (see :func:`scan_roots`) has exact ``residuals`` at
+    every point it solves; at a point it skips, the residual is that point's
+    proved bound on R nearest 1, minus 1. Its ``failed`` lists the solved
+    points that failed.
     """
 
     lambdas: np.ndarray
@@ -138,9 +136,7 @@ def inner_picard(
     ctx: KernelContext,
     lam: float,
     cfg: SolverConfig,
-    start: DensityProfile | PicardResult | None = None,
-    *,
-    sign_only: bool = False,
+    start: DensityProfile | np.ndarray | None = None,
 ) -> PicardResult:
     """Fixed-point iteration v <- Pi(., lam v) for the shape at frozen scale lam.
 
@@ -148,28 +144,13 @@ def inner_picard(
     envelope midpoint ``ctx.start``. Raises :class:`ConvergenceError`
     carrying the last step's residual when ``picard_max_iter`` steps do not
     reach ``picard_tol``.
-
-    With ``sign_only`` the iteration also stops at a step k >= 2 once the
-    sign of R - 1 is settled, returning ``converged=False`` and the step's
-    ``R``: with q = res_k / res_{k-1} < 0.9, when
-    ``|R_k - 1| > 10 |R_k - R_{k-1}| / (1 - q) + root_tol``. Passing such a
-    result as ``start`` resumes its iteration where it stopped, counting its
-    steps against ``picard_max_iter``; the map is deterministic, so the
-    resumed solve returns what the cold one does, bit for bit.
     """
     if not 0 <= lam < math.inf:
         raise ParameterError("lam must be finite and nonnegative", "lam")
     grid = ctx.grid
-    first, res, R = 1, math.nan, math.nan
-    if isinstance(start, PicardResult):
-        v, first, res = start.pi, start.iterations + 1, start.residual_l1
-    elif start is None:
-        v = ctx.start.values
-    else:
-        v = _density_values(grid, start)
-    for k in range(first, cfg.picard_max_iter + 1):
+    v = ctx.start.values if start is None else _density_values(grid, start)
+    for k in range(1, cfg.picard_max_iter + 1):
         _, beta, pi = rates_and_survival(ctx, lam * v)
-        res_prev = res
         # the gap between the context's own start and pi is summed once, in make_context
         if pi is ctx.pi and v is ctx.start.values:
             res = ctx.start_gap
@@ -180,11 +161,6 @@ def inner_picard(
             # the cold start was checked once, when the context was made
             shape = ctx.start if v is ctx.start.values else DensityProfile(grid, v)
             return PicardResult(shape, k, res, R, pi)
-        if sign_only:
-            R_prev, R = R, _accel.weighted_sum(grid.weights, beta * pi)
-            q = res / res_prev         # NaN at the first step, which never stops
-            if q < 0.9 and abs(R - 1.0) > 10.0 * abs(R - R_prev) / (1.0 - q) + cfg.root_tol:
-                return PicardResult(DensityProfile(grid, v), k, res, R, pi, converged=False)
         v = pi
     raise ConvergenceError(
         "inner iteration did not reach %g after %d steps (last residual %g)"
@@ -223,6 +199,11 @@ def _scan_lambdas(ctx: KernelContext, cfg: SolverConfig) -> np.ndarray:
         if not hi < math.inf:
             raise ParameterError("the default lambda_max, the invariant-box scale bound, "
                                  "is not finite; set lambda_max", "lambda_max")
+    # a shape is at most 1/g_low at a node and has about |e2|_1 of mass; a factor
+    # 4 below overflow leaves room for the trapezoid's pairwise sums of lam * v
+    if not 4.0 * hi * max(1.0 / ctx.model.bounds.g_low, ctx.norm_e2) < math.inf:
+        raise ParameterError("the densities at the top scale scanned, %g, can overflow; "
+                             "set a smaller lambda_max" % hi, "lambda_max")
     try:
         if lo > 0:
             return np.geomspace(lo, hi, cfg.scan_points)
@@ -241,58 +222,50 @@ def scan_roots(ctx: KernelContext, cfg: SolverConfig, *, sign_only: bool = False
     scan resolution are found. A residual that is ~0 at >= 90% of the points
     is reported as a degenerate family and yields no brackets.
 
-    ``sign_only`` (used by :func:`solve_all`) stops each point once the sign
-    of its residual is settled (see :func:`inner_picard`). It also skips,
-    with no inner solve, each point that :func:`_proved_R_bounds` proves to
-    have ``R - 1`` beyond ``root_tol`` of the same sign as at its
-    neighbours; a skipped point's residual is its proved bound nearest 1,
-    minus 1, and it does not count as converged. Only the bracket ends are
-    then solved to ``picard_tol``: a stopped end resumes its iteration, a
-    skipped one starts cold, and either gives its cold solve bit for bit.
-    So brackets, ends and the degenerate flag are those of the full scan,
-    while ``residuals`` are exact only at converged points and bracket ends
-    and ``failed`` lists the points that failed before their sign settled.
-    The full scan is returned instead when a bracket end cannot be solved to
-    ``picard_tol``, when an end changes sign once solved, or when the
-    degenerate flag rests on points not solved to ``picard_tol``. Points
-    near a root or a fold, where ``|R - 1|`` is small, never settle early,
-    so they keep full accuracy; a search for close root pairs between scan
-    points can rely on that.
+    ``sign_only`` (used by :func:`solve_all`) skips, with no inner solve,
+    each point that :func:`_proved_R_bounds` proves to have ``R - 1`` beyond
+    ``root_tol``; its residual is its proved bound nearest 1, minus 1.
+    Every other point is solved to ``picard_tol``, so its residual is exact,
+    and a bracket end that was skipped is then solved cold. So brackets,
+    ends and the degenerate flag are those of the full scan, while
+    ``failed`` lists only the solved points that failed. The full scan is
+    returned instead when a skipped bracket end fails, when its solved sign
+    contradicts its proof, or when the degenerate flag rests on points not
+    solved. A point whose ``|R - 1|`` is within ``root_tol`` is never skipped.
     """
     lams = _scan_lambdas(ctx, cfg)
-    skipped = {}                   # index -> residual of each point skipped
     bounds = _proved_R_bounds(ctx, cfg, lams) if sign_only else None
     if bounds is not None:
         lo, hi = (R - 1.0 for R in bounds)
         sign = np.where(lo > cfg.root_tol, 1, np.where(hi < -cfg.root_tol, -1, 0))
-        edge = np.concatenate((sign[:1], sign, sign[-1:]))     # an end has one neighbour
-        skip = np.flatnonzero((sign != 0) & (edge[:-2] == sign) & (edge[2:] == sign))
-        skipped = dict(zip(skip.tolist(), np.where(sign > 0, lo, hi)[skip].tolist()))
-    scan = _scan(ctx, cfg, lams, skipped) if sign_only else None
-    return _scan(ctx, cfg, lams, None) if scan is None else scan
+        skip = np.flatnonzero(sign)
+        proved = np.where(sign > 0, lo, hi)[skip]
+        scan = _scan(ctx, cfg, lams, dict(zip(skip.tolist(), proved.tolist())))
+        if scan is not None:
+            return scan
+    return _scan(ctx, cfg, lams, {})
 
 
 def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray,
-          skipped: dict | None) -> ScanResult | None:
-    """:func:`scan_roots` on the scales ``lams``: the full scan when ``skipped``
-    is None, else the sign-only scan skipping the points in ``skipped``, or
-    None where that cannot stand in for the full scan."""
-    sign_only = skipped is not None
+          skipped: dict) -> ScanResult | None:
+    """:func:`scan_roots` on the scales ``lams``, skipping the points in
+    ``skipped`` (index -> residual); None where that cannot stand in for the
+    full scan, which skips none."""
     r = np.full(lams.shape, np.nan)      # residuals
-    failed, pairs, converged = [], [], 0
+    failed, pairs, solved = [], [], 0
     ends = {}                      # index -> PicardResult of each bracket end, None if skipped
     prev = None                    # (index, PicardResult, residual) of the last good point
     for i, lam in enumerate(lams.tolist()):
-        if sign_only and i in skipped:
+        if i in skipped:
             pr, res = None, skipped[i]
         else:
             try:
-                pr = inner_picard(ctx, lam, cfg, sign_only=sign_only)
+                pr = inner_picard(ctx, lam, cfg)
             except ConvergenceError:
                 failed.append(i)
                 continue
             res = pr.R - 1.0
-            converged += pr.converged
+            solved += 1
         r[i] = res
         if prev is not None and prev[2] != 0.0 and (prev[2] * res < 0 or res == 0.0):
             pairs.append((prev[0], i))
@@ -304,17 +277,17 @@ def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray,
     degenerate = bool(good.size > 0 and zeros >= 0.9 * good.size)
     if degenerate:
         pairs, ends = [], {}
-    elif sign_only and zeros > 0 and zeros >= 0.9 * converged:
-        # stopped points are never ~0, but the full scan may fail some of
+    elif zeros > 0 and zeros >= 0.9 * solved:
+        # skipped points are never ~0, but the full scan may fail some of
         # them; without them the flag would be set, so only it can tell
         return None
-    for i in sorted(ends):         # a stopped end resumes, a skipped one starts cold
-        if ends[i] is None or not ends[i].converged:
+    for i in sorted(ends):         # a skipped end is solved cold
+        if ends[i] is None:
             try:
-                ends[i] = inner_picard(ctx, float(lams[i]), cfg, ends[i])
+                ends[i] = inner_picard(ctx, float(lams[i]), cfg)
             except ConvergenceError:
                 return None
-            if np.sign(ends[i].R - 1.0) != np.sign(r[i]):      # settled or proved wrongly
+            if np.sign(ends[i].R - 1.0) != np.sign(r[i]):      # proved wrongly
                 return None
             r[i] = ends[i].R - 1.0
     return ScanResult(
@@ -683,10 +656,11 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
 def solve_all(ctx: KernelContext, cfg: SolverConfig):
     """Scan for signs, then refine every bracket by ITP from its scan ends.
 
-    The scan is sign-only, and skips the points whose sign the rate bounds
-    prove; :func:`scan_roots` says what its residuals and failed points
-    hold. Its brackets, ends and degenerate flag, and so every result, are
-    those of the full-tolerance scan. Where the bounds prove ``R - 1 <
+    The scan is sign-only: it skips the points whose sign the rate bounds
+    prove, and its residuals are exact at every point it solves and the
+    proved bound at every point it skips (see :func:`scan_roots`). Its
+    brackets, ends and degenerate flag, and so every result, are those of
+    the full-tolerance scan. Where the bounds prove ``R - 1 <
     -root_tol`` at every scale, no inner solve is made. A skip evaluates no
     rate, so a model whose rates that read u leave their declared bounds
     (which no built-in family can do) gets no error at a skipped point, where

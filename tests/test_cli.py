@@ -52,6 +52,17 @@ model.beta.const = 0.5
 grid.n = 201
 """
 
+# hierarchical with g_low = 1e-5: the default scan range ends near 1e305,
+# where lam / g_low overflows
+SCAN_OVERFLOW_TEXT = """\
+model.variant = hierarchical
+model.g_low = 1e-5
+model.g_high = 1e-5
+model.mu0 = 1e-5
+model.b0 = 1e300
+solver.scan_points = 8
+"""
+
 HIER_TEXT = """\
 model.variant = hierarchical
 model.g_low = 0.5
@@ -697,6 +708,24 @@ class TestExitCodes:
         assert captured.err == (
             "config error: invalid solver parameters: the default lambda_max, the "
             "invariant-box scale bound, is not finite; set lambda_max\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    @pytest.mark.parametrize("line,top", [("", "1.00001e+305"),
+                                          ("solver.lambda_max = 1e304\n", "1e+304")])
+    def test_scan_range_whose_densities_overflow_is_a_named_config_error(
+            self, tmp_path, capsys, command, line, top):
+        # the scan used to warn three times, from the rate bounds, lam * v and
+        # a running integral, and exit 0
+        cfg = write_config(tmp_path / "overflow.cfg", SCAN_OVERFLOW_TEXT + line)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: invalid solver parameters: the densities at the top scale "
+            "scanned, %s, can overflow; set a smaller lambda_max\n" % top)
         assert captured.out == ""
 
     def test_default_scan_range_that_overflows_still_certifies(self, tmp_path, capsys):

@@ -277,7 +277,6 @@ class TestScanAndBisect:
         assert len(scan.ends) == len(scan.brackets) == 1
         for lam, end in zip(scan.brackets[0], scan.ends[0]):
             cold = sp.inner_picard(hier_ctx, lam, cfg)
-            assert end.converged
             assert end.R == cold.R and end.iterations == cold.iterations
             assert np.array_equal(end.v.values, cold.v.values)
         lo_end, hi_end = scan.ends[0]
@@ -447,7 +446,6 @@ def _assert_same_scan(sign, full):
     assert len(sign.ends) == len(full.ends)
     for sign_ends, full_ends in zip(sign.ends, full.ends):
         for sign_end, full_end in zip(sign_ends, full_ends):
-            assert sign_end.converged and full_end.converged
             assert sign_end.R == full_end.R
             assert sign_end.iterations == full_end.iterations
             assert sign_end.residual_l1 == full_end.residual_l1
@@ -490,111 +488,77 @@ class TestSignOnlyScan:
         ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
         cfg = sp.SolverConfig(scan_points=scan_points, picard_max_iter=picard_max_iter)
         full = sp.scan_roots(ctx, cfg)
-        sign = sp.scan_roots(ctx, cfg, sign_only=True)
+        with pytest.MonkeyPatch.context() as mp:
+            solves = _count_inner_solves(mp)
+            sign = sp.scan_roots(ctx, cfg, sign_only=True)
         _assert_same_scan(sign, full)
         assert set(sign.failed) <= set(full.failed)
+        # a solved point has the full scan's residual; any other holds its proved bound
+        solved = np.isin(sign.lambdas, solves)
+        assert sign.residuals[solved].tobytes() == full.residuals[solved].tobytes()
+        if not np.all(solved):
+            lo, hi = (R - 1.0 for R in sp.solver._proved_R_bounds(ctx, cfg, sign.lambdas))
+            proved = np.where(lo > cfg.root_tol, lo, np.where(hi < -cfg.root_tol, hi, np.nan))
+            assert sign.residuals[~solved].tobytes() == proved[~solved].tobytes()
 
-    def test_resumed_solve_is_the_cold_solve(self):
-        ctx = _stiff_reference_ctx()
-        cfg = sp.SolverConfig()
-        stopped = sp.inner_picard(ctx, 2.0, cfg, sign_only=True)
-        cold = sp.inner_picard(ctx, 2.0, cfg)
-        assert not stopped.converged and 2 <= stopped.iterations < cold.iterations
-        resumed = sp.inner_picard(ctx, 2.0, cfg, stopped)
-        assert resumed.converged and cold.converged
-        assert resumed.iterations == cold.iterations
-        assert resumed.residual_l1 == cold.residual_l1 and resumed.R == cold.R
-        assert np.array_equal(resumed.v.values, cold.v.values)
-        assert np.array_equal(resumed.pi, cold.pi)
-
-    def test_resume_counts_steps_from_the_cold_start(self):
-        ctx = _stiff_reference_ctx()
-        stopped = sp.inner_picard(ctx, 2.0, sp.SolverConfig(), sign_only=True)
-        cfg = sp.SolverConfig(picard_max_iter=stopped.iterations + 1)
-        errors = []
-        for run in (lambda: sp.inner_picard(ctx, 2.0, cfg),
-                    lambda: sp.inner_picard(ctx, 2.0, cfg, stopped)):
-            with pytest.raises(ConvergenceError) as info:
-                run()
-            errors.append((str(info.value), info.value.last_residual, info.value.iterations))
-        assert errors[0] == errors[1]
-        assert errors[0][2] == stopped.iterations + 1
-
-    def test_failed_resume_falls_back_to_the_full_scan(self, monkeypatch):
+    def test_failed_skipped_end_falls_back_to_the_full_scan(self, monkeypatch):
         ctx = _stiff_reference_ctx(2001)
         cfg = sp.SolverConfig(scan_points=64)
+        # the bracket's lower end, proved by its own R: its cold solve fails once
+        lam = sp.solver._scan_lambdas(ctx, cfg)[46]
+        _proving(monkeypatch, [46], sp.lambda_residual(ctx, lam, cfg) + 1.0)
         inner = sp.solver.inner_picard
-        resumes = []
+        fails = []
 
-        def failing_resume(ctx, lam, cfg, start=None, **kwargs):
-            if isinstance(start, sp.solver.PicardResult):
-                resumes.append(lam)
+        def failing_once(ctx, at, cfg, start=None):
+            if at == lam and not fails:
+                fails.append(at)
                 raise ConvergenceError("forced", last_residual=1.0, iterations=0)
-            return inner(ctx, lam, cfg, start, **kwargs)
+            return inner(ctx, at, cfg, start)
 
-        monkeypatch.setattr(sp.solver, "inner_picard", failing_resume)
+        monkeypatch.setattr(sp.solver, "inner_picard", failing_once)
         scan, results = sp.solve_all(ctx, cfg)
         monkeypatch.undo()
-        assert len(resumes) == 1 and len(results) == 1
+        assert fails == [lam] and len(results) == 1
         _assert_full_path(ctx, cfg, scan, results)
 
-    def test_wrong_settled_sign_falls_back_to_the_full_scan(self, monkeypatch):
+    def test_wrong_proved_sign_at_a_bracket_end_falls_back_to_the_full_scan(self, monkeypatch):
         ctx = _stiff_reference_ctx(2001)
         cfg = sp.SolverConfig(scan_points=64)
-        # the bracket's lower end: the rate bounds skip no point next to it, so
-        # its stop is always made, and a wrong sign there makes a bracket end
-        wrong = sp.scan_roots(ctx, cfg).brackets[0][0]
-        inner = sp.solver.inner_picard
-        flipped = []
-
-        def flipping(ctx, lam, cfg, start=None, **kwargs):
-            pr = inner(ctx, lam, cfg, start, **kwargs)
-            if pr.converged or lam != wrong:
-                return pr
-            flipped.append(lam)            # the stop reports R - 1 of the wrong sign
-            return replace(pr, R=2.0 - pr.R)
-
-        monkeypatch.setattr(sp.solver, "inner_picard", flipping)
+        # a proof of the wrong sign at the bracket's lower end moves the bracket
+        # down one point, and the cold solve of that end contradicts its proof
+        lam = sp.solver._scan_lambdas(ctx, cfg)[46]
+        _proving(monkeypatch, [46], 1.0 - sp.lambda_residual(ctx, lam, cfg))
+        solves = _count_inner_solves(monkeypatch)
         scan, results = sp.solve_all(ctx, cfg)
         monkeypatch.undo()
-        assert flipped == [wrong] and len(results) == 1
+        assert solves[:4] == sp.solver._scan_lambdas(ctx, cfg)[[47, 48, 45, 46]].tolist()
+        assert len(results) == 1
         _assert_full_path(ctx, cfg, scan, results)
 
-    def test_degenerate_flag_resting_on_stopped_points_falls_back(self, const_ctx_factory,
-                                                                   monkeypatch):
-        # R = 1 at every scale; 4 of 32 points fail at full tolerance but stop
-        # when settling signs, which would hide the degenerate family
+    def test_degenerate_flag_resting_on_skipped_points_falls_back(self, const_ctx_factory,
+                                                                  monkeypatch):
+        # R = 1 at every scale; 4 of 32 points fail, but the bounds skip them
+        # with R - 1 = 1 proved, which would hide the degenerate family
         ctx = const_ctx_factory(1.0, 1.0, 1.0)
         cfg = sp.SolverConfig(scan_points=32, root_tol=1e-6)
         lams = sp.solver._scan_lambdas(ctx, cfg)
-        odd = set(lams[1::8].tolist())
-        inner = sp.solver.inner_picard
-
-        def odd_points(ctx, lam, cfg, start=None, sign_only=False):
-            pr = inner(ctx, lam, cfg, start, sign_only=sign_only)
-            if lam not in odd:
-                return pr
-            if sign_only:
-                return replace(pr, R=2.0, converged=False)
-            raise ConvergenceError("forced", last_residual=1.0, iterations=cfg.picard_max_iter)
-
-        monkeypatch.setattr(sp.solver, "inner_picard", odd_points)
+        _proving(monkeypatch, slice(1, None, 8), 2.0)
+        _count_inner_solves(monkeypatch, lams[1::8])
         scan, results = sp.solve_all(ctx, cfg)
         assert scan.degenerate and results == []
         assert len(scan.failed) == 4
 
-    def test_solve_all_scan_steps_stay_sign_only(self, monkeypatch):
-        # 53 steps at the scan's scales, the resumed bracket ends' included,
-        # and 187 in all; the full-tolerance scan takes 670 steps here, ITP
-        # 134 more
+    def test_solve_all_steps_stay_few_on_the_stiff_reference(self, monkeypatch):
+        # 50 steps at the scan's scales, the skipped bracket end's included,
+        # and 184 in all; the full-tolerance scan takes 670 steps here, ITP 134 more
         ctx = _stiff_reference_ctx()
-        steps = {}                     # per scale; a resumed solve counted from its stop
+        steps = {}                     # per scale
         inner = sp.solver.inner_picard
 
-        def counted(ctx, lam, cfg, start=None, **kwargs):
-            pr = inner(ctx, lam, cfg, start, **kwargs)
-            done = start.iterations if isinstance(start, sp.solver.PicardResult) else 0
-            steps[lam] = steps.get(lam, 0) + pr.iterations - done
+        def counted(ctx, lam, cfg, start=None):
+            pr = inner(ctx, lam, cfg, start)
+            steps[lam] = steps.get(lam, 0) + pr.iterations
             return pr
 
         monkeypatch.setattr(sp.solver, "inner_picard", counted)
@@ -618,6 +582,18 @@ def _count_inner_solves(monkeypatch, failing=()):
 
     monkeypatch.setattr(sp.solver, "inner_picard", counted)
     return lams
+
+
+def _proving(monkeypatch, points, R):
+    """Make the rate bounds prove exactly ``R`` at the scan points ``points``."""
+    proved = sp.solver._proved_R_bounds
+
+    def bounds(ctx, cfg, lams):
+        lo, hi = proved(ctx, cfg, lams)
+        lo[points] = hi[points] = R
+        return lo, hi
+
+    monkeypatch.setattr(sp.solver, "_proved_R_bounds", bounds)
 
 
 def _proved_R_bound(ctx):
@@ -687,9 +663,9 @@ class TestScanSkippedByTheBounds:
         lams = _count_inner_solves(monkeypatch)
         scan, results = sp.solve_all(ctx, cfg)
         if name == "hierarchical":
-            # the bounds prove the sign at every scale but the bracket's two
-            # ends: 2 stops, 2 resumes and 9 ITP solves, of 64 scan points
-            assert len(lams) <= 13
+            # the bounds prove the sign at every scale: 2 cold solves of the
+            # bracket's skipped ends and 9 ITP solves, of 64 scan points
+            assert len(lams) <= 11
         else:
             assert len(lams) >= cfg.scan_points
         assert scan.degenerate == (name == "constant_degenerate")
@@ -772,8 +748,9 @@ class TestScanPointsTheBoundsProve:
         scan = sp.scan_roots(ctx, cfg, sign_only=True)
         lo, hi = (R - 1.0 for R in sp.solver._proved_R_bounds(ctx, cfg, scan.lambdas))
         solved = np.isin(scan.lambdas, lams)
-        # the bounds settle all but the bracket (scan points 46 and 47) and one more point
-        assert np.count_nonzero(solved) == 3 and len(scan.brackets) == 1
+        # the bounds settle all but scan point 47; the bracket's other end, 46, is solved cold
+        assert np.count_nonzero(solved) == 2 and len(scan.brackets) == 1
+        assert scan.brackets == ((scan.lambdas[46], scan.lambdas[47]),)
         skipped = ~solved
         assert np.array_equal(scan.residuals[skipped],
                               np.where(lo > 0, lo, hi)[skipped])
@@ -789,38 +766,33 @@ class TestScanPointsTheBoundsProve:
         assert set(scan.lambdas.tolist()) <= set(lams)
 
     def test_bracket_ending_on_a_skipped_point_gives_the_full_scan(self, monkeypatch):
-        # the first stop, next to skipped points, reports R - 1 of the wrong sign:
-        # both brackets it makes end on a skipped point, and its resume changes sign
+        # a proof of the wrong sign at skipped point 20, far from the root: both
+        # brackets it makes end on skipped points, and its cold solve contradicts it
         ctx = _stiff_reference_ctx(2001)
         cfg = sp.SolverConfig(scan_points=64)
-        inner = sp.solver.inner_picard
-        flipped = []
-
-        def flipping(ctx, lam, cfg, start=None, **kwargs):
-            pr = inner(ctx, lam, cfg, start, **kwargs)
-            if pr.converged or flipped:
-                return pr
-            flipped.append(lam)
-            return replace(pr, R=2.0 - pr.R)
-
-        monkeypatch.setattr(sp.solver, "inner_picard", flipping)
+        lams = sp.solver._scan_lambdas(ctx, cfg)
+        assert sp.lambda_residual(ctx, lams[20], cfg) > cfg.root_tol
+        _proving(monkeypatch, [20], 0.5)
+        solves = _count_inner_solves(monkeypatch)
         scan, results = sp.solve_all(ctx, cfg)
         monkeypatch.undo()
-        assert len(flipped) == 1 and len(results) == 1
+        assert solves[:5] == lams[[46, 47, 48, 19, 20]].tolist()
+        assert len(results) == 1
         _assert_full_path(ctx, cfg, scan, results)
 
     def test_failed_point_next_to_a_skipped_one_solves_the_skipped_end(self, monkeypatch):
-        # scan point 46 fails in both scans, so the bracket runs from the skipped
-        # point 45 to 47: 45 is solved cold, 47 resumed, and no other point rescanned
+        # scan point 47, the one the bounds leave unproved, fails in both scans, so
+        # the bracket runs from skipped point 46 to skipped point 48: both are
+        # solved cold, and no other point rescanned
         ctx = _stiff_reference_ctx()
         cfg = sp.SolverConfig(scan_points=64)
         lams = sp.solver._scan_lambdas(ctx, cfg)
-        solves = _count_inner_solves(monkeypatch, [lams[46]])
+        solves = _count_inner_solves(monkeypatch, [lams[47]])
         sign = sp.scan_roots(ctx, cfg, sign_only=True)
-        assert len(solves) <= 5
+        assert solves == lams[[47, 46, 48]].tolist()
         full = sp.scan_roots(ctx, cfg)
-        assert sign.failed == full.failed == (46,)
-        assert sign.brackets == ((lams[45], lams[47]),)
+        assert sign.failed == full.failed == (47,)
+        assert sign.brackets == ((lams[46], lams[48]),)
         _assert_same_scan(sign, full)
 
     @settings(max_examples=40, deadline=None)
@@ -853,15 +825,16 @@ class TestScanPointsTheBoundsProve:
         _assert_same_scan(sign, full)
         assert set(sign.failed) <= set(full.failed)
 
-    def test_failed_resume_next_to_a_skipped_point_gives_the_unskipped_results(
+    def test_failed_skipped_end_next_to_a_failed_point_gives_the_unskipped_results(
             self, monkeypatch):
-        # 20 steps let each scale settle its sign but not resume to picard_tol, so
-        # the full scan stands in; it brackets a wide interval that does not refine
+        # 20 steps solve no scale near the root to picard_tol: point 47 fails, and so
+        # does the cold solve of the skipped bracket end 46, so the full scan stands
+        # in; it brackets a wide interval that does not refine
         ctx = _stiff_reference_ctx()
         cfg = sp.SolverConfig(scan_points=64, picard_max_iter=20)
         lams = _count_inner_solves(monkeypatch)
         scan, results = sp.solve_all(ctx, cfg)
-        assert lams[:3] == sp.solver._scan_lambdas(ctx, cfg)[46:49].tolist()
+        assert lams[:3] == sp.solver._scan_lambdas(ctx, cfg)[[47, 46, 0]].tolist()
         _unskipped(monkeypatch)
         unskipped, unskipped_results = sp.solve_all(ctx, cfg)
         assert np.array_equal(scan.residuals, unskipped.residuals, equal_nan=True)
