@@ -63,6 +63,28 @@ model.b0 = 1e300
 solver.scan_points = 8
 """
 
+# hierarchical whose brackets are wide enough to overflow ITP's step bounds
+SCAN_WIDE_BRACKET_TEXT = """\
+model.variant = hierarchical
+model.g_low = 0.001
+model.g_high = 0.5
+model.mu0 = 3
+model.b0 = 1e152
+grid.n = 51
+solver.scan_points = 3
+"""
+
+# hierarchical with mu0 = 1e-3 and g_low = 1: |e2|_1, not 1/g_low, bounds
+# the scaled densities
+SCAN_E2_BOUND_TEXT = """\
+model.variant = hierarchical
+model.g_low = 1
+model.g_high = 1
+model.mu0 = 1e-3
+model.b0 = 1
+solver.lambda_max = %r
+"""
+
 HIER_TEXT = """\
 model.variant = hierarchical
 model.g_low = 0.5
@@ -728,6 +750,38 @@ class TestExitCodes:
             "scanned, %s, can overflow; set a smaller lambda_max\n" % top)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    @pytest.mark.parametrize("text", [
+        # ITP's wide brackets, with no override: the default top stays in range
+        pytest.param(SCAN_WIDE_BRACKET_TEXT, id="wide-brackets"),
+        # 1/g_low binds: 4 * 4.4e302 / 1e-5 is just below overflow
+        pytest.param(SCAN_OVERFLOW_TEXT + "solver.lambda_max = 4.4e302\n", id="g_low-binds"),
+        # |e2|_1 binds: 4 * 4.49e304 * |e2|_1 is just below overflow
+        pytest.param(SCAN_E2_BOUND_TEXT % 4.49e304, id="e2-binds"),
+    ])
+    def test_scan_range_just_inside_the_overflow_bound_runs_clean(
+            self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path / "edge.cfg", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("text,top", [
+        pytest.param(SCAN_OVERFLOW_TEXT + "solver.lambda_max = 4.5e302\n", "4.5e+302",
+                     id="g_low-binds"),
+        pytest.param(SCAN_E2_BOUND_TEXT % 4.5e304, "4.5e+304", id="e2-binds"),
+    ])
+    def test_scan_range_just_past_the_overflow_bound_is_rejected(
+            self, tmp_path, capsys, text, top):
+        # the factor 4 of headroom is what rejects these two
+        cfg = write_config(tmp_path / "edge.cfg", text)
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid solver parameters: the densities at the top scale "
+            "scanned, %s, can overflow; set a smaller lambda_max\n" % top)
+
     def test_default_scan_range_that_overflows_still_certifies(self, tmp_path, capsys):
         # certify reads no scan range, and R = 1e304-ish stays finite
         cfg = write_config(tmp_path / "overflow.cfg", OVERFLOW_TEXT % 1e304)
@@ -899,8 +953,7 @@ class TestFuzzedConfigs:
     @settings(max_examples=25, deadline=None)
     @given(text=_CONFIGS)
     # brackets wide enough to overflow ITP's step bounds; the strategy draws rates of 0.01-5
-    @example(text="model.variant = hierarchical\nmodel.g_low = 0.001\nmodel.g_high = 0.5\n"
-                  "model.mu0 = 3\nmodel.b0 = 1e152\ngrid.n = 51\nsolver.scan_points = 3\n")
+    @example(text=SCAN_WIDE_BRACKET_TEXT)
     @example(text="model.variant = hierarchical\nmodel.g_low = 1e-5\nmodel.g_high = 1e-5\n"
                   "model.mu0 = 1e-5\nmodel.b0 = 1e300\nsolver.scan_points = 8\n"
                   "solver.lambda_max = 1e302\n")
