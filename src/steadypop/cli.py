@@ -106,8 +106,9 @@ def cmd_solve(run: RunConfig, ctx: KernelContext) -> int:
 
 def cmd_scan(run: RunConfig, ctx: KernelContext) -> int:
     scan = scan_roots(ctx, run.solver)
+    status = dict.fromkeys(scan.failed, "failed") | dict.fromkeys(scan.proved, "proved")
     _write(run, "scan.csv", ["lambda,residual,status"] + [
-        "%.12g,%.12g,%s" % (lam, res, "failed" if i in scan.failed else "ok")
+        "%.12g,%.12g,%s" % (lam, res, status.get(i, "ok"))
         for i, (lam, res) in enumerate(zip(scan.lambdas.tolist(), scan.residuals.tolist()))])
     if scan.degenerate:
         print("degenerate family: residual ~ 0 across the scan")

@@ -151,7 +151,7 @@ class ModelSpec:
     for every u of integral P. A family that gives it promises that ``beta_inf``
     and ``beta_sup`` are both monotone in P, so that over an interval of sizes
     their extremes lie at its ends, and that both also take an array of sizes,
-    giving a bound per size; the solver's sign-only scan reads both to skip the
+    giving a bound per size; the solver's scan reads both to skip the
     scales whose sign of R - 1 the bounds prove. Give them as module-level
     functions, so that equal models compare equal.
     """

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -53,10 +54,10 @@ def _rising_fertility_beta_sup(p, P):
     return p["b0"] + P
 
 
-def rising_fertility_model():
-    """beta = 0.5 + P with g = mu = 1: beta leaves its declared beta_max = 0.5 at every P > 0."""
-    bounds = sp.RateBounds(1.0, 1.0, 1.0, 1.0, 0.5)
-    return sp.ModelSpec("rising_fertility", bounds, {"b0": 0.5}, _rising_fertility,
+def rising_fertility_model(b0=0.5):
+    """beta = b0 + P with g = mu = 1: beta leaves its declared beta_max = b0 at every P > 0."""
+    bounds = sp.RateBounds(1.0, 1.0, 1.0, 1.0, b0)
+    return sp.ModelSpec("rising_fertility", bounds, {"b0": b0}, _rising_fertility,
                         _rising_fertility_beta_sup)
 
 
@@ -70,6 +71,31 @@ def envelope_quadrature(bounds, grid):
     t = sp.model._tolerance
     c = (bounds.mu_low - t(bounds.mu_low)) / (bounds.g_high + t(bounds.g_high))
     return sp.integrate(grid, np.exp(-c * grid.nodes)) / (bounds.g_low - t(bounds.g_low))
+
+
+def segment_interval(ctx, W):
+    """``(S_lo, S_hi)`` of ``solver._computed_mass_interval``'s lemma, summed over every
+    segment with ``W``, a non-decreasing bound on the steps, and widened and capped as
+    that function does; a reference without its blocks."""
+    b, grid, t = ctx.model.bounds, ctx.grid, sp.model._tolerance
+    mu_low, mu_high = b.mu_low - t(b.mu_low), b.mu_high + t(b.mu_high)
+    c_low = mu_low / (b.g_high + t(b.g_high))
+    D = W * mu_high / (b.g_low - t(b.g_low))
+    r = D / -np.expm1(-D)
+    m = r * np.exp(-D)                                 # D/(e^D - 1), without overflow
+    x = grid.nodes[1:-1]                               # where segments 1, 2, ... start
+    upper = r[0] + np.sum(np.diff(r) * np.exp(-c_low * x))
+    lower = m[-1] * -math.expm1(-c_low * grid.x_max) + np.sum(-np.diff(m) * -np.expm1(-c_low * x))
+    margin = sp.solver._rounding_margin(grid)
+    return (lower / mu_high / (1.0 + margin),
+            min(upper / mu_low, envelope_quadrature(b, grid)) * (1.0 + margin))
+
+
+def widest_step_interval(ctx):
+    """The interval from the grid's widest step alone, which the package used before it
+    summed segment by segment."""
+    steps = ctx.grid.steps
+    return segment_interval(ctx, np.full(steps.shape, steps.max()))
 
 
 def write_config(path, text):

@@ -664,6 +664,39 @@ class TestShippedConfigs:
             assert rows[column] == pytest.approx(expect, abs=tol)
 
 
+# shipped config -> scan.csv rows the rate bounds prove: hierarchical's two bracket
+# ends are solved, and neither the counterexample nor the degenerate family gives beta_inf
+SHIPPED_PROVED = {"composite_increasing_mu": 256, "constant_degenerate": 0,
+                  "constant_subcritical": 32, "counterexample": 0, "hierarchical": 62}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_PROVED))
+def test_scan_csv_is_the_full_scan_but_at_proved_rows(tmp_path, capsys, name):
+    path = os.path.join(CONFIGS, name + ".cfg")
+    main(["scan", "--config", path, "--out", str(tmp_path / "scan")])
+    brackets = capsys.readouterr().out.count("bracket [")
+    main(["solve", "--config", path, "--out", str(tmp_path / "solve")])
+    captured = capsys.readouterr()
+    assert brackets == (captured.out.count("equilibrium lambda_star=")
+                        + captured.err.count("error: bracket ["))
+    rows = (tmp_path / "scan" / "scan.csv").read_text().splitlines()[1:]
+    run = load_config(path)
+    ctx = sp.make_context(run.model, run.grid)
+    full = sp.solver._scan(ctx, run.solver, sp.solver._scan_lambdas(ctx, run.solver), {})
+    assert len(rows) == len(full.lambdas)
+    assert sum(row.endswith(",proved") for row in rows) == SHIPPED_PROVED[name]
+    for i, (row, lam, exact) in enumerate(zip(rows, full.lambdas.tolist(),
+                                              full.residuals.tolist())):
+        lam_text, res, status = row.split(",")
+        assert status in ("ok", "failed", "proved")
+        if status != "proved":          # solved: the full scan's row, byte for byte
+            assert row == "%.12g,%.12g,%s" % (lam, exact, "failed" if i in full.failed else "ok")
+        elif not np.isnan(exact):       # the proved bound: the sign, and nearer 0
+            exact = float("%.12g" % exact)
+            assert lam_text == "%.12g" % lam
+            assert np.sign(float(res)) == np.sign(exact) and abs(float(res)) <= abs(exact)
+
+
 class TestExitCodes:
     def test_runtime_error_exit_1(self, tmp_path, capsys, monkeypatch):
         def fail(ctx, cfg):

@@ -290,8 +290,8 @@ class TestWorkDoneOnce:
         evaluations = _count(monkeypatch, sp.model.FrozenRates, "checked")
         ctx, cfg = _shipped_context("hierarchical")
         assert ctx.pi is None and shapes == []
-        # the full scan, since the sign-only one skips most of its points
-        scan = sp.scan_roots(ctx, cfg)
+        # the full scan, since the one that solve and scan run skips most of its points
+        scan = sp.solver._scan(ctx, cfg, sp.solver._scan_lambdas(ctx, cfg), {})
         assert len(scan.brackets) == 1
         assert len(shapes) == len(evaluations) > 100
 

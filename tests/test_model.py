@@ -13,6 +13,8 @@ from conftest import (
     exp_profile,
     misdeclared_constant,
     misdeclared_hierarchical,
+    segment_interval,
+    widest_step_interval,
 )
 
 
@@ -272,7 +274,8 @@ def _bound_ctx(name, scheme):
 
 
 class TestReproductionBound:
-    """R(u) <= beta_sup(P) * S_hi, the bound find_rho0 passes sizes with."""
+    """beta_inf(P) * S_lo <= R(u) <= beta_sup(P) * S_hi: the bounds the scan skips points
+    with, the upper one also the bound find_rho0 passes sizes with."""
 
     @pytest.mark.parametrize("scheme", ["uniform_trapezoid", "graded_trapezoid"])
     @pytest.mark.parametrize("name", sorted(BOUND_MODELS))
@@ -280,14 +283,17 @@ class TestReproductionBound:
     @given(log_scale=st.floats(-3.0, 4.0), seed=st.integers(0, 2**32 - 1))
     def test_R_within_bound(self, name, scheme, log_scale, seed):
         ctx = _bound_ctx(name, scheme)
-        S_hi = sp.solver._computed_mass_interval(ctx)[1]
+        model = ctx.model
+        S_lo, S_hi = sp.solver._computed_mass_interval(ctx)
         rng = np.random.default_rng(seed)
-        for u in sp.random_onion_samples(ctx.model.bounds, ctx.grid, [10.0**log_scale], 4, rng):
+        for u in sp.random_onion_samples(model.bounds, ctx.grid, [10.0**log_scale], 4, rng):
             noisy = sp.DensityProfile(ctx.grid, u.values * rng.uniform(0.0, 2.0, ctx.grid.n))
             for v in (u, noisy):                                  # and per-node noise
                 P = sp.integrate(ctx.grid, v)
-                assert sp.net_reproduction_R(ctx, v) <= ctx.model.beta_sup(ctx.model.params,
-                                                                           P) * S_hi
+                R = sp.net_reproduction_R(ctx, v)
+                assert R <= model.beta_sup(model.params, P) * S_hi
+                if model.beta_inf is not None:
+                    assert model.beta_inf(model.params, P) * S_lo <= R
 
     def test_beta_sup_per_variant(self):
         P = 0.75
@@ -320,12 +326,45 @@ class TestReproductionBound:
         S_hi = sp.solver._computed_mass_interval(sp.make_context(model, g))[1]
         assert S_hi <= widened
         assert (S_hi == widened) == (n == 11)
-        # the segment lemma's bound, the smaller one at n = 301, is widened too; no computed
-        # R has been seen past either bound unwidened, so the margin is pinned here
-        t = sp.model._tolerance
-        D = float(np.max(g.steps)) * (b.mu_high + t(b.mu_high)) / (b.g_low - t(b.g_low))
-        lemma = D / -math.expm1(-D) / (b.mu_low - t(b.mu_low))
-        assert S_hi == min(lemma, quadrature) * (1.0 + margin)
+        # the per-segment lemma's bound, the smaller one at n = 301, is widened too; no
+        # computed R has been seen past either bound unwidened, so the margin is pinned here
+        ctx = sp.make_context(model, g)
+        assert S_hi == pytest.approx(
+            segment_interval(ctx, np.maximum.accumulate(g.steps))[1], rel=1e-14)
+        # within the widest step's bound, which it matches on this uniform grid
+        assert S_hi <= widest_step_interval(ctx)[1]
+        assert S_hi == pytest.approx(widest_step_interval(ctx)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["uniform_trapezoid", "graded_trapezoid", "narrowing"])
+    def test_interval_in_blocks_is_near_the_per_segment_interval(self, scheme):
+        # at 100001 nodes the step bound is the widest step per block of 391 segments,
+        # which vary by 1.8% on the graded grid: each end moves by 1.3e-5 there, and
+        # the interval is 21 times narrower than the widest step's. On the graded
+        # grid mirrored, whose steps narrow, the bound is the first step throughout
+        model = BOUND_MODELS["hierarchical_stiff"]
+        x_max = sp.default_x_max(model.bounds)
+        grid = sp.build_grid(x_max, 100001, scheme.replace("narrowing", "graded_trapezoid"))
+        if scheme == "narrowing":
+            grid = sp.Grid(x_max - grid.nodes[::-1])
+        ctx = sp.make_context(model, grid)
+        S_lo, S_hi = sp.solver._computed_mass_interval(ctx)
+        seg_lo, seg_hi = segment_interval(ctx, np.maximum.accumulate(ctx.grid.steps))
+        assert seg_lo * (1.0 - 1e-4) <= S_lo <= seg_lo * (1.0 + 1e-12)
+        assert seg_hi * (1.0 - 1e-12) <= S_hi <= seg_hi * (1.0 + 1e-4)
+        widest_lo, widest_hi = widest_step_interval(ctx)
+        if scheme == "graded_trapezoid":
+            assert S_hi - S_lo < 0.05 * (widest_hi - widest_lo)
+
+    def test_coarse_stiff_grid_has_no_lower_bound_and_the_envelope_above(self):
+        # steps of 13 at mu_high / g_low = 100: the lemma's ratios are 0 and about
+        # 1300, past where e^D overflows, so only the envelope bounds the mass
+        model = sp.hierarchical_model(g_low=0.01, g_high=1.0, mu0=1.0, b0=10.0)
+        grid = sp.build_grid(sp.default_x_max(model.bounds), 3)
+        ctx = sp.make_context(model, grid)
+        margin = sp.solver._rounding_margin(grid)
+        S_lo, S_hi = sp.solver._computed_mass_interval(ctx)
+        assert S_lo == 0.0
+        assert S_hi == envelope_quadrature(model.bounds, grid) * (1.0 + margin)
 
     @pytest.mark.parametrize("low", ["g0", "mu0"])
     def test_interval_is_zero_to_inf_below_the_check_tolerance(self, low):

@@ -96,7 +96,7 @@ class TestFamilyOutsideTheBuilders:
             return inner(ctx, lam, *args, **kwargs)
 
         monkeypatch.setattr(sp.solver, "inner_picard", counted)
-        scan = sp.scan_roots(ctx, CFG, sign_only=True)
+        scan = sp.scan_roots(ctx, CFG)
         assert set(scan.lambdas.tolist()) <= set(lams)
         assert len(scan.brackets) == 1
 
@@ -155,17 +155,33 @@ class TestFamilyOutsideTheBuilders:
     def test_rates_reading_u_past_the_bounds_are_not_evaluated_by_a_skipped_solve(
             self, tmp_path, capsys, monkeypatch, scheme):
         # beta = b0 + P leaves its declared beta_max = b0 at every P > 0, which no
-        # built-in family can do. The bounds prove R <= b0 / mu0 = 1/2, so solve
-        # skips its scan and evaluates no rate: it exits 3 where the scan would
-        # raise. scan and diagnose still evaluate, and still find the violation.
-        model = rising_fertility_model()
-        grid = sp.build_grid(sp.default_x_max(model.bounds), 201, scheme)
-        monkeypatch.setattr(cli, "load_config", lambda path, out_dir=None: RunConfig(
-            model, grid, sp.SolverConfig(scan_points=16), out_dir))
-        argv = ["--config", "unused.cfg", "--out", str(tmp_path)]
+        # built-in family can do. The bounds prove R <= b0 / mu0 = 1/2, so solve and
+        # scan skip every scan point and evaluate no rate: they exit 3 where the full
+        # scan would raise. diagnose still evaluates, and still finds the violation.
+        argv = _run_custom(monkeypatch, tmp_path, rising_fertility_model(), scheme)
         assert cli.main(["solve"] + argv) == 3
         assert capsys.readouterr().out == "no positive equilibrium found in the scanned range\n"
-        assert cli.main(["scan"] + argv) == 1
-        assert capsys.readouterr().err.startswith("error: beta evaluated outside declared bounds")
+        assert cli.main(["scan"] + argv) == 3
+        rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
+        assert len(rows) == 16 and all(row.endswith(",proved") for row in rows)
         assert cli.main(["diagnose"] + argv) == 0
         assert capsys.readouterr().out.startswith("bounds_A,fail,")
+
+    @pytest.mark.parametrize("scheme", ["uniform_trapezoid", "graded_trapezoid"])
+    def test_rates_reading_u_past_the_bounds_raise_where_no_point_is_proved(
+            self, tmp_path, capsys, monkeypatch, scheme):
+        # the same binder at b0 = beta_max = 2: the bounds give R <= 2, so they prove
+        # no point, and solve and scan evaluate the rates and find the violation
+        argv = _run_custom(monkeypatch, tmp_path, rising_fertility_model(2.0), scheme)
+        for command in ("solve", "scan"):
+            assert cli.main([command] + argv) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: beta evaluated outside declared bounds")
+
+
+def _run_custom(monkeypatch, out_dir, model, scheme):
+    """CLI arguments that run ``model`` on a 201-node ``scheme`` grid with 16 scan points."""
+    grid = sp.build_grid(sp.default_x_max(model.bounds), 201, scheme)
+    monkeypatch.setattr(cli, "load_config", lambda path, out_dir=None: RunConfig(
+        model, grid, sp.SolverConfig(scan_points=16), out_dir))
+    return ["--config", "unused.cfg", "--out", str(out_dir)]

@@ -24,6 +24,7 @@ from conftest import (
     exp_profile,
     misdeclared_constant,
     misdeclared_hierarchical,
+    widest_step_interval,
 )
 from oracle import hierarchical_shape
 
@@ -271,7 +272,7 @@ class TestScanAndBisect:
 
     def test_scan_residuals_are_cold_started(self, hier_ctx):
         cfg = sp.SolverConfig(scan_points=16)
-        scan = sp.scan_roots(hier_ctx, cfg)
+        scan = _full_scan(hier_ctx, cfg)
         for lam, r in zip(scan.lambdas, scan.residuals):
             assert r == sp.lambda_residual(hier_ctx, float(lam), cfg)
         assert len(scan.ends) == len(scan.brackets) == 1
@@ -440,6 +441,11 @@ def _sign_model(family, a, b):
     return _evidence_model("composite_" + family, a, b)
 
 
+def _full_scan(ctx, cfg):
+    """The scan that skips no point: the reference the skipping scan must match."""
+    return sp.solver._scan(ctx, cfg, sp.solver._scan_lambdas(ctx, cfg), {})
+
+
 def _assert_same_scan(sign, full):
     assert sign.brackets == full.brackets
     assert sign.degenerate == full.degenerate
@@ -455,11 +461,12 @@ def _assert_same_scan(sign, full):
 
 def _assert_full_path(ctx, cfg, scan, results):
     """``solve_all``'s scan and results are the full scan's and their refinements."""
-    full = sp.scan_roots(ctx, cfg)
+    full = _full_scan(ctx, cfg)
     expected = sorted((sp.bisect_root(ctx, br, cfg, ends)
                        for br, ends in zip(full.brackets, full.ends)),
                       key=lambda r: r.lambda_star)
     assert scan.failed == full.failed
+    assert scan.proved == full.proved == ()
     assert np.array_equal(scan.residuals, full.residuals, equal_nan=True)
     _assert_same_scan(scan, full)
     assert len(results) == len(expected)
@@ -470,7 +477,8 @@ def _assert_full_path(ctx, cfg, scan, results):
 
 
 class TestSignOnlyScan:
-    """solve_all's scan settles signs only, yet gives the full scan's brackets, ends and flag."""
+    """The scan skips the points the bounds prove, yet gives the full scan's brackets, ends
+    and flag."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -487,14 +495,16 @@ class TestSignOnlyScan:
         model = _sign_model(family, a, b)
         ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
         cfg = sp.SolverConfig(scan_points=scan_points, picard_max_iter=picard_max_iter)
-        full = sp.scan_roots(ctx, cfg)
+        full = _full_scan(ctx, cfg)
         with pytest.MonkeyPatch.context() as mp:
             solves = _count_inner_solves(mp)
-            sign = sp.scan_roots(ctx, cfg, sign_only=True)
+            sign = sp.scan_roots(ctx, cfg)
         _assert_same_scan(sign, full)
         assert set(sign.failed) <= set(full.failed)
-        # a solved point has the full scan's residual; any other holds its proved bound
+        # a solved point has the full scan's residual; any other is proved and holds
+        # its proved bound
         solved = np.isin(sign.lambdas, solves)
+        assert sign.proved == tuple(np.flatnonzero(~solved).tolist()) and full.proved == ()
         assert sign.residuals[solved].tobytes() == full.residuals[solved].tobytes()
         if not np.all(solved):
             lo, hi = (R - 1.0 for R in sp.solver._proved_R_bounds(ctx, cfg, sign.lambdas))
@@ -640,7 +650,7 @@ class TestScanSkippedByTheBounds:
         assume(bound < -cfg.root_tol)
         scan, results = sp.solve_all(ctx, cfg)
         _assert_skipped(ctx, cfg, scan, results)
-        full = sp.scan_roots(ctx, cfg)
+        full = _full_scan(ctx, cfg)
         assert full.brackets == () and not full.degenerate
         good = ~np.isnan(full.residuals)
         assert np.any(good)
@@ -694,12 +704,12 @@ def _proof_model(family, a, b, c):
 
 
 def _unskipped(monkeypatch):
-    """Make the sign-only scan skip no point, as if the bounds proved nothing."""
+    """Make the scan skip no point, as if the bounds proved nothing."""
     monkeypatch.setattr(sp.solver, "_proved_R_bounds", lambda ctx, cfg, lams: None)
 
 
 class TestScanPointsTheBoundsProve:
-    """The sign-only scan skips the points whose sign of R - 1 the rate bounds prove."""
+    """The scan skips the points whose sign of R - 1 the rate bounds prove."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -716,6 +726,9 @@ class TestScanPointsTheBoundsProve:
         S_lo, S_hi = sp.solver._computed_mass_interval(ctx)
         margin = sp.solver._rounding_margin(ctx.grid)
         assert 0.0 <= S_lo <= S_hi <= envelope_quadrature(model.bounds, ctx.grid) * (1.0 + margin)
+        # the per-segment sums lie inside the widest step's interval, up to rounding
+        widest_lo, widest_hi = widest_step_interval(ctx)
+        assert widest_lo <= S_lo * (1.0 + 1e-12) and S_hi <= widest_hi * (1.0 + 1e-12)
         rng = np.random.default_rng(n)
         for u in sp.random_onion_samples(model.bounds, ctx.grid, (scale,), 4, rng):
             noisy = u.values * rng.uniform(0.0, 2.0, n)       # per-node noise
@@ -733,25 +746,42 @@ class TestScanPointsTheBoundsProve:
         model = _proof_model(family, a, b, c)
         ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
         cfg = sp.SolverConfig(scan_points=16)
-        full = sp.scan_roots(ctx, cfg)
+        full = _full_scan(ctx, cfg)
         lo, hi = (R - 1.0 for R in sp.solver._proved_R_bounds(ctx, cfg, full.lambdas))
         r, good = full.residuals, ~np.isnan(full.residuals)
         assert np.all(lo[good] <= r[good]) and np.all(r[good] <= hi[good])
         assert np.all(r[good & (lo > cfg.root_tol)] > cfg.root_tol)
         assert np.all(r[good & (hi < -cfg.root_tol)] < -cfg.root_tol)
-        _assert_same_scan(sp.scan_roots(ctx, cfg, sign_only=True), full)
+        _assert_same_scan(sp.scan_roots(ctx, cfg), full)
+
+    def test_graded_stiff_context_proves_all_points_but_the_root_one(self, monkeypatch):
+        # stiff-picard's graded stiff_3 (seed 1): the per-segment mass interval, [0.972,
+        # 1.029], proves 63 of 64 points, where the widest step's, [0.511, 1.731], proved 59
+        model = sp.hierarchical_model(g_low=0.0254357, g_high=1.0, mu0=1.0, b0=6.23534)
+        ctx = _graded_ctx(model, 4001)
+        cfg = sp.SolverConfig(scan_points=64)
+        lams = sp.solver._scan_lambdas(ctx, cfg)
+
+        def proved():
+            lo, hi = (R - 1.0 for R in sp.solver._proved_R_bounds(ctx, cfg, lams))
+            return np.count_nonzero((lo > cfg.root_tol) | (hi < -cfg.root_tol))
+
+        assert proved() == 63
+        monkeypatch.setattr(sp.solver, "_computed_mass_interval", widest_step_interval)
+        assert proved() == 59
 
     def test_skipped_point_holds_its_proved_bound_nearest_one(self, monkeypatch):
         ctx = _stiff_reference_ctx()
         cfg = sp.SolverConfig(scan_points=64)
         lams = _count_inner_solves(monkeypatch)
-        scan = sp.scan_roots(ctx, cfg, sign_only=True)
+        scan = sp.scan_roots(ctx, cfg)
         lo, hi = (R - 1.0 for R in sp.solver._proved_R_bounds(ctx, cfg, scan.lambdas))
         solved = np.isin(scan.lambdas, lams)
         # the bounds settle all but scan point 47; the bracket's other end, 46, is solved cold
         assert np.count_nonzero(solved) == 2 and len(scan.brackets) == 1
         assert scan.brackets == ((scan.lambdas[46], scan.lambdas[47]),)
         skipped = ~solved
+        assert scan.proved == tuple(i for i in range(64) if i not in (46, 47))
         assert np.array_equal(scan.residuals[skipped],
                               np.where(lo > 0, lo, hi)[skipped])
         assert np.all((lo[skipped] > cfg.root_tol) | (hi[skipped] < -cfg.root_tol))
@@ -762,8 +792,9 @@ class TestScanPointsTheBoundsProve:
         ctx, cfg = _shipped_ctx(name)
         assert ctx.model.beta_inf is None
         lams = _count_inner_solves(monkeypatch)
-        scan = sp.scan_roots(ctx, cfg, sign_only=True)
+        scan = sp.scan_roots(ctx, cfg)
         assert set(scan.lambdas.tolist()) <= set(lams)
+        assert scan.proved == ()
 
     def test_bracket_ending_on_a_skipped_point_gives_the_full_scan(self, monkeypatch):
         # a proof of the wrong sign at skipped point 20, far from the root: both
@@ -788,9 +819,9 @@ class TestScanPointsTheBoundsProve:
         cfg = sp.SolverConfig(scan_points=64)
         lams = sp.solver._scan_lambdas(ctx, cfg)
         solves = _count_inner_solves(monkeypatch, [lams[47]])
-        sign = sp.scan_roots(ctx, cfg, sign_only=True)
+        sign = sp.scan_roots(ctx, cfg)
         assert solves == lams[[47, 46, 48]].tolist()
-        full = sp.scan_roots(ctx, cfg)
+        full = _full_scan(ctx, cfg)
         assert sign.failed == full.failed == (47,)
         assert sign.brackets == ((lams[46], lams[48]),)
         _assert_same_scan(sign, full)
@@ -806,7 +837,7 @@ class TestScanPointsTheBoundsProve:
     )
     def test_failing_points_keep_the_full_scans_ends(self, family, scheme, scan_points, k,
                                                      anywhere, a, b, c):
-        # fail the k lowest (k < 0: the -k highest) scales that the sign-only scan
+        # fail the k lowest (k < 0: the -k highest) scales that the skipping scan
         # solves, so that a bracket can end on a skipped point, and up to two others
         model = _proof_model(family, a, b, c)
         ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), 201, scheme))
@@ -814,14 +845,14 @@ class TestScanPointsTheBoundsProve:
         lams = sp.solver._scan_lambdas(ctx, cfg)
         with pytest.MonkeyPatch.context() as mp:
             solved = _count_inner_solves(mp)
-            sp.scan_roots(ctx, cfg, sign_only=True)
+            sp.scan_roots(ctx, cfg)
         solved = sorted(set(solved))
         forced = (solved[:k] if k >= 0 else solved[k:]) + [
             lams[i] for i in anywhere if i < scan_points]
         with pytest.MonkeyPatch.context() as mp:
             _count_inner_solves(mp, forced)
-            sign = sp.scan_roots(ctx, cfg, sign_only=True)
-            full = sp.scan_roots(ctx, cfg)
+            sign = sp.scan_roots(ctx, cfg)
+            full = _full_scan(ctx, cfg)
         _assert_same_scan(sign, full)
         assert set(sign.failed) <= set(full.failed)
 
