@@ -101,10 +101,10 @@ class MapATrace:
 class ScanResult:
     """Scalar residual on the scan grid, its sign-change brackets and failed points.
 
-    ``residuals`` are exact at every point solved (see :func:`scan_roots`);
-    at each point in ``proved``, which the rate bounds settle and no inner
-    solve reached, the residual is that point's proved bound on R nearest 1,
-    minus 1. ``failed`` lists the solved points that failed.
+    ``residuals`` is the one array the brackets are read from: exact at each
+    point solved (see :func:`scan_roots`), NaN at each point in ``failed``,
+    and at each point in ``proved``, which no inner solve reached, its proved
+    bound on R nearest 1, minus 1. Both index tuples are in scale order.
     """
 
     lambdas: np.ndarray
@@ -217,87 +217,83 @@ def _scan_lambdas(ctx: KernelContext, cfg: SolverConfig) -> np.ndarray:
 def scan_roots(ctx: KernelContext, cfg: SolverConfig) -> ScanResult:
     """Evaluate the scalar residual on a scale grid and collect sign-change brackets.
 
-    Each point that :func:`_proved_R_bounds` proves to have ``R - 1`` beyond
-    ``root_tol`` is skipped, with no rate evaluated, and listed in
-    ``proved``: its residual is its proved bound nearest 1, minus 1. Every
-    other point, and each skipped bracket end (which then leaves
-    ``proved``), is solved cold to ``picard_tol``, so its residual equals
-    ``lambda_residual`` there; each bracket keeps its ends' results for the
-    refinement to reuse. Brackets, ends and the degenerate flag are those of
-    the full scan, which skips no point, while ``failed`` lists only the
-    solved points that failed. The full scan is returned instead when a
-    skipped bracket end fails or its solved sign contradicts its proof, or
-    when the degenerate flag rests on points not solved. A point whose
-    ``|R - 1|`` is within ``root_tol`` is never skipped. Only sign changes at
-    scan resolution are found. A residual that is ~0 at >= 90% of the points
-    is reported as a degenerate family and yields no brackets.
+    One residual array starts at each point that :func:`_proved_R_bounds`
+    proves to have ``R - 1`` beyond ``root_tol`` as its proved bound nearest
+    1, minus 1, with no rate evaluated, and NaN elsewhere. Each NaN point is
+    solved cold to ``picard_tol``, so its residual equals ``lambda_residual``
+    there. Brackets, ends and the degenerate flag are those of the full scan,
+    which solves every point: each proved bracket end is solved cold, and so
+    is every point still proved when one such end fails or contradicts its
+    proof, or when the degenerate flag rests on points not solved. No point
+    is solved twice. Only sign changes at scan resolution are found. A
+    residual ~0 at >= 90% of the points is a degenerate family, with no brackets.
     """
     lams = _scan_lambdas(ctx, cfg)
-    bounds = _proved_R_bounds(ctx, cfg, lams)
-    if bounds is not None:
-        lo, hi = (R - 1.0 for R in bounds)
-        sign = np.where(lo > cfg.root_tol, 1, np.where(hi < -cfg.root_tol, -1, 0))
-        skip = np.flatnonzero(sign)
-        proved = np.where(sign > 0, lo, hi)[skip]
-        scan = _scan(ctx, cfg, lams, dict(zip(skip.tolist(), proved.tolist())))
-        if scan is not None:
-            return scan
-    return _scan(ctx, cfg, lams, {})
+    lo, hi = (R - 1.0 for R in _proved_R_bounds(ctx, cfg, lams))
+    r = np.where(lo > cfg.root_tol, lo, np.where(hi < -cfg.root_tol, hi, np.nan))
+    return _scan(ctx, cfg, lams, r)
 
 
-def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray,
-          skipped: dict) -> ScanResult | None:
-    """:func:`scan_roots` on the scales ``lams``, skipping the points in
-    ``skipped`` (index -> residual); None where that cannot stand in for the
-    full scan, which skips none."""
-    r = np.full(lams.shape, np.nan)      # residuals
-    failed, pairs, solved = [], [], 0
-    ends = {}                      # index -> PicardResult of each bracket end, None if skipped
-    prev = None                    # (index, PicardResult, residual) of the last good point
-    for i, lam in enumerate(lams.tolist()):
-        if i in skipped:
-            pr, res = None, skipped[i]
-        else:
-            try:
-                pr = inner_picard(ctx, lam, cfg)
-            except ConvergenceError:
-                failed.append(i)
-                continue
-            res = pr.R - 1.0
-            solved += 1
-        r[i] = res
-        if prev is not None and prev[2] != 0.0 and (prev[2] * res < 0 or res == 0.0):
-            pairs.append((prev[0], i))
-            ends[prev[0]], ends[i] = prev[1], pr
-        prev = (i, pr, res)
-    prev = pr = None               # the last point's result lives on only as a bracket end
-    good = r[~np.isnan(r)]
-    zeros = int(np.count_nonzero(np.abs(good) < cfg.root_tol))
-    degenerate = bool(good.size > 0 and zeros >= 0.9 * good.size)
-    if degenerate:
-        pairs, ends = [], {}
-    elif zeros > 0 and zeros >= 0.9 * solved:
-        # skipped points are never ~0, but the full scan may fail some of
-        # them; without them the flag would be set, so only it can tell
-        return None
-    for i in sorted(ends):         # a skipped end is solved cold
-        if ends[i] is None:
-            try:
-                ends[i] = inner_picard(ctx, float(lams[i]), cfg)
-            except ConvergenceError:
-                return None
-            if np.sign(ends[i].R - 1.0) != np.sign(r[i]):      # proved wrongly
-                return None
-            r[i] = ends[i].R - 1.0
+def _scan(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray, r: np.ndarray) -> ScanResult:
+    """:func:`scan_roots` on the scales ``lams`` from its residual array ``r``,
+    filled in place; with no proved point, the full scan."""
+    proved = ~np.isnan(r)
+    kept = {}                      # index -> PicardResult of each point that may be a bracket end
+    _solve(ctx, cfg, lams, r, proved, np.flatnonzero(~proved), kept)
+    brackets, degenerate = _read(r, cfg.root_tol)
+    # proved points are never ~0, but the full scan may fail some: when the flag
+    # is set without them, only solving them can tell
+    unsure = not degenerate and _read(np.where(proved, np.nan, r), cfg.root_tol)[1]
+    for i in sorted({i for pair in brackets for i in pair if proved[i]}):
+        if not unsure:             # a proved end is solved cold; it may fail or be proved wrongly
+            sign = np.sign(r[i])
+            _solve(ctx, cfg, lams, r, proved, [i], kept)
+            unsure = np.sign(r[i]) != sign
+    if unsure:
+        _solve(ctx, cfg, lams, r, proved, np.flatnonzero(proved), kept)
+        brackets, degenerate = _read(r, cfg.root_tol)
     return ScanResult(
         lambdas=lams,
         residuals=r,
-        brackets=tuple((float(lams[i]), float(lams[j])) for i, j in pairs),
-        ends=tuple((ends[i], ends[j]) for i, j in pairs),
-        failed=tuple(failed),
-        proved=tuple(i for i in skipped if i not in ends),
+        brackets=tuple((float(lams[i]), float(lams[j])) for i, j in brackets),
+        ends=tuple((kept[i], kept[j]) for i, j in brackets),
+        failed=tuple(np.flatnonzero(np.isnan(r)).tolist()),
+        proved=tuple(np.flatnonzero(proved).tolist()),
         degenerate=degenerate,
     )
+
+
+def _solve(ctx: KernelContext, cfg: SolverConfig, lams, r, proved, points, kept) -> None:
+    """Solve ``points`` cold, in scale order, into ``r`` (NaN where a solve fails)
+    and clear them from ``proved``. A result leaves ``kept`` once each side of
+    its point holds the scan's start or a neighbour solved here with its sign,
+    since no bracket can end there."""
+    last, joined = None, False     # the last point solved, and whether it joins the one before
+    for i in points:
+        proved[i] = False
+        try:
+            pr = inner_picard(ctx, float(lams[i]), cfg)
+        except ConvergenceError:
+            r[i] = np.nan
+            continue
+        r[i], kept[i] = pr.R - 1.0, pr
+        joins = i == 0 or (last == i - 1 and np.sign(r[last]) == np.sign(r[i]))
+        if joins and joined:       # no bracket can end at last
+            del kept[last]
+        last, joined = i, joins
+
+
+def _read(r: np.ndarray, root_tol: float):
+    """``(brackets, degenerate)`` of the residuals ``r``, NaN where there is none:
+    index pairs of consecutive residuals, the first nonzero, whose signs differ
+    (signs, since their product can overflow); and whether >= 90% of them lie
+    within ``root_tol`` of 0, which leaves no brackets."""
+    good = np.flatnonzero(~np.isnan(r))
+    a, b = r[good[:-1]], r[good[1:]]
+    at = np.flatnonzero((a != 0.0) & (np.sign(a) != np.sign(b)))
+    if good.size > 0 and np.count_nonzero(np.abs(r[good]) < root_tol) >= 0.9 * good.size:
+        return [], True
+    return list(zip(good[at].tolist(), good[at + 1].tolist())), False
 
 
 def _assemble_result(ctx: KernelContext, lam: float, pr: PicardResult) -> EquilibriumResult:
@@ -505,9 +501,10 @@ def _proved_R_bounds(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray):
     """``(R_lo, R_hi)``, arrays over the scales ``lams``, holding the R of every
     inner solve to ``picard_tol`` at that scale whose rates pass the bounds check.
 
-    They come from the rate bounds alone and evaluate no rate. None when a
-    fixed rate fails its check, since then every evaluation raises, or when
-    :func:`_computed_mass_interval` gives no finite ``S_hi``.
+    They come from the rate bounds alone and evaluate no rate. They prove
+    nothing, ``[0, inf]``, when a fixed rate fails its check, since then every
+    evaluation raises, or when :func:`_computed_mass_interval` gives no finite
+    ``S_hi``.
 
     A converged solve has ``|sum(w v) - S| <= picard_tol``, with ``S`` in
     ``[S_lo, S_hi]`` of :func:`_computed_mass_interval`, and its rates read
@@ -521,7 +518,7 @@ def _proved_R_bounds(ctx: KernelContext, cfg: SolverConfig, lams: np.ndarray):
     model, b = ctx.model, ctx.model.bounds
     S_lo, S_hi = _computed_mass_interval(ctx)
     if any(error is not None for error in ctx.rates.errors) or not S_hi < math.inf:
-        return None
+        return np.zeros(lams.shape), np.full(lams.shape, math.inf)
     if model.beta_inf is None:
         beta_lo, beta_hi = 0.0, b.beta_max + _tolerance(b.beta_max)
     else:

@@ -534,6 +534,12 @@ class TestDiagnoseCommand:
         assert sum(row.startswith(("l1_bound,", "tail_decay,")) for row in rows) == 12
 
 
+def _verify_figures(out):
+    """``(residual_l1, P)`` as verify printed them."""
+    values = dict(line.split(" = ") for line in out.splitlines())
+    return float(values["residual_l1"]), float(values["P"])
+
+
 class TestVerifyCommand:
     def _profile_file(self, tmp_path, scale):
         x = np.linspace(0.0, 40.0, 8001)
@@ -609,6 +615,31 @@ class TestVerifyCommand:
         else:
             assert captured.out.startswith("residual_l1 = ")
 
+    def test_profile_solve_wrote_at_a_large_scale_accepted(self, tmp_path, capsys):
+        # P* = 4.69e153: the residual, 1.82e141, is far above the default --tol but
+        # tiny against P, which it is judged relative to past P = 1
+        cfg = write_config(tmp_path / "big.cfg", (
+            "model.variant = hierarchical\nmodel.g_low = 0.001\nmodel.g_high = 0.5\n"
+            "model.mu0 = 3\nmodel.b0 = 1e152\ngrid.n = 51\nsolver.scan_points = 3\n"))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["verify", "--config", cfg, "--profile", str(out / "profile_001.csv")]
+        assert main(argv) == 0
+        res, P = _verify_figures(capsys.readouterr().out)
+        assert P > 1e153 and 1e140 < res < 1e-5 * P
+        assert main(argv + ["--tol", repr(0.99 * res / P)]) == 4
+
+    def test_profile_with_P_below_1_is_judged_absolutely(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
+        argv = ["verify", "--config", cfg, "--profile", self._profile_file(tmp_path, 0.5)]
+        assert main(argv + ["--tol", "1e-4"]) == 4
+        res, P = _verify_figures(capsys.readouterr().out)
+        assert P < 1.0
+        # judged relative to P, 1.01 res would be too small a --tol
+        assert main(argv + ["--tol", repr(1.01 * res)]) == 0
+        assert main(argv + ["--tol", repr(0.99 * res)]) == 4
+
     @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
     def test_tol_must_be_positive(self, tmp_path, capsys, tol):
         cfg = write_config(tmp_path / "ce.cfg", CE_TEXT)
@@ -682,7 +713,8 @@ def test_scan_csv_is_the_full_scan_but_at_proved_rows(tmp_path, capsys, name):
     rows = (tmp_path / "scan" / "scan.csv").read_text().splitlines()[1:]
     run = load_config(path)
     ctx = sp.make_context(run.model, run.grid)
-    full = sp.solver._scan(ctx, run.solver, sp.solver._scan_lambdas(ctx, run.solver), {})
+    lams = sp.solver._scan_lambdas(ctx, run.solver)
+    full = sp.solver._scan(ctx, run.solver, lams, np.full(lams.shape, np.nan))
     assert len(rows) == len(full.lambdas)
     assert sum(row.endswith(",proved") for row in rows) == SHIPPED_PROVED[name]
     for i, (row, lam, exact) in enumerate(zip(rows, full.lambdas.tolist(),

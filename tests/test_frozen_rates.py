@@ -291,7 +291,8 @@ class TestWorkDoneOnce:
         ctx, cfg = _shipped_context("hierarchical")
         assert ctx.pi is None and shapes == []
         # the full scan, since the one that solve and scan run skips most of its points
-        scan = sp.solver._scan(ctx, cfg, sp.solver._scan_lambdas(ctx, cfg), {})
+        lams = sp.solver._scan_lambdas(ctx, cfg)
+        scan = sp.solver._scan(ctx, cfg, lams, np.full(lams.shape, np.nan))
         assert len(scan.brackets) == 1
         assert len(shapes) == len(evaluations) > 100
 

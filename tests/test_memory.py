@@ -10,9 +10,10 @@ call on a small grid keeps one-time costs (caches, lazy imports) out of it.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from steadypop import cli
+from steadypop import cli, solver
 
 N = 20001
 
@@ -64,3 +65,15 @@ def test_traced_peak_in_arrays(tmp_path, capsys, command, text, bound):
     arrays = _peak_arrays(tmp_path, command, text)
     capsys.readouterr()
     assert arrays <= bound, "%s held %.2f arrays of n = %d at once" % (command, arrays, N)
+
+
+def test_full_scan_keeps_only_the_results_that_can_be_bracket_ends(tmp_path, capsys,
+                                                                   monkeypatch):
+    # with no point proved, scan solves all 16 of SOLVE_CFG's points: 19.1 arrays,
+    # as when it held only the last point's result and the bracket ends; keeping
+    # every result read 45.2
+    monkeypatch.setattr(solver, "_proved_R_bounds",
+                        lambda ctx, cfg, lams: (np.zeros(lams.shape), np.full(lams.shape, np.inf)))
+    arrays = _peak_arrays(tmp_path, "scan", SOLVE_CFG)
+    capsys.readouterr()
+    assert arrays <= 20.0, "scan held %.2f arrays of n = %d at once" % (arrays, N)

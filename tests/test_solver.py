@@ -443,7 +443,8 @@ def _sign_model(family, a, b):
 
 def _full_scan(ctx, cfg):
     """The scan that skips no point: the reference the skipping scan must match."""
-    return sp.solver._scan(ctx, cfg, sp.solver._scan_lambdas(ctx, cfg), {})
+    lams = sp.solver._scan_lambdas(ctx, cfg)
+    return sp.solver._scan(ctx, cfg, lams, np.full(lams.shape, np.nan))
 
 
 def _assert_same_scan(sign, full):
@@ -514,22 +515,13 @@ class TestSignOnlyScan:
     def test_failed_skipped_end_falls_back_to_the_full_scan(self, monkeypatch):
         ctx = _stiff_reference_ctx(2001)
         cfg = sp.SolverConfig(scan_points=64)
-        # the bracket's lower end, proved by its own R: its cold solve fails once
+        # the bracket's lower end, proved by its own R: every solve at its scale
+        # fails, so the full scan it is compared with fails there too
         lam = sp.solver._scan_lambdas(ctx, cfg)[46]
         _proving(monkeypatch, [46], sp.lambda_residual(ctx, lam, cfg) + 1.0)
-        inner = sp.solver.inner_picard
-        fails = []
-
-        def failing_once(ctx, at, cfg, start=None):
-            if at == lam and not fails:
-                fails.append(at)
-                raise ConvergenceError("forced", last_residual=1.0, iterations=0)
-            return inner(ctx, at, cfg, start)
-
-        monkeypatch.setattr(sp.solver, "inner_picard", failing_once)
+        solves = _count_inner_solves(monkeypatch, [lam])
         scan, results = sp.solve_all(ctx, cfg)
-        monkeypatch.undo()
-        assert fails == [lam] and len(results) == 1
+        assert solves.count(lam) == 1 and scan.failed == (46,) and len(results) == 1
         _assert_full_path(ctx, cfg, scan, results)
 
     def test_wrong_proved_sign_at_a_bracket_end_falls_back_to_the_full_scan(self, monkeypatch):
@@ -558,6 +550,52 @@ class TestSignOnlyScan:
         scan, results = sp.solve_all(ctx, cfg)
         assert scan.degenerate and results == []
         assert len(scan.failed) == 4
+
+    @pytest.mark.parametrize("path", ["failed end", "wrong end", "wrong far off",
+                                      "degenerate"])
+    def test_fallback_solves_each_scan_point_once(self, path, const_ctx_factory, monkeypatch):
+        # the four ways the tests above reach the full scan: it keeps the solves
+        # already made and makes the rest, so every scan point is solved once
+        if path == "degenerate":
+            ctx = const_ctx_factory(1.0, 1.0, 1.0)
+            cfg = sp.SolverConfig(scan_points=32, root_tol=1e-6)
+        else:
+            ctx = _stiff_reference_ctx(2001)
+            cfg = sp.SolverConfig(scan_points=64)
+        lams = sp.solver._scan_lambdas(ctx, cfg)
+        failing = []
+        if path == "failed end":
+            _proving(monkeypatch, [46], sp.lambda_residual(ctx, lams[46], cfg) + 1.0)
+            failing = lams[[46]]
+        elif path == "wrong end":
+            _proving(monkeypatch, [46], 1.0 - sp.lambda_residual(ctx, lams[46], cfg))
+        elif path == "wrong far off":
+            _proving(monkeypatch, [20], 0.5)
+        else:
+            _proving(monkeypatch, slice(1, None, 8), 2.0)
+            failing = lams[1::8]
+        solves = _count_inner_solves(monkeypatch, failing)
+        scan = sp.scan_roots(ctx, cfg)
+        assert sorted(solves) == lams.tolist()
+        assert scan.proved == ()
+
+    def test_exact_zero_residual_ends_a_bracket_and_starts_none(self, monkeypatch):
+        # R == 1 exactly at scan point 47, the one the bounds leave unproved: the
+        # bracket (46, 47) ends there and none starts there, in both scans
+        ctx = _stiff_reference_ctx()
+        cfg = sp.SolverConfig(scan_points=64)
+        lams = sp.solver._scan_lambdas(ctx, cfg)
+        inner = sp.solver.inner_picard
+
+        def one_at_47(ctx, lam, cfg, start=None):
+            pr = inner(ctx, lam, cfg, start)
+            return replace(pr, R=1.0) if lam == lams[47] else pr
+
+        monkeypatch.setattr(sp.solver, "inner_picard", one_at_47)
+        for scan in (sp.scan_roots(ctx, cfg), _full_scan(ctx, cfg)):
+            assert scan.residuals[47] == 0.0 and scan.residuals[48] < 0.0
+            assert scan.brackets == ((lams[46], lams[47]),)
+            assert scan.ends[0][1].R == 1.0
 
     def test_solve_all_steps_stay_few_on_the_stiff_reference(self, monkeypatch):
         # 50 steps at the scan's scales, the skipped bracket end's included,
@@ -705,7 +743,8 @@ def _proof_model(family, a, b, c):
 
 def _unskipped(monkeypatch):
     """Make the scan skip no point, as if the bounds proved nothing."""
-    monkeypatch.setattr(sp.solver, "_proved_R_bounds", lambda ctx, cfg, lams: None)
+    monkeypatch.setattr(sp.solver, "_proved_R_bounds",
+                        lambda ctx, cfg, lams: (np.zeros(lams.shape), np.full(lams.shape, np.inf)))
 
 
 class TestScanPointsTheBoundsProve:
