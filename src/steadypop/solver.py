@@ -4,7 +4,8 @@ root scan in the scale variable, and existence/nonexistence certificates.
 The primary route nests a fixed-point iteration for the shape v at
 frozen scale lam inside a root search on the scalar residual R(lam v) - 1:
 a scan brackets each sign change, and ITP refines it from the scan's own
-bracket ends, each inner solve starting from the last shape solved.
+bracket ends, each inner solve starting from the shape interpolated through
+the bracket's solved shapes.
 Compactness guarantees a fixed point of the clamped joint map
 but not convergence of its raw iterates, so that map is kept only as a
 secondary cross-validation route: when it fails to settle it returns an
@@ -16,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,7 +111,8 @@ class ScanResult:
     lambdas: np.ndarray
     residuals: np.ndarray          # nan where the inner iteration failed
     brackets: tuple                # (lo, hi) pairs with a sign change
-    ends: tuple                    # per bracket the scan's (lo, hi) PicardResults
+    ends: tuple                    # per bracket the scan's (lo, hi) PicardResults;
+                                   # () in solve_all's scan, which hands them on
     failed: tuple                  # scan indices whose inner iteration failed
     proved: tuple                  # scan indices whose residual is the proved bound
     degenerate: bool               # residual ~ 0 across the scan
@@ -311,6 +313,17 @@ def _assemble_result(ctx: KernelContext, lam: float, pr: PicardResult) -> Equili
     )
 
 
+def _predicted_start(x: float, points) -> np.ndarray:
+    """Lagrange interpolant at the scale ``x`` through ``points``, pairs of a
+    scale and the shape solved there at distinct scales, clamped at 0: an
+    extrapolating weight can be negative, and a start must be a density."""
+    start = np.zeros_like(points[0][1])
+    for i, (lam, v) in enumerate(points):
+        start += math.prod((x - other) / (lam - other)
+                           for j, (other, _) in enumerate(points) if j != i) * v
+    return np.maximum(start, 0.0, out=start)
+
+
 def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> EquilibriumResult:
     """Refine a sign-change bracket of the scalar residual by ITP.
 
@@ -322,19 +335,24 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> Equilib
     bisection. It stops at width <= root_tol, or when the bracket can no
     longer be split in floating point, and returns the midpoint, so
     ``lambda*`` lies within root_tol/2 of a sign change of the discrete
-    residual. Each inner solve starts from the shape of the last scale
-    evaluated.
+    residual. Each inner solve, the one at the midpoint included, starts
+    from the shape predicted by :func:`_predicted_start` through the shapes
+    solved at the bracket's two ends and at the end ITP displaced last; before
+    the first step there are only the two ends. Only the ends' shapes are
+    kept, so their survival shapes are freed when the caller, as
+    :func:`solve_all` does, holds no other reference to them.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 <= lo < hi < math.inf:       # also rejects NaN
         raise ParameterError("bracket ends must be finite with 0 <= lo < hi", "bracket")
-    for lam, pr in zip((lo, hi), ends):
-        if pr.R == 1.0:
-            return _assemble_result(ctx, lam, pr)
-    r_lo, r_hi = (pr.R - 1.0 for pr in ends)
-    v = ends[1].v                  # shape at the last scale solved
+    for lam, end in zip((lo, hi), ends):
+        if end.R == 1.0:
+            return _assemble_result(ctx, lam, end)
+    (r_lo, v_lo), (r_hi, v_hi) = ((end.R - 1.0, end.v.values) for end in ends)
+    del ends, end                  # past here, the ends' survival shapes can be freed
     if r_lo * r_hi > 0:
         raise ParameterError("bracket endpoints must have opposite residual signs")
+    displaced = ()                 # (scale, shape) of the end ITP displaced last
     eps = 0.5 * cfg.root_tol
     k1 = 0.2 / (hi - lo)
     try:
@@ -363,17 +381,21 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> Equilib
         x = x_t if abs(x_t - mid) <= rad else mid - sigma * rad
         if not lo < x < hi:        # rounding can land x_f + delta on an end
             x = mid
-        pr = inner_picard(ctx, x, cfg, v)
-        r, v = pr.R - 1.0, pr.v
+        start = _predicted_start(x, ((lo, v_lo), (hi, v_hi), *displaced))
+        pr = inner_picard(ctx, x, cfg, start)
+        r, v = pr.R - 1.0, pr.v.values
         if r == 0.0:
             return _assemble_result(ctx, x, pr)
         if r_lo * r < 0:
-            hi, r_hi = x, r
+            displaced = ((hi, v_hi),)
+            hi, r_hi, v_hi = x, r, v
         else:
-            lo, r_lo = x, r
+            displaced = ((lo, v_lo),)
+            lo, r_lo, v_lo = x, r, v
         j += 1
     lam = 0.5 * (lo + hi)
-    return _assemble_result(ctx, lam, inner_picard(ctx, lam, cfg, v))
+    start = _predicted_start(lam, ((lo, v_lo), (hi, v_hi), *displaced))
+    return _assemble_result(ctx, lam, inner_picard(ctx, lam, cfg, start))
 
 
 def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: SolverConfig):
@@ -541,12 +563,14 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     has R <= 1. Every sample that is evaluated is checked.
     """
     lams = np.geomspace(1e-3, 1e4, 100)[::-1]
+    scaled = np.empty(ctx.grid.n)  # each size is summed as soon as it is scaled
 
     def walk(w):
         # lam * w rounds monotonically and the quadrature adds nonnegative
         # terms in a fixed order, so the sizes come out non-increasing
         for lam in lams:
-            yield integrate(ctx.grid, lam * w.values), lam, w
+            np.multiply(lam, w.values, out=scaled)
+            yield _accel.weighted_sum(ctx.grid.weights, scaled), lam, w
 
     # the order and groups of a stable sort of all 800 samples by size,
     # largest first, ties in shape order; sizes past the walk's stop are never made
@@ -682,14 +706,19 @@ def solve_all(ctx: KernelContext, cfg: SolverConfig):
     Returns (scan, results): one entry per bracket, in the scan's order,
     which is that of scale. An entry is an :class:`EquilibriumResult`, or a
     :class:`BracketFailure` when the bracket's refinement raised
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`. The scan is :func:`scan_roots`'s but for its
+    ``ends``, which is empty: each bracket's pair of ends is handed to its
+    refinement and held by nothing else, so that no end's shape or survival
+    shape outlives the refinement that reads it.
     """
     scan = scan_roots(ctx, cfg)
+    ends = list(reversed(scan.ends))
+    scan = replace(scan, ends=())
     results = []
     # each root lies in its bracket, and brackets follow one another in scale
-    for bracket, ends in zip(scan.brackets, scan.ends):
+    for bracket in scan.brackets:
         try:
-            results.append(bisect_root(ctx, bracket, cfg, ends))
+            results.append(bisect_root(ctx, bracket, cfg, ends.pop()))
         except ConvergenceError as exc:
             results.append(BracketFailure(bracket, str(exc)))
     return scan, results

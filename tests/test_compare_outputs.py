@@ -1,4 +1,5 @@
-"""``tools/compare_outputs.differences``, the file comparison behind the identical-outputs check."""
+"""``tools/compare_outputs``: the file comparison behind the identical-outputs check and its
+report of numeric differences."""
 
 import importlib.util
 import os
@@ -79,3 +80,65 @@ def test_differences_in_nested_directories_are_all_listed(tmp_path):
         "differs: %s" % Path("counterexample/scan/stdout"),
         "only in base: top",
     ])
+
+
+def _pair(tmp_path, name, base_text, head_text):
+    base, head = tmp_path / "base" / name, tmp_path / "head" / name
+    for path, text in ((base, base_text), (head, head_text)):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return base, head
+
+
+def test_csv_columns_get_their_largest_relative_difference(tmp_path):
+    base, head = _pair(tmp_path, "equilibria.csv",
+                       "lambda_star,P_star,note\n1,2,a\n4,0,b\n",
+                       "lambda_star,P_star,note\n1.5,2,a\n4.000001,0,c\n")
+    # 0.5 / 1.5 in the first row, 1e-6 / 4.000001 in the second; note is not numeric
+    assert compare_outputs.column_differences(base, head) == pytest.approx(
+        {"lambda_star": 1.0 / 3.0, "P_star": 0.0})
+
+
+def test_key_value_lines_get_their_largest_relative_difference(tmp_path):
+    base, head = _pair(tmp_path, "stdout",
+                       "residual_l1 = 1e-10\nequilibrium lambda_star=2 P_star=inf\n"
+                       "equilibrium lambda_star=3 P_star=nan\nkind = existence\n",
+                       "residual_l1 = 3e-10\nequilibrium lambda_star=2 P_star=1\n"
+                       "equilibrium lambda_star=3.3 P_star=nan\nkind = existence\n")
+    assert compare_outputs.column_differences(base, head) == pytest.approx(
+        {"residual_l1": 2.0 / 3.0, "lambda_star": 0.3 / 3.3, "P_star": float("inf")})
+
+
+@pytest.mark.parametrize("head_text", [
+    "lambda_star,P_star\n1,2\n3,4\n",          # a row more
+    "x,u_star\n1,2\n",                         # other columns
+    "no numbers here\n",
+])
+def test_columns_that_cannot_be_paired_are_left_out(tmp_path, head_text):
+    base, head = _pair(tmp_path, "f.csv", "lambda_star,P_star\n1,2\n", head_text)
+    assert compare_outputs.column_differences(base, head) == {}
+
+
+def test_main_lists_column_differences_and_exits_1(tmp_path, monkeypatch, capsys):
+    # two trees that differ in one number of one CSV file and in one text file
+    trees = {"base": dict(FILES), "head": dict(FILES)}
+    trees["head"]["hierarchical/solve/equilibria.csv"] = b"lambda_star,P_star\n1,2.000002\n"
+    trees["head"]["top"] = b"y"
+    srcs = []
+    for side in trees:
+        src = tmp_path / side
+        (src / "steadypop").mkdir(parents=True)
+        (src / "steadypop" / "__init__.py").write_text("")
+        srcs.append(str(src))
+    monkeypatch.setattr(compare_outputs, "run_tree",
+                        lambda src, work, configs: _tree(work, trees[src.name]))
+    config = tmp_path / "h.cfg"
+    config.write_text("")
+    assert compare_outputs.main([*srcs, str(config)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: %s" % Path("hierarchical/solve/equilibria.csv"),
+        "    lambda_star: largest relative difference 0",
+        "    P_star: largest relative difference 1e-06",
+        "differs: top",
+        "1 configs, 4 files in head: 2 differences",
+    ]

@@ -13,14 +13,21 @@ from the same relative paths in their own work directory, so that a path in a
 message matches too. The two output trees are then compared file by file.
 
 Exits 0 when every file matches, 1 when any differs (each difference is
-listed), and 2 on bad arguments.
+listed), and 2 on bad arguments. Under each file that differs, every column
+whose values are numbers in both trees gets its largest relative difference,
+``|a - b| / max(|a|, |b|)`` over the rows: a column of a CSV file with a
+header row, or a key of ``key = value`` or ``key=value`` text such as
+``verify``'s and ``solve``'s stdout. A change confined to the last digits
+shows there as differences near 1e-12.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -75,6 +82,45 @@ def differences(base: Path, head: Path) -> list:
     return sorted(out)
 
 
+def _columns(path: Path) -> dict:
+    """Values per column of a CSV file with a header row, or per key of its
+    ``key = value`` pairs, in file order, as strings."""
+    lines = path.read_text().splitlines()
+    if lines and "," in lines[0] and "=" not in lines[0]:
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        if all(len(row) == len(header) for row in rows):
+            return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    columns = {}
+    for line in lines:
+        for key, value in re.findall(r"([^\s=,]+)\s*=\s*([^\s,]+)", line):
+            columns.setdefault(key, []).append(value)
+    return columns
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def column_differences(base: Path, head: Path) -> dict:
+    """Largest relative difference per column of two versions of a file, for each
+    column with as many values in both, every one a number; empty when none is."""
+    out = {}
+    head_columns = _columns(head)
+    for name, a in _columns(base).items():
+        b = head_columns.get(name)
+        if b is None or len(a) != len(b) or not a:
+            continue
+        try:
+            out[name] = max(_relative(float(x), float(y)) for x, y in zip(a, b))
+        except ValueError:         # a value that is not a number
+            continue
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src", type=Path)
@@ -93,9 +139,17 @@ def main(argv=None) -> int:
             run_tree(src.resolve(), root / side, configs)
         diff = differences(root / "base", root / "head")
         files = sum(len(files) for _, _, files in os.walk(root / "head"))
+        report = []
+        for line in diff:
+            report.append(line)
+            if line.startswith("differs: "):
+                rel = line[len("differs: "):]
+                columns = column_differences(root / "base" / rel, root / "head" / rel)
+                report += ["    %s: largest relative difference %.3g" % item
+                           for item in columns.items()]
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    for line in diff:
+    for line in report:
         print(line)
     print("%d configs, %d files in head: %s" % (len(configs), files,
                                                 "identical" if not diff else
