@@ -569,8 +569,7 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
         # lam * w rounds monotonically and the quadrature adds nonnegative
         # terms in a fixed order, so the sizes come out non-increasing
         for lam in lams:
-            np.multiply(lam, w.values, out=scaled)
-            yield _accel.weighted_sum(ctx.grid.weights, scaled), lam, w
+            yield integrate(ctx.grid, np.multiply(lam, w.values, out=scaled)), lam, w
 
     # the order and groups of a stable sort of all 800 samples by size,
     # largest first, ties in shape order; sizes past the walk's stop are never made
