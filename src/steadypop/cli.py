@@ -191,8 +191,12 @@ def _read_profile(path: str, grid) -> DensityProfile:
     if np.any(us < 0):
         raise ParameterError("density values must be nonnegative")
     order = np.argsort(xs)
+    xs, us = xs[order], us[order]
+    repeated = xs[1:][xs[1:] == xs[:-1]]   # np.interp is undefined where x repeats
+    if repeated.size:
+        raise ParameterError("profile file %s repeats x = %.12g" % (path, repeated[0]))
     # np.interp can round a subnormal slope below 0 (-2.96e-323 between 9.88e-323 and 0)
-    values = np.interp(grid.nodes, xs[order], us[order], left=0.0, right=0.0)
+    values = np.interp(grid.nodes, xs, us, left=0.0, right=0.0)
     return DensityProfile(grid, np.maximum(values, 0.0))
 
 

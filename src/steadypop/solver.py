@@ -3,9 +3,9 @@ root scan in the scale variable, and existence/nonexistence certificates.
 
 The primary route nests a fixed-point iteration for the shape v at
 frozen scale lam inside a root search on the scalar residual R(lam v) - 1:
-a scan brackets each sign change, and ITP refines it from the scan's own
-bracket ends, each inner solve starting from the shape interpolated through
-the bracket's solved shapes.
+a scan brackets each sign change, and a clamped secant refines it from the
+scan's own bracket ends, each inner solve starting from the shape
+interpolated through the bracket's solved shapes.
 Compactness guarantees a fixed point of the clamped joint map
 but not convergence of its raw iterates, so that map is kept only as a
 secondary cross-validation route: when it fails to settle it returns an
@@ -325,22 +325,26 @@ def _predicted_start(x: float, points) -> np.ndarray:
 
 
 def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> EquilibriumResult:
-    """Refine a sign-change bracket of the scalar residual by ITP.
+    """Refine a sign-change bracket of the scalar residual by a clamped secant.
 
     ``ends`` holds the two converged :class:`PicardResult` at the bracket's
-    ends, as each entry of a scan's ``ends`` does. An end or ITP step
-    whose ``R`` is exactly 1 is the root. ITP (Oliveira & Takahashi,
-    ACM TOMS 47, 2021) keeps a sign-change bracket, converges superlinearly
-    on smooth residuals, and needs at most one evaluation more than
-    bisection. It stops at width <= root_tol, or when the bracket can no
-    longer be split in floating point, and returns the midpoint, so
-    ``lambda*`` lies within root_tol/2 of a sign change of the discrete
-    residual. Each inner solve, the one at the midpoint included, starts
-    from the shape predicted by :func:`_predicted_start` through the shapes
-    solved at the bracket's two ends and at the end ITP displaced last; before
-    the first step there are only the two ends. Only the ends' shapes are
-    kept, so their survival shapes are freed when the caller, as
-    :func:`solve_all` does, holds no other reference to them.
+    ends, as each entry of a scan's ``ends`` does. An end or step whose
+    ``R`` is exactly 1 is the root. Each step solves at the regula falsi
+    point kept root_tol/2 inside the bracket, or at the midpoint when that
+    rounds onto an end, so a step next to the root lands past it. An end
+    kept two steps running has its residual scaled by ``1 - r/f``, or by
+    1/2 when that is not positive, ``r`` the new residual and ``f`` the
+    moved end's (Anderson & Bjorck, BIT 13, 1973). After ``ceil(log2(width
+    / root_tol))`` steps the rest bisect: at most twice bisection's work.
+    It stops at width <= root_tol, or when the bracket can no longer be
+    split in floating point, and returns the midpoint, so ``lambda*`` lies
+    within root_tol/2 of a sign change of the discrete residual. Each inner
+    solve, the one at the midpoint included, starts from the shape that
+    :func:`_predicted_start` gives through the shapes solved at the
+    bracket's two ends and at the end displaced last (before the first
+    step, the two ends). Only the ends' shapes are kept, so their survival
+    shapes are freed when the caller, as :func:`solve_all` does, holds no
+    other reference to them.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 <= lo < hi < math.inf:       # also rejects NaN
@@ -352,47 +356,35 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> Equilib
     del ends, end                  # past here, the ends' survival shapes can be freed
     if r_lo * r_hi > 0:
         raise ParameterError("bracket endpoints must have opposite residual signs")
-    displaced = ()                 # (scale, shape) of the end ITP displaced last
-    eps = 0.5 * cfg.root_tol
-    k1 = 0.2 / (hi - lo)
-    try:
-        n_max = max(math.ceil(math.log2((hi - lo) / cfg.root_tol)), 0) + 1   # n0 = 1
-    except OverflowError:          # the quotient is inf past about root_tol * 1.8e308
-        n_max = math.ceil(math.log2(hi - lo) - math.log2(cfg.root_tol)) + 1
-    j = 0
+    displaced, displaced_lo = (), None     # (scale, shape) of the end displaced last; is it lo
+    lo_below = r_lo < 0            # the residual's sign at every lo
+    half = 0.5 * cfg.root_tol
+    secant_steps = math.ceil(math.log2(hi - lo) - math.log2(cfg.root_tol))
     while hi - lo > cfg.root_tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        # interpolate (regula falsi), truncate towards the midpoint, then
-        # project into the ball that preserves bisection's worst case
-        x_f = (hi * r_lo - lo * r_hi) / (r_lo - r_hi)
-        sigma = math.copysign(1.0, mid - x_f)
-        try:
-            delta = k1 * (hi - lo) ** 2
-        except OverflowError:      # the square overflows past about 1.3e154; k1 (hi - lo) <= 0.2
-            delta = k1 * (hi - lo) * (hi - lo)
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        try:
-            rad = eps * 2.0 ** (n_max - j)
-        except OverflowError:      # 2.0 ** k overflows past k = 1023, where eps * 2 ** k need not
-            rad = eps * 2.0 ** 1023 * 2.0 ** (n_max - j - 1023)
-        rad = max(rad - 0.5 * (hi - lo), 0.0)
-        x = x_t if abs(x_t - mid) <= rad else mid - sigma * rad
-        if not lo < x < hi:        # rounding can land x_f + delta on an end
+        # the weight lies in [0, 1], so nothing can overflow
+        x = min(max(lo + (hi - lo) * (r_lo / (r_lo - r_hi)), lo + half), hi - half)
+        if secant_steps <= 0 or not lo < x < hi:
             x = mid
+        secant_steps -= 1
         start = _predicted_start(x, ((lo, v_lo), (hi, v_hi), *displaced))
         pr = inner_picard(ctx, x, cfg, start)
         r, v = pr.R - 1.0, pr.v.values
         if r == 0.0:
             return _assemble_result(ctx, x, pr)
-        if r_lo * r < 0:
-            displaced = ((hi, v_hi),)
-            hi, r_hi, v_hi = x, r, v
+        moves_lo = (r < 0) == lo_below
+        m = 1.0                    # the scale of the end this step keeps
+        if moves_lo == displaced_lo:
+            m = 1.0 - r / (r_lo if moves_lo else r_hi)
+            m = m if m > 0 else 0.5
+        if moves_lo:
+            displaced, displaced_lo = ((lo, v_lo),), True
+            lo, r_lo, v_lo, r_hi = x, r, v, r_hi * m
         else:
-            displaced = ((lo, v_lo),)
-            lo, r_lo, v_lo = x, r, v
-        j += 1
+            displaced, displaced_lo = ((hi, v_hi),), False
+            hi, r_hi, v_hi, r_lo = x, r, v, r_lo * m
     lam = 0.5 * (lo + hi)
     start = _predicted_start(lam, ((lo, v_lo), (hi, v_hi), *displaced))
     return _assemble_result(ctx, lam, inner_picard(ctx, lam, cfg, start))
@@ -691,7 +683,7 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
 
 
 def solve_all(ctx: KernelContext, cfg: SolverConfig):
-    """Scan for signs, then refine every bracket by ITP from its scan ends.
+    """Scan for signs, then refine every bracket by :func:`bisect_root` from its scan ends.
 
     The scan is :func:`scan_roots`, the one the ``scan`` command runs: it
     skips the points whose sign the rate bounds prove, yet its brackets,

@@ -63,7 +63,8 @@ model.b0 = 1e300
 solver.scan_points = 8
 """
 
-# hierarchical whose brackets are wide enough to overflow ITP's step bounds
+# hierarchical whose bracket is 2.5e157 wide: the refinement's step count and points must
+# stay finite
 SCAN_WIDE_BRACKET_TEXT = """\
 model.variant = hierarchical
 model.g_low = 0.001
@@ -104,7 +105,7 @@ grid.n = 1001
 solver.scan_points = 16
 """
 
-# the scan brackets the root; its refinement stops short of picard_tol at 8 steps
+# the scan brackets the root; its refinement stops short of picard_tol at 7 steps
 ABORT_TEXT = """\
 model.variant = hierarchical
 model.g_low = 0.02
@@ -113,7 +114,7 @@ model.mu0 = 0.5
 model.b0 = 1.5
 grid.n = 201
 solver.scan_points = 16
-solver.picard_max_iter = 8
+solver.picard_max_iter = 7
 """
 
 COMPOSITE_TEXT = """\
@@ -348,11 +349,11 @@ class TestSolveCommand:
         out = tmp_path / "o"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ("scan: 4 of 16 points failed to converge in "
+        assert captured.out == ("scan: 6 of 16 points failed to converge in "
                                 "solver.picard_max_iter steps; roots next to them may be missed\n")
         assert captured.err == (
-            "error: bracket [0.0358568340394, 1.71145587196]: inner iteration did not "
-            "reach 1e-10 after 8 steps (last residual 1.84136e-07)\n")
+            "error: bracket [0.00519009203, 3899]: inner iteration did not "
+            "reach 1e-10 after 7 steps (last residual 0.00265678)\n")
         # the roots that refined are written: here there are none
         assert (out / "equilibria.csv").read_text() == "lambda_star,P_star,R_at_u,residual_l1\n"
         assert sorted(p.name for p in out.iterdir()) == ["equilibria.csv"]
@@ -600,9 +601,11 @@ class TestVerifyCommand:
             ("x,u\n0,1\ninf,0\n", 2),
             ("0,1\nx,u\n40,0\n", 2),
             ("x,u\n0,1\n20,-1\n40,0\n", 2),
+            ("x u\n0 1\n0 2\n0.5 1\n", 2),
         ],
         ids=["comment", "spaces", "six_columns", "one_column", "not_a_number",
-             "one_row", "nan_density", "inf_x", "late_header", "negative_density"],
+             "one_row", "nan_density", "inf_x", "late_header", "negative_density",
+             "repeated_x"],
     )
     def test_profile_grammar(self, tmp_path, capsys, text, code):
         # exit 4: parsed, then rejected on its residual; exit 2: refused as input
@@ -819,7 +822,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "scan"])
     @pytest.mark.parametrize("text", [
-        # ITP's wide brackets, with no override: the default top stays in range
+        # a 2.5e157-wide bracket, with no override: the default top stays in range
         pytest.param(SCAN_WIDE_BRACKET_TEXT, id="wide-brackets"),
         # 1/g_low binds: 4 * 4.4e302 / 1e-5 is just below overflow
         pytest.param(SCAN_OVERFLOW_TEXT + "solver.lambda_max = 4.4e302\n", id="g_low-binds"),
@@ -1019,7 +1022,7 @@ class TestFuzzedConfigs:
 
     @settings(max_examples=25, deadline=None)
     @given(text=_CONFIGS)
-    # brackets wide enough to overflow ITP's step bounds; the strategy draws rates of 0.01-5
+    # a bracket 2.5e157 wide; the strategy draws rates of 0.01-5
     @example(text=SCAN_WIDE_BRACKET_TEXT)
     @example(text="model.variant = hierarchical\nmodel.g_low = 1e-5\nmodel.g_high = 1e-5\n"
                   "model.mu0 = 1e-5\nmodel.b0 = 1e300\nsolver.scan_points = 8\n"

@@ -58,7 +58,7 @@ def _peak_arrays(tmp_path, command, text):
     # 15.2 arrays: the grid's 3 and the context's 6, then np.interp's 3 while the
     # translation rows run; holding all 14 samples through both diagnostics read 31.1
     ("diagnose", DIAGNOSE_CFG, 17.0),
-    # 21.1 arrays; keeping each resumed bracket end's sign-only result as well read 23.1
+    # 20.1 arrays, the scan's kept results and the refinement's predicted starts included
     ("solve", SOLVE_CFG, 22.0),
 ], ids=["diagnose", "solve"])
 def test_traced_peak_in_arrays(tmp_path, capsys, command, text, bound):
