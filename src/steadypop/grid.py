@@ -11,6 +11,7 @@ equal node count.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -30,6 +31,14 @@ _GRADED_SPACING_RATIO = 100.0
 # raises ValueError or worse, where a smaller array that does not fit in
 # memory raises MemoryError
 MAX_ARRAY_SIZE = sys.maxsize // np.dtype(float).itemsize
+
+
+def _count(value, field: str) -> int:
+    """``value`` as an int, numpy integers included; a float or other non-integer raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError("%s must be an integer, got %r" % (field, value), field) from None
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,7 @@ def build_grid(x_max: float, n: int, scheme: str = UNIFORM) -> Grid:
     """Build a composite-trapezoid grid on [0, x_max] with ``n`` nodes; errors name their field."""
     if not 0 < x_max < math.inf:
         raise ParameterError("x_max must be finite and positive, got %r" % (x_max,), "x_max")
+    n = _count(n, "n")
     if n < 3:
         raise ParameterError("n must be at least 3, got %r" % (n,), "n")
     if n > MAX_ARRAY_SIZE:

@@ -23,7 +23,14 @@ import numpy as np
 
 from . import _accel
 from .errors import ConvergenceError, ParameterError
-from .grid import MAX_ARRAY_SIZE, DensityProfile, _density_values, integrate, zero_profile
+from .grid import (
+    MAX_ARRAY_SIZE,
+    DensityProfile,
+    _count,
+    _density_values,
+    integrate,
+    zero_profile,
+)
 from .kernel import KernelContext, net_reproduction_R, rates_and_survival, residual
 from .model import (
     _at_nodes,
@@ -45,6 +52,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # negated forms also reject NaN; each error names the field at fault
+        for name in ("picard_max_iter", "scan_points", "seed"):
+            _count(getattr(self, name), name)
         for name in ("picard_tol", "root_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ParameterError("tolerances must be finite and positive", name)

@@ -100,10 +100,6 @@ def reference_hypotheses(ctx, samples):
         gx = np.abs(np.diff(g) / grid.steps)
         slopes.append(float(np.max(gx[(nodes <= T)[:-1]], initial=0.0)))
     worst, gx_sup = _nan_max(terms), _nan_max(slopes)
-    gx_bound = gx_ok = None
-    if model.gx_bound is not None:
-        gx_bound = model.gx_bound(model.params, b, T)
-        gx_ok = math.isfinite(gx_bound) and gx_sup <= gx_bound * (1.0 + 1e-6)
     _, e2 = envelope_values(b, nodes)
     lams = (1.0, 10.0, 1e2, 1e3, 1e4)
     sweep = [float(np.max(raw(lam * e2)[2])) for lam in lams]
@@ -113,8 +109,7 @@ def reference_hypotheses(ctx, samples):
                  for a0, a1 in zip(raw(values[0]), raw(values[0] + delta * e2))]
     return HypothesisReport(
         bounds_ok=bounds_ok,
-        worst_bound_violation=worst, gx_window=T, gx_sup=gx_sup,
-        gx_analytic_bound=gx_bound, gx_bound_ok=gx_ok, lbeta_lambdas=lams,
+        worst_bound_violation=worst, gx_window=T, gx_sup=gx_sup, lbeta_lambdas=lams,
         lbeta_values=tuple(sweep),
         lbeta_pass=nonincreasing and sweep[-1] <= 1e-3 * max(sweep[0], 1e-300),
         continuity_response=_nan_max(responses),

@@ -78,6 +78,20 @@ class TestSolverConfig:
         assert info.value.field == name
 
 
+@pytest.mark.parametrize("make, field, value", [
+    (lambda n: sp.build_grid(10.0, n, "graded_trapezoid"), "n", 201.5),
+    (lambda n: sp.build_grid(10.0, n), "n", 201.0),
+    (lambda k: sp.SolverConfig(scan_points=k), "scan_points", 16.5),
+    (lambda k: sp.SolverConfig(picard_max_iter=k), "picard_max_iter", 8.5),
+    (lambda k: sp.SolverConfig(seed=k), "seed", 1.5),
+], ids=["graded_n", "uniform_n", "scan_points", "picard_max_iter", "seed"])
+def test_count_that_is_not_an_integer_is_rejected_and_named(make, field, value):
+    with pytest.raises(ParameterError) as info:
+        make(value)
+    assert info.value.field == field
+    make(np.int64(int(value)))     # numpy integers pass
+
+
 class TestInnerPicard:
     def test_counterexample_shape_is_lambda_free(self, ce_ctx):
         # mu and g are population-independent, so any scale yields exp(-x)
