@@ -333,6 +333,21 @@ def _predicted_start(x: float, points) -> np.ndarray:
     return np.maximum(start, 0.0, out=start)
 
 
+def _refine_solve(ctx: KernelContext, x: float, cfg: SolverConfig, points) -> PicardResult:
+    """Inner solve at the scale ``x`` from :func:`_predicted_start` through
+    ``points``, whose second entry is the bracket's upper end; when that
+    solve does not converge, once more from the upper end's shape. When
+    both fail, the first solve's :class:`ConvergenceError` is raised."""
+    try:
+        return inner_picard(ctx, x, cfg, _predicted_start(x, points))
+    except ConvergenceError as exc:
+        first = exc
+    try:
+        return inner_picard(ctx, x, cfg, points[1][1])
+    except ConvergenceError:
+        raise first from None
+
+
 def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> EquilibriumResult:
     """Refine a sign-change bracket of the scalar residual by a clamped secant.
 
@@ -351,9 +366,10 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> Equilib
     solve, the one at the midpoint included, starts from the shape that
     :func:`_predicted_start` gives through the shapes solved at the
     bracket's two ends and at the end displaced last (before the first
-    step, the two ends). Only the ends' shapes are kept, so their survival
-    shapes are freed when the caller, as :func:`solve_all` does, holds no
-    other reference to them.
+    step, the two ends); when that solve does not converge, it is retried
+    once from the upper end's shape (see :func:`_refine_solve`). Only the
+    ends' shapes are kept, so their survival shapes are freed when the
+    caller, as :func:`solve_all` does, holds no other reference to them.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0 <= lo < hi < math.inf:       # also rejects NaN
@@ -378,8 +394,7 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> Equilib
         if secant_steps <= 0 or not lo < x < hi:
             x = mid
         secant_steps -= 1
-        start = _predicted_start(x, ((lo, v_lo), (hi, v_hi), *displaced))
-        pr = inner_picard(ctx, x, cfg, start)
+        pr = _refine_solve(ctx, x, cfg, ((lo, v_lo), (hi, v_hi), *displaced))
         r, v = pr.R - 1.0, pr.v.values
         if r == 0.0:
             return _assemble_result(ctx, x, pr)
@@ -395,8 +410,8 @@ def bisect_root(ctx: KernelContext, bracket, cfg: SolverConfig, ends) -> Equilib
             displaced, displaced_lo = ((hi, v_hi),), False
             hi, r_hi, v_hi, r_lo = x, r, v, r_lo * m
     lam = 0.5 * (lo + hi)
-    start = _predicted_start(lam, ((lo, v_lo), (hi, v_hi), *displaced))
-    return _assemble_result(ctx, lam, inner_picard(ctx, lam, cfg, start))
+    return _assemble_result(ctx, lam, _refine_solve(ctx, lam, cfg,
+                                                    ((lo, v_lo), (hi, v_hi), *displaced)))
 
 
 def iterate_map_A(ctx: KernelContext, v0: DensityProfile, lambda0: float, cfg: SolverConfig):
@@ -561,9 +576,21 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     A size P with ``beta_sup(P) * S_hi <= 1`` (``S_hi`` from
     :func:`_computed_mass_interval`) is passed without evaluating its
     samples: every profile of that size whose rates pass the bounds check
-    has R <= 1. Every sample that is evaluated is checked.
+    has R <= 1. Every sample that is evaluated is checked. When
+    ``(beta_max + t) * S_hi <= 1``, ``t`` the check's tolerance, every such
+    R is at most 1 at every size, so no size is walked: the result is the
+    smallest size, that of each shape at the smallest scale (a shape's sizes
+    fall with the scale), from one quadrature per shape.
     """
     lams = np.geomspace(1e-3, 1e4, 100)[::-1]
+    rng = np.random.default_rng(cfg.seed)
+    shapes = _sample_shapes(ctx, rng)
+    b = ctx.model.bounds
+    S_hi = _computed_mass_interval(ctx)[1]
+    # every R is at most (beta_max + t) S_hi, so the walk would pass every size;
+    # a NaN or inf product fails the test and walks
+    if (b.beta_max + _tolerance(b.beta_max)) * S_hi <= 1.0:
+        return min(integrate(ctx.grid, lams[-1] * w.values) for w in shapes)
     scaled = np.empty(ctx.grid.n)  # each size is summed as soon as it is scaled
 
     def walk(w):
@@ -574,10 +601,7 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
 
     # the order and groups of a stable sort of all 800 samples by size,
     # largest first, ties in shape order; sizes past the walk's stop are never made
-    rng = np.random.default_rng(cfg.seed)
-    samples = heapq.merge(*map(walk, _sample_shapes(ctx, rng)),
-                          key=lambda s: s[0], reverse=True)
-    S_hi = _computed_mass_interval(ctx)[1]
+    samples = heapq.merge(*map(walk, shapes), key=lambda s: s[0], reverse=True)
     rho0 = None
     for size, group in itertools.groupby(samples, key=lambda s: s[0]):
         # the negated form evaluates when the product is NaN (0 * inf)
@@ -588,11 +612,13 @@ def find_rho0(ctx: KernelContext, cfg: SolverConfig) -> float | None:
     return rho0
 
 
-def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
+def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig, e2_R: dict) -> dict:
     """Sampled check of the monotonicity assumption in both strict/non-strict forms.
 
     One rate evaluation per distinct profile (a row), made as it is drawn: each shape
     at four scales, neighbours paired, then ten random pairs. Pairs index (lower, higher) rows.
+    ``e2_R`` maps scales to R at that scale times ``ctx.e2``, as :func:`certify`'s
+    ray computed it; the ray along ``ctx.e2`` reads those and evaluates only the rest.
     """
     grid = ctx.grid
     stride = max(1, grid.n // 40)
@@ -631,7 +657,9 @@ def _monotonicity_evidence(ctx: KernelContext, cfg: SolverConfig) -> dict:
 
     r_decreasing = True
     for w in shapes[:4]:
-        vals = _ray_R(ctx, w, (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0))
+        known = e2_R if w is ctx.e2 else {}
+        vals = [known[lam] if lam in known else _ray_R(ctx, w, (lam,))[0]
+                for lam in (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)]
         r_decreasing &= all(b < a - 1e-14 for a, b in zip(vals, vals[1:]))
 
     return {
@@ -650,6 +678,10 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
     threshold beyond which R <= 1, or sampled fertility decay at large
     populations. Nonexistence: subcritical extinct state plus sampled
     monotonicity making R decreasing. Anything else is inconclusive.
+
+    R is evaluated once per distinct sample: the scaled upper envelope's ray
+    hands its R at the scales it shares with the monotonicity evidence's ray
+    along the same envelope (0.1, 1, 10 and 100) to that evidence.
     """
     R0 = net_reproduction_R(ctx, zero_profile(ctx.grid))
     rho0 = find_rho0(ctx, cfg)
@@ -660,7 +692,7 @@ def certify(ctx: KernelContext, cfg: SolverConfig) -> Certificate:
     ray = _ray_R(ctx, ctx.e2, ray_lams)
     lbeta_R = tuple(ray[2:])
     lbeta_pass = all(b <= a + 1e-12 for a, b in zip(lbeta_R, lbeta_R[1:])) and lbeta_R[-1] < 1e-3
-    mono = _monotonicity_evidence(ctx, cfg)
+    mono = _monotonicity_evidence(ctx, cfg, dict(zip(ray_lams, ray)))
 
     notes = []
     b = ctx.model.bounds

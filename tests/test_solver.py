@@ -370,6 +370,26 @@ class TestScanAndBisect:
         with pytest.raises(ConvergenceError, match=r"^%s$" % re.escape(message)):
             sp.bisect_root(ctx, (lo, hi), cfg, sp.scan_roots(ctx, cfg).ends[0])
 
+    def test_failed_predicted_start_is_retried_from_the_upper_end(self, monkeypatch):
+        # perfbench's seed-1 stiff-picard instance stiff_2: under 21 Picard steps,
+        # a solve from the predicted start fails where one from the upper end's
+        # shape converges
+        m = sp.hierarchical_model(g_low=0.0343122, g_high=1.0, mu0=1.0, b0=7.67543)
+        ctx = sp.make_context(m, sp.build_grid(sp.default_x_max(m.bounds), 4001,
+                                               "uniform_trapezoid"))
+        cfg = sp.SolverConfig(scan_points=64, picard_max_iter=21)
+        lams = _count_inner_solves(monkeypatch)
+        scan, results = sp.solve_all(ctx, cfg)
+        monkeypatch.undo()
+        assert scan.brackets == (
+            (pytest.approx(3.72123, abs=1e-5), pytest.approx(38.8012, abs=1e-4)),)
+        assert len(lams) > len(set(lams))       # some scale was solved twice
+        (result,) = results
+        assert isinstance(result, sp.EquilibriumResult)
+        _, (default_cap,) = sp.solve_all(ctx, replace(cfg, picard_max_iter=200))
+        assert result.P_star == pytest.approx(default_cap.P_star, abs=1e-6)
+        assert default_cap.P_star == pytest.approx(6.70427, abs=1e-5)
+
     def test_failed_bracket_keeps_the_other_roots(self, ce_ctx, ce_solutions, monkeypatch):
         bisect = sp.solver.bisect_root
 
@@ -1262,18 +1282,43 @@ class TestCertificates:
         # unevaluated, so the walk evaluates only the sizes nearest rho0
         assert len(calls) <= evals
 
-    @pytest.mark.parametrize("case", ["constant_subcritical", "composite_increasing_mu"])
+    @pytest.mark.parametrize("case", ["constant_subcritical", "composite_increasing_mu",
+                                      "composite_subcritical"])
     def test_find_rho0_evaluates_nothing_the_bound_settles(
         self, const_ctx_factory, monkeypatch, case
     ):
-        # beta_sup(P) * S_hi <= 1 at every size
+        # (beta_max + t) * S_hi <= 1: no size is walked, and the smallest size
+        # is summed once per shape
         ctx = {
             "constant_subcritical": lambda: const_ctx_factory(1.0, 1.0, 0.5),
             "composite_increasing_mu": _increasing_mu_ctx,
+            "composite_subcritical": _subcritical_composite_ctx,
         }[case]()
+        cfg = sp.SolverConfig()
+        expect = _rho0_reference(ctx, cfg)
         calls = _count_R_evals(monkeypatch)
-        assert sp.find_rho0(ctx, sp.SolverConfig()) is not None
+        sizes = []
+
+        def counted(grid, f):
+            sizes.append(1)
+            return sp.integrate(grid, f)
+
+        monkeypatch.setattr(sp.solver, "integrate", counted)
+        assert expect is not None
+        assert sp.find_rho0(ctx, cfg) == expect
         assert calls == []
+        assert len(sizes) == 8
+
+    def test_certify_evaluates_each_ray_sample_once(self, const_ctx_factory, monkeypatch):
+        # R0, the envelope's 7 ray scales and the monotonicity evidence's 28 ray
+        # samples but the 4 the envelope's ray shares with them (36 before they
+        # were shared); the bound settles find_rho0, which evaluates none
+        ctx = const_ctx_factory(1.0, 1.0, 0.5)
+        calls = _count_R_evals(monkeypatch)
+        cert = sp.certify(ctx, sp.SolverConfig())
+        assert len(calls) == 1 + 7 + 24
+        monkeypatch.undo()
+        assert cert == sp.certify(ctx, sp.SolverConfig())
 
     @pytest.mark.parametrize("rate", ["g", "mu", "beta"])
     def test_certify_keeps_the_bounds_check(self, rate):
@@ -1362,6 +1407,12 @@ def _evidence_model(family, a, b):
     )
 
 
+def _certify_e2_ray(ctx):
+    """R along the scaled upper envelope at the scales :func:`certify` samples."""
+    lams = (0.01, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4)
+    return dict(zip(lams, sp.solver._ray_R(ctx, ctx.e2, lams)))
+
+
 class TestMonotonicityEvidence:
     """One rate evaluation per distinct sampled profile, with the per-pair loop's evidence."""
 
@@ -1379,7 +1430,9 @@ class TestMonotonicityEvidence:
         model = _evidence_model(family, a, b)
         ctx = sp.make_context(model, sp.build_grid(sp.default_x_max(model.bounds), n, scheme))
         cfg = sp.SolverConfig(seed=seed)
-        assert sp.solver._monotonicity_evidence(ctx, cfg) == _monotonicity_reference(ctx, cfg)
+        e2_R = _certify_e2_ray(ctx)
+        assert (sp.solver._monotonicity_evidence(ctx, cfg, e2_R)
+                == _monotonicity_reference(ctx, cfg))
 
     def test_one_rate_evaluation_per_sampled_profile(self, hier_ctx, monkeypatch):
         # every rate evaluation, the reference's included, runs the binder's closure; R along
@@ -1399,7 +1452,7 @@ class TestMonotonicityEvidence:
 
         ctx = sp.make_context(replace(hier_ctx.model, bind=recording_bind), hier_ctx.grid)
         cfg = sp.SolverConfig()
-        assert sp.solver._monotonicity_evidence(ctx, cfg)["pairs_sampled"] == 28
+        assert sp.solver._monotonicity_evidence(ctx, cfg, {})["pairs_sampled"] == 28
         rows = list(evaluated)
         evaluated.clear()
         _monotonicity_reference(ctx, cfg)
